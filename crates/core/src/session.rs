@@ -5,10 +5,10 @@
 //! probe. An [`EvalSession`] replaces that with a stateful
 //! `try_moves` / `commit` / `rollback` protocol backed by the incremental
 //! timing engine: buffers partition the RC tree into stages, so flipping one
-//! edge's rule re-solves only the stage containing it plus an O(#stages)
-//! arrival-offset pass. Power deltas are closed-form (wire switching power
-//! is linear in capacitance), so a probe near a leaf costs O(stage size),
-//! not O(n).
+//! edge's rule re-solves only the stage containing it and re-times only the
+//! stages downstream of it. Power deltas are closed-form (wire switching
+//! power is linear in capacitance), so a probe near a leaf costs
+//! O(stage size), not O(n).
 //!
 //! [`EvalMode::FullReanalysis`] keeps the original full-analysis path alive
 //! behind the same API — it is the oracle the equivalence tests and the
@@ -71,6 +71,21 @@ pub struct CandidateEval {
     /// (slew/skew, timing arcs, track budget, EM, noise, corners) —
     /// equivalent to [`OptContext::meets`].
     pub feasible: bool,
+}
+
+/// A committed state's nominal constraint violation and its sources, as
+/// returned by [`EvalSession::violation_sites`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ViolationSites {
+    /// [`Constraints::violation_ps`](crate::Constraints::violation_ps):
+    /// slew excess plus skew excess, ps.
+    pub(crate) violation_ps: f64,
+    /// Sinks and buffer inputs above the slew limit (empty when the worst
+    /// slew meets it), in no particular order.
+    pub(crate) slew_violators: Vec<NodeId>,
+    /// When skew exceeds its limit, the latest-arriving sink — the last
+    /// maximum in sink order, so the highest id wins ties.
+    pub(crate) latest_sink: Option<NodeId>,
 }
 
 struct Pending {
@@ -444,6 +459,56 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             Some(engine) => engine.report(self.ctx.tree()),
             None => self.ctx.analyze(&self.asg),
         }
+    }
+
+    /// The committed state's nominal slew/skew violation and where it
+    /// comes from — what a repair step needs, without a full report in
+    /// [`EvalMode::Incremental`]: the engine visits only stages whose worst
+    /// slew exceeds the limit, and only the stages holding the latest
+    /// arrival.
+    pub(crate) fn violation_sites(&self) -> ViolationSites {
+        let tree = self.ctx.tree();
+        let constraints = self.ctx.constraints();
+        let slew_limit = constraints.slew_limit_ps();
+        let mut sites = ViolationSites {
+            violation_ps: 0.0,
+            slew_violators: Vec::new(),
+            latest_sink: None,
+        };
+        match &self.engine {
+            Some(engine) => {
+                let s = engine.summary();
+                sites.violation_ps = constraints.violation_ps_of(s.max_slew_ps, s.skew_ps());
+                if s.max_slew_ps > slew_limit {
+                    sites.slew_violators = engine.slew_violators(tree, slew_limit);
+                }
+                if s.skew_ps() > constraints.skew_limit_ps() {
+                    sites.latest_sink = engine.latest_sink(tree);
+                }
+            }
+            None => {
+                let report = self.ctx.analyze(&self.asg);
+                sites.violation_ps = constraints.violation_ps(&report);
+                if report.max_slew_ps() > slew_limit {
+                    sites.slew_violators = tree
+                        .nodes()
+                        .iter()
+                        .filter(|n| (n.kind().is_sink() || n.kind().is_buffer()) && n.parent().is_some())
+                        .map(|n| n.id())
+                        .filter(|&v| report.slew_ps(v) > slew_limit)
+                        .collect();
+                }
+                if report.skew_ps() > constraints.skew_limit_ps() {
+                    sites.latest_sink = tree.sink_nodes().into_iter().max_by(|a, b| {
+                        report
+                            .arrival_ps(*a)
+                            .partial_cmp(&report.arrival_ps(*b))
+                            .expect("arrivals are finite")
+                    });
+                }
+            }
+        }
+        sites
     }
 
     /// The committed assignment.

@@ -1,13 +1,12 @@
 //! Dual construction: repair the all-default tree by targeted upgrades.
 
-use crate::session::{run_probe_job, ProbeJob};
+use crate::session::{run_probe_job, ProbeJob, ViolationSites};
 use crate::supervise::Meter;
 use crate::{
     panic_message, Budget, DegradationEvent, NdrOptimizer, OptContext, Prober, SupervisedRun,
 };
 use snr_cts::{Assignment, NodeId};
 use snr_par::{pool_scope, Parallelism};
-use snr_timing::TimingReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Upgrade-repair: start with *no* NDR anywhere (uniform default) and,
@@ -69,66 +68,41 @@ impl GreedyUpgradeRepair {
         self
     }
 
-    /// Edges worth upgrading for the current report: stage edges of
-    /// slew-violating nodes plus root-path edges of the extreme sinks.
-    fn candidates(
-        &self,
-        ctx: &OptContext<'_>,
-        asg: &Assignment,
-        report: &TimingReport,
-    ) -> Vec<NodeId> {
+    /// Edges worth upgrading for the committed state's violation sites:
+    /// stage edges of slew-violating nodes plus the latest sink's root
+    /// path, ascending id.
+    fn candidates(ctx: &OptContext<'_>, asg: &Assignment, sites: &ViolationSites) -> Vec<NodeId> {
         let tree = ctx.tree();
-        let constraints = ctx.constraints();
-        let mut mark = vec![false; tree.len()];
+        let mut marked = Vec::new();
 
         // Slew violations: walk from each violating checked node up to its
         // stage source, marking the stage's path edges.
-        if report.max_slew_ps() > constraints.slew_limit_ps() {
-            for node in tree.nodes() {
-                let checked = node.kind().is_sink() || node.kind().is_buffer();
-                if !(checked && node.parent().is_some()) {
-                    continue;
+        for &v in &sites.slew_violators {
+            let mut cur = v;
+            while let Some(p) = tree.node(cur).parent() {
+                marked.push(cur);
+                if tree.node(p).kind().is_buffer() {
+                    break;
                 }
-                if report.slew_ps(node.id()) <= constraints.slew_limit_ps() {
-                    continue;
-                }
-                let mut cur = node.id();
-                while let Some(p) = tree.node(cur).parent() {
-                    mark[cur.0] = true;
-                    if tree.node(p).kind().is_buffer() {
-                        break;
-                    }
-                    cur = p;
-                }
+                cur = p;
             }
         }
 
         // Skew violations: the latest sink's root path is where upgrades
         // reduce delay (the earliest sink cannot be slowed by upgrading).
-        if report.skew_ps() > constraints.skew_limit_ps() {
-            let latest = tree
-                .sink_nodes()
-                .into_iter()
-                .max_by(|a, b| {
-                    report
-                        .arrival_ps(*a)
-                        .partial_cmp(&report.arrival_ps(*b))
-                        .expect("arrivals are finite")
-                })
-                .expect("trees have sinks");
+        if let Some(latest) = sites.latest_sink {
             let mut cur = latest;
             while let Some(p) = tree.node(cur).parent() {
-                mark[cur.0] = true;
+                marked.push(cur);
                 cur = p;
             }
         }
 
         let most = ctx.tech().rules().most_conservative_id();
-        mark.iter()
-            .enumerate()
-            .filter(|(i, m)| **m && asg.rule(NodeId(*i)) != most)
-            .map(|(i, _)| NodeId(i))
-            .collect()
+        marked.sort_unstable();
+        marked.dedup();
+        marked.retain(|&e| asg.rule(e) != most);
+        marked
     }
 }
 
@@ -239,15 +213,15 @@ impl GreedyUpgradeRepair {
             if !meter.tick() {
                 return;
             }
-            let report = session.report();
-            let violation = constraints.violation_ps(&report);
+            let sites = session.violation_sites();
+            let violation = sites.violation_ps;
             if violation <= 0.0 && session.feasible() {
                 return;
             }
             // Nominal is clean but a corner still violates: fall through
             // to the plateau branch, which keeps widening the longest
             // cheap edges (terminating at uniform-conservative).
-            let candidates = self.candidates(ctx, session.assignment(), &report);
+            let candidates = Self::candidates(ctx, session.assignment(), &sites);
             if candidates.is_empty() {
                 break;
             }
@@ -403,6 +377,39 @@ mod tests {
             .with_constraints(Constraints::absolute(1e9, 1e9));
         let asg = GreedyUpgradeRepair::default().assign(&ctx);
         assert_eq!(asg, ctx.default_assignment());
+    }
+
+    /// The engine-backed sites equal the full-report scan along a repair
+    /// trajectory, and both produce the same candidate edges.
+    #[test]
+    fn violation_sites_agree_across_eval_modes() {
+        use crate::EvalMode;
+        let (tree, tech) = fixture(120);
+        let inc = OptContext::new(&tree, &tech, PowerModel::new(1.0));
+        let full = OptContext::new(&tree, &tech, PowerModel::new(1.0))
+            .with_eval_mode(EvalMode::FullReanalysis);
+        let mut a = inc.session_from(inc.default_assignment());
+        let mut b = full.session_from(full.default_assignment());
+        let rules = tech.rules();
+        let mut checked = 0;
+        for e in tree.edges().step_by(5) {
+            let (mut sa, sb) = (a.violation_sites(), b.violation_sites());
+            sa.slew_violators.sort_unstable();
+            assert_eq!(sa.slew_violators, sb.slew_violators);
+            assert_eq!(sa.latest_sink, sb.latest_sink);
+            assert!((sa.violation_ps - sb.violation_ps).abs() < 1e-9);
+            assert_eq!(
+                GreedyUpgradeRepair::candidates(&inc, a.assignment(), &sa),
+                GreedyUpgradeRepair::candidates(&full, b.assignment(), &sb)
+            );
+            checked += usize::from(!sa.slew_violators.is_empty() || sa.latest_sink.is_some());
+            let Some(next) = rules.pricier_than(a.rule(e)).next() else { continue };
+            a.try_edge(e, next);
+            a.commit();
+            b.try_edge(e, next);
+            b.commit();
+        }
+        assert!(checked > 0, "the trajectory must visit violating states");
     }
 
     #[test]

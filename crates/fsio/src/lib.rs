@@ -21,6 +21,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The fixed sibling temp path [`atomic_write`] stages through.
 pub fn temp_path(path: &Path) -> PathBuf {
@@ -29,23 +30,37 @@ pub fn temp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// A per-process sibling temp path (`<path>.<pid>.tmp`), for writers that
-/// may race other *processes* on the same destination: each writer stages
-/// through its own temp file and the final rename is last-writer-wins.
+/// A per-call sibling temp path (`<path>.<pid>.<seq>.tmp`), for writers
+/// that may race other processes *or threads* on the same destination: the
+/// pid separates processes and a process-wide sequence number separates
+/// calls within one, so every writer stages through its own temp file and
+/// the final rename is last-writer-wins.
 pub fn unique_temp_path(path: &Path) -> PathBuf {
+    // Relaxed: the counter only has to hand out distinct values; it
+    // publishes no other data.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut os = path.as_os_str().to_owned();
-    os.push(format!(".{}.tmp", std::process::id()));
+    os.push(format!(".{}.{seq}.tmp", std::process::id()));
     PathBuf::from(os)
 }
 
-/// Extracts the writer pid from a [`unique_temp_path`] file name
-/// (`<stem>.<pid>.tmp`), so sweepers can tell orphans (writer dead) from
-/// in-flight stages (writer alive). `None` when the name does not match.
+/// Extracts the writer pid from a [`unique_temp_path`] file name, so
+/// sweepers can tell orphans (writer dead) from in-flight stages (writer
+/// alive). Accepts `<stem>.<pid>.<seq>.tmp` and the older per-process
+/// `<stem>.<pid>.tmp`, which writers from earlier releases still produce;
+/// two numeric components before `.tmp` are read as pid and sequence, so
+/// the destination's own name must not end in a numeric extension. `None`
+/// when the name matches neither form.
 pub fn temp_writer_pid(path: &Path) -> Option<u32> {
     let name = path.file_name()?.to_str()?;
     let stem = name.strip_suffix(".tmp")?;
-    let (_, pid) = stem.rsplit_once('.')?;
-    pid.parse().ok()
+    let (rest, last) = stem.rsplit_once('.')?;
+    let numeric = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    match rest.rsplit_once('.') {
+        Some((_, pid)) if numeric(pid) && numeric(last) => pid.parse().ok(),
+        _ => last.parse().ok(),
+    }
 }
 
 /// Whether the process `pid` is still alive. Used for stale lock-file and
@@ -339,10 +354,17 @@ mod tests {
         let p = d.join("entry.bin");
         let tmp = unique_temp_path(&p);
         assert_eq!(temp_writer_pid(&tmp), Some(std::process::id()));
+        assert_ne!(unique_temp_path(&p), tmp, "every call stages through its own file");
         assert_eq!(temp_writer_pid(&temp_path(&p)), None, "fixed temp has no pid");
+        // The older per-process form still parses, as does a
+        // per-call name on a dotted destination.
+        assert_eq!(temp_writer_pid(&d.join("abc.entry.4242.tmp")), Some(4242));
+        assert_eq!(temp_writer_pid(&d.join("abc.entry.4242.17.tmp")), Some(4242));
+        assert_eq!(temp_writer_pid(&d.join("abc.entry.x.tmp")), None);
         atomic_write_unique(&p, b"payload").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"payload");
-        assert!(!tmp.exists(), "unique temp must not survive");
+        let left: Vec<_> = fs::read_dir(&d).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("entry.bin")], "no stage file survives");
         // Last-writer-wins over an existing destination.
         atomic_write_unique(&p, b"newer").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"newer");

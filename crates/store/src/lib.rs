@@ -562,6 +562,55 @@ mod tests {
         fs::remove_dir_all(&d).unwrap();
     }
 
+    /// Workers saving one key at once (a daemon's racing cold requests)
+    /// never fail, never tear the entry and never quarantine: every save
+    /// stages through its own temp file.
+    #[test]
+    fn concurrent_saves_of_one_key_all_land_intact() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 60;
+        let (d, store) = tmp_store("concurrent");
+        // Distinct payload lengths per thread, so an interleaved write
+        // could not pass as any one writer's entry.
+        let payloads: Vec<Vec<u8>> = (0..THREADS).map(|t| vec![b'a' + t as u8; 512 + 97 * t]).collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        // Failures are counted, not panicked on, so every thread keeps
+        // meeting the barrier.
+        let failed: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = payloads
+                .iter()
+                .map(|payload| {
+                    let (store, barrier) = (&store, &barrier);
+                    scope.spawn(move || {
+                        (0..ROUNDS)
+                            .filter(|_| {
+                                barrier.wait();
+                                store.save(StoreKind::Run, KEY, &[("run_json", payload)]).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("saver thread panicked")).sum()
+        });
+        assert_eq!(failed, 0, "every racing save lands");
+        let Lookup::Hit(sections) = store.load(StoreKind::Run, KEY) else {
+            panic!("expected a verified hit")
+        };
+        assert_eq!(sections.len(), 1);
+        assert!(payloads.contains(&sections[0].1), "entry is one writer's whole payload");
+        let stats = store.stats();
+        assert_eq!((stats.writes, stats.quarantined), ((THREADS * ROUNDS) as u64, 0));
+        assert_eq!(fs::read_dir(store.corrupt_dir()).unwrap().count(), 0);
+        let dir = store.entry_path(StoreKind::Run, KEY);
+        let stages = fs::read_dir(dir.parent().unwrap())
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "tmp"))
+            .count();
+        assert_eq!(stages, 0, "no stage file survives");
+        fs::remove_dir_all(&d).unwrap();
+    }
+
     #[test]
     fn kinds_are_separate_key_spaces() {
         let (d, store) = tmp_store("kinds");

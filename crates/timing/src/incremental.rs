@@ -6,9 +6,22 @@
 //! loads, wire delays, slews — and (b) the *arrival offsets* of everything
 //! downstream of that stage's source. [`IncrementalAnalyzer`] exploits
 //! this: it caches per-stage results, marks the stage containing a changed
-//! edge dirty, re-solves only dirty stages, and propagates arrival deltas
-//! through the (small) stage graph. A candidate evaluation therefore costs
-//! `O(dirty-stage size + #stages)` instead of `O(nodes)`.
+//! edge dirty, re-solves only dirty stages, and re-times only the stages
+//! downstream of them.
+//!
+//! Stages are laid out in depth-first preorder of the stage tree, so every
+//! stage's downstream *cone* is one contiguous index range. A probe
+//! re-times the cone of the dirty stages' lowest common ancestor and reads
+//! everything outside it from committed per-stage figures — latest sink
+//! arrival, earliest sink arrival and worst slew — folded into preorder
+//! prefix and suffix max/min arrays. A candidate evaluation therefore costs
+//! `O(dirty-stage size + cone)` instead of `O(nodes)`; a commit costs
+//! `O(dirty stages + #stages)`, the fold rebuild.
+//!
+//! The folds are exact: max and min round nothing, so combining the
+//! prefix, the re-timed cone and the suffix gives the same bits as one pass
+//! over every stage, and each re-timed arrival is computed from the same
+//! operands in the same order as a fresh analyzer would use.
 //!
 //! The evaluation protocol is transactional:
 //!
@@ -16,6 +29,12 @@
 //!   evaluate a candidate rule change without disturbing committed state;
 //! * [`IncrementalAnalyzer::commit`] folds the candidate in;
 //! * [`IncrementalAnalyzer::rollback`] discards it (O(1) — an epoch bump).
+//!
+//! Two committed-state queries serve repair-style optimizers without a full
+//! [`TimingReport`]: [`IncrementalAnalyzer::slew_violators`] visits only
+//! stages whose worst slew exceeds the limit, and
+//! [`IncrementalAnalyzer::latest_sink`] only stages whose latest arrival is
+//! the global latency.
 //!
 //! Within dirty stages the arithmetic mirrors [`Analyzer`] operation for
 //! operation, so loads and slews agree *bitwise* with a full re-analysis;
@@ -96,8 +115,16 @@ pub struct IncrementalAnalyzer {
     c_scale: f64,
 
     // --- stage structure (fixed per tree) ---
-    /// Stage sources (root first, then every parented buffer), ascending id.
+    /// Stage sources (root first, then every parented buffer) in
+    /// depth-first preorder of the stage tree.
     stages: Vec<NodeId>,
+    /// Per stage: the stage owning its source's edge (`NO_STAGE` for the
+    /// root stage).
+    stage_parent: Vec<u32>,
+    /// Per stage `si`: its downstream cone is `si..cone_end[si]`.
+    cone_end: Vec<u32>,
+    /// Whether the tree has any sink (the root included).
+    has_sinks: bool,
     /// Per node: index of the stage owning its edge/wire/slew values
     /// (for the root: its own stage; the values are unused).
     owner: Vec<u32>,
@@ -127,6 +154,16 @@ pub struct IncrementalAnalyzer {
     /// sinks).
     sink_min_rel: Vec<f64>,
     sink_max_rel: Vec<f64>,
+    /// Preorder folds over stages `0..i` (`pre_*[i]`) and `i..` (`suf_*[i]`)
+    /// of each stage's latest sink arrival (max), earliest sink arrival
+    /// (min) and `max_slew` (max), seeded with the identities the full
+    /// pass starts from.
+    pre_latest: Vec<f64>,
+    suf_latest: Vec<f64>,
+    pre_earliest: Vec<f64>,
+    suf_earliest: Vec<f64>,
+    pre_slew: Vec<f64>,
+    suf_slew: Vec<f64>,
     summary: TimingSummary,
 
     // --- pending (candidate) state, valid iff stamped with `epoch` ---
@@ -145,6 +182,8 @@ pub struct IncrementalAnalyzer {
     p_slew: Vec<f64>,
     /// Stamps per-stage aggregate recomputation (doubles as the dirty mark).
     p_stage_ep: Vec<u64>,
+    /// The pending candidate's re-timed cone; `p_out` is valid only there.
+    p_cone: (usize, usize),
     p_out: Vec<f64>,
     p_src_slew: Vec<f64>,
     p_max_slew: Vec<f64>,
@@ -193,14 +232,17 @@ impl IncrementalAnalyzer {
         let arena = tree.arena();
         let parents = arena.parents();
 
-        // Stage sources in topological (= id) order.
+        // Stage sources in node preorder: a buffer's subtree is contiguous
+        // in it, so the stages below each stage form one index range.
         let mut stages = Vec::new();
         let mut headed = vec![NO_STAGE; n];
-        for v in 0..n {
+        let mut stack = vec![root.0];
+        while let Some(v) = stack.pop() {
             if parents[v] == snr_cts::NO_PARENT || arena.is_buffer(v) {
                 headed[v] = stages.len() as u32;
                 stages.push(NodeId(v));
             }
+            stack.extend(arena.children(v).iter().rev().map(|&c| c as usize));
         }
         debug_assert_eq!(stages[0], root, "root must head the first stage");
         let s_count = stages.len();
@@ -216,6 +258,19 @@ impl IncrementalAnalyzer {
             }
             let p = p as usize;
             owner[v] = if headed[p] != NO_STAGE { headed[p] } else { owner[p] };
+        }
+
+        // Stage tree: parents, and cone ends from subtree sizes (children
+        // follow their parent in preorder, so a reverse sweep sees every
+        // child first).
+        let stage_parent: Vec<u32> = stages
+            .iter()
+            .map(|&s| if s == root { NO_STAGE } else { owner[s.0] })
+            .collect();
+        let mut cone_end: Vec<u32> = (1..=s_count as u32).collect();
+        for si in (1..s_count).rev() {
+            let p = stage_parent[si] as usize;
+            cone_end[p] = cone_end[p].max(cone_end[si]);
         }
 
         // Members grouped by owner, ascending id (counting sort keeps the
@@ -252,6 +307,9 @@ impl IncrementalAnalyzer {
             r_scale,
             c_scale,
             stages,
+            stage_parent,
+            cone_end,
+            has_sinks: (0..n).any(|v| arena.is_sink(v)),
             owner,
             headed,
             member_range,
@@ -268,6 +326,12 @@ impl IncrementalAnalyzer {
             max_slew: vec![0.0; s_count],
             sink_min_rel: vec![f64::INFINITY; s_count],
             sink_max_rel: vec![f64::NEG_INFINITY; s_count],
+            pre_latest: vec![f64::MIN; s_count + 1],
+            suf_latest: vec![f64::MIN; s_count + 1],
+            pre_earliest: vec![f64::MAX; s_count + 1],
+            suf_earliest: vec![f64::MAX; s_count + 1],
+            pre_slew: vec![0.0; s_count + 1],
+            suf_slew: vec![0.0; s_count + 1],
             summary: zero_summary,
             epoch: 1,
             has_pending: false,
@@ -282,6 +346,7 @@ impl IncrementalAnalyzer {
             p_rel_in: vec![0.0; n],
             p_slew: vec![0.0; n],
             p_stage_ep: vec![0; s_count],
+            p_cone: (0, 0),
             p_out: vec![0.0; s_count],
             p_src_slew: vec![0.0; s_count],
             p_max_slew: vec![0.0; s_count],
@@ -302,7 +367,7 @@ impl IncrementalAnalyzer {
         for si in 0..s_count {
             inc.recompute_stage(tree, tech, si);
         }
-        inc.global_pass(tree, tech);
+        inc.cone_pass(tree, tech);
         inc.commit();
         inc
     }
@@ -325,7 +390,7 @@ impl IncrementalAnalyzer {
     /// Test-only corruption hook: shifts the committed per-stage sink
     /// windows and worst slews by `delta_ps`, as an engine-state bug would.
     /// The drift survives subsequent `try_moves`/`commit` cycles because
-    /// `global_pass` rebuilds its aggregates from these committed arrays —
+    /// the folds and every clean stage read these committed arrays —
     /// exactly the failure mode the divergence guard exists to catch.
     #[doc(hidden)]
     pub fn debug_perturb(&mut self, delta_ps: f64) {
@@ -335,6 +400,7 @@ impl IncrementalAnalyzer {
                 self.sink_max_rel[si] += delta_ps;
             }
         }
+        self.refold(0, self.stages.len());
         self.summary.latency_ps += delta_ps;
         self.summary.max_slew_ps += delta_ps;
     }
@@ -375,14 +441,25 @@ impl IncrementalAnalyzer {
             return self.arrival_ps(node);
         }
         if self.headed[node.0] != NO_STAGE {
-            self.p_out[self.headed[node.0] as usize]
+            self.candidate_out(self.headed[node.0] as usize)
         } else {
             let rel = if self.p_wire_ep[node.0] == self.epoch {
                 self.p_rel_in[node.0]
             } else {
                 self.rel_in[node.0]
             };
-            self.p_out[self.owner[node.0] as usize] + rel
+            self.candidate_out(self.owner[node.0] as usize) + rel
+        }
+    }
+
+    /// Source output arrival of stage `si` under the pending candidate:
+    /// re-timed inside the pending cone, committed outside it.
+    fn candidate_out(&self, si: usize) -> f64 {
+        let (lo, hi) = self.p_cone;
+        if (lo..hi).contains(&si) {
+            self.p_out[si]
+        } else {
+            self.out[si]
         }
     }
 
@@ -466,7 +543,7 @@ impl IncrementalAnalyzer {
             let si = self.dirty[i] as usize;
             self.recompute_stage(tree, tech, si);
         }
-        self.global_pass(tree, tech);
+        self.cone_pass(tree, tech);
         self.p_summary
     }
 
@@ -508,7 +585,9 @@ impl IncrementalAnalyzer {
                 }
             }
         }
-        std::mem::swap(&mut self.out, &mut self.p_out);
+        let (lo, hi) = self.p_cone;
+        self.out[lo..hi].copy_from_slice(&self.p_out[lo..hi]);
+        self.refold(lo, hi);
         self.summary = self.p_summary;
         self.epoch += 1;
         self.has_pending = false;
@@ -522,6 +601,61 @@ impl IncrementalAnalyzer {
         self.has_pending = false;
         self.dirty.clear();
         self.changed.clear();
+    }
+
+    /// Checked nodes (sinks and buffer inputs) whose committed slew exceeds
+    /// `limit_ps`, in stage order. Only stages whose worst slew exceeds the
+    /// limit are visited.
+    pub fn slew_violators(&self, tree: &ClockTree, limit_ps: f64) -> Vec<NodeId> {
+        assert_eq!(tree.len(), self.n, "analyzer built for a different tree");
+        let mut out = Vec::new();
+        for si in 0..self.stages.len() {
+            if self.max_slew[si] <= limit_ps {
+                continue;
+            }
+            let (lo, hi) = self.member_range[si];
+            for &v in &self.member_nodes[lo as usize..hi as usize] {
+                let kind = tree.node(v).kind();
+                if (kind.is_sink() || kind.is_buffer()) && self.slew[v.0] > limit_ps {
+                    out.push(v);
+                }
+            }
+        }
+        out
+    }
+
+    /// The committed latest-arriving sink: the highest-id sink whose
+    /// arrival equals the committed latency, i.e. the last maximum in
+    /// [`ClockTree::sink_nodes`] order. `None` when the tree has no sinks.
+    /// Only stages whose latest arrival is the global one are visited.
+    pub fn latest_sink(&self, tree: &ClockTree) -> Option<NodeId> {
+        assert_eq!(tree.len(), self.n, "analyzer built for a different tree");
+        if !self.has_sinks {
+            return None;
+        }
+        let latency = self.pre_latest[self.stages.len()];
+        let mut best: Option<(f64, NodeId)> = None;
+        let mut consider = |arrival: f64, v: NodeId| {
+            if best.is_none_or(|(a, b)| arrival > a || (arrival == a && v > b)) {
+                best = Some((arrival, v));
+            }
+        };
+        for si in 0..self.stages.len() {
+            if self.sink_window(si).0 != latency {
+                continue;
+            }
+            let src = self.stages[si];
+            if tree.node(src).kind().is_sink() {
+                consider(self.out[si], src);
+            }
+            let (lo, hi) = self.member_range[si];
+            for &v in &self.member_nodes[lo as usize..hi as usize] {
+                if tree.node(v).kind().is_sink() {
+                    consider(self.out[si] + self.rel_in[v.0], v);
+                }
+            }
+        }
+        best.map(|(_, v)| v)
     }
 
     /// A full [`TimingReport`] of the committed state, equivalent to
@@ -664,18 +798,34 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// One pass over the stage graph: candidate source arrivals for every
-    /// stage (clean stages shift by their parent's delta; dirty stages use
-    /// their recomputed offsets), plus the global aggregates.
-    fn global_pass(&mut self, tree: &ClockTree, tech: &Technology) {
+    /// Re-times the cone of the dirty stages' lowest common ancestor —
+    /// candidate source arrivals, with dirty stages using their recomputed
+    /// offsets — and combines it with the committed folds on either side
+    /// into the candidate aggregates.
+    fn cone_pass(&mut self, tree: &ClockTree, tech: &Technology) {
         let ep = self.epoch;
         let cells = tech.buffers().cells();
-        let mut latency = f64::MIN;
-        let mut min_arrival = f64::MAX;
-        let mut mx_slew = 0.0f64;
-        let mut saw_sink = false;
+        let s_count = self.stages.len();
 
-        for si in 0..self.stages.len() {
+        // Preorder makes the cone of stage `a` the range `a..cone_end[a]`,
+        // so the lowest common ancestor is the first ancestor of the
+        // leftmost dirty stage whose range reaches the rightmost one.
+        let (lo, hi) = match (self.dirty.iter().min(), self.dirty.iter().max()) {
+            (Some(&lo), Some(&hi)) => {
+                let mut a = lo;
+                while self.cone_end[a as usize] <= hi {
+                    a = self.stage_parent[a as usize];
+                }
+                (a as usize, self.cone_end[a as usize] as usize)
+            }
+            _ => (s_count, s_count),
+        };
+        self.p_cone = (lo, hi);
+
+        let mut latency = self.pre_latest[lo].max(self.suf_latest[hi]);
+        let mut min_arrival = self.pre_earliest[lo].min(self.suf_earliest[hi]);
+        let mut mx_slew = self.pre_slew[lo].max(self.suf_slew[hi]);
+        for si in lo..hi {
             let s = self.stages[si];
             let load_s = if self.p_load_ep[s.0] == ep {
                 self.p_load[s.0]
@@ -693,9 +843,15 @@ impl IncrementalAnalyzer {
                 } else {
                     self.rel_in[s.0]
                 };
-                let in_arr = self.p_out[self.owner[s.0] as usize] + rel;
+                // The cone's apex hangs off a stage outside it.
+                let parent = self.stage_parent[si] as usize;
+                let parent_out = if si == lo {
+                    self.out[parent]
+                } else {
+                    self.p_out[parent]
+                };
                 match tree.node(s).kind() {
-                    NodeKind::Buffer { cell } => in_arr + cells[cell].delay_ps(load_s),
+                    NodeKind::Buffer { cell } => parent_out + rel + cells[cell].delay_ps(load_s),
                     _ => unreachable!("non-root stage sources are buffers"),
                 }
             };
@@ -711,14 +867,13 @@ impl IncrementalAnalyzer {
                 (self.sink_min_rel[si], self.sink_max_rel[si], self.max_slew[si])
             };
             if smin.is_finite() {
-                saw_sink = true;
                 latency = latency.max(out + smax);
                 min_arrival = min_arrival.min(out + smin);
             }
             mx_slew = mx_slew.max(msl);
         }
 
-        if !saw_sink {
+        if !self.has_sinks {
             latency = 0.0;
             min_arrival = 0.0;
         }
@@ -736,6 +891,37 @@ impl IncrementalAnalyzer {
             min_arrival_ps: min_arrival,
             max_slew_ps: mx_slew,
         };
+    }
+
+    /// Committed latest and earliest sink arrival of stage `si`:
+    /// `out + sink_max_rel` and `out + sink_min_rel`, or ∓∞ when the stage
+    /// has no sinks — the operands and order the full pass uses.
+    fn sink_window(&self, si: usize) -> (f64, f64) {
+        if self.sink_min_rel[si].is_finite() {
+            (
+                self.out[si] + self.sink_max_rel[si],
+                self.out[si] + self.sink_min_rel[si],
+            )
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        }
+    }
+
+    /// Rebuilds the folds after stages `lo..hi` changed: prefixes from
+    /// `lo` on, suffixes up to `hi`.
+    fn refold(&mut self, lo: usize, hi: usize) {
+        for si in lo..self.stages.len() {
+            let (late, early) = self.sink_window(si);
+            self.pre_latest[si + 1] = self.pre_latest[si].max(late);
+            self.pre_earliest[si + 1] = self.pre_earliest[si].min(early);
+            self.pre_slew[si + 1] = self.pre_slew[si].max(self.max_slew[si]);
+        }
+        for si in (0..hi).rev() {
+            let (late, early) = self.sink_window(si);
+            self.suf_latest[si] = self.suf_latest[si + 1].max(late);
+            self.suf_earliest[si] = self.suf_earliest[si + 1].min(early);
+            self.suf_slew[si] = self.suf_slew[si + 1].max(self.max_slew[si]);
+        }
     }
 }
 
