@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the deterministic parallel execution layer.
 //!
-//! Three measurements back `BENCH_parallel.json` (regenerate with
+//! Two measurements back `BENCH_parallel.json` (regenerate with
 //! `scripts/bench.sh`):
 //!
 //! * Monte-Carlo variation: 500 samples on an 800-sink tree, serial vs
@@ -8,8 +8,6 @@
 //!   bit-identical, so only wall-clock differs.
 //! * A mini suite (four designs through synthesize + SmartNdr), serial vs
 //!   one worker per design — the `smart-ndr suite --jobs` hot path.
-//! * The mesh CG solver's per-tap effective-resistance sweep with a fresh
-//!   allocation per solve vs one reused [`CgScratch`].
 //!
 //! Speedups only show up with spare cores; on a single-core machine the
 //! parallel variants measure the (small) threading overhead instead.
@@ -17,7 +15,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snr_core::{NdrOptimizer, OptContext, SmartNdr};
 use snr_cts::{synthesize, Assignment, CtsOptions};
-use snr_mesh::{CgScratch, ResistiveGrid};
 use snr_netlist::{BenchmarkSpec, Design};
 use snr_par::{par_map, Parallelism};
 use snr_power::PowerModel;
@@ -77,35 +74,5 @@ fn bench_parallel_suite(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mesh_cg_scratch(c: &mut Criterion) {
-    // One driver in the centre, every boundary node probed: the shape of
-    // ClockMesh::analyze's per-tap sweep.
-    let n = 32usize;
-    let mut grid = ResistiveGrid::new(n, n, 1.0, 1.0);
-    grid.ground(n / 2, n / 2);
-    let taps: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| [(0, i), (n - 1, i), (i, 0), (i, n - 1)])
-        .collect();
-    let mut group = c.benchmark_group("mesh_cg_effective_resistance");
-    group.sample_size(10);
-    group.bench_function("alloc_per_solve", |b| {
-        b.iter(|| taps.iter().map(|&(r, c)| grid.effective_resistance(r, c)).sum::<f64>())
-    });
-    group.bench_function("scratch_reuse", |b| {
-        let mut scratch = CgScratch::default();
-        b.iter(|| {
-            taps.iter()
-                .map(|&(r, c)| grid.effective_resistance_with(r, c, &mut scratch))
-                .sum::<f64>()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_parallel_monte_carlo,
-    bench_parallel_suite,
-    bench_mesh_cg_scratch
-);
+criterion_group!(benches, bench_parallel_monte_carlo, bench_parallel_suite);
 criterion_main!(benches);

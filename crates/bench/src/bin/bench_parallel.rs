@@ -1,13 +1,12 @@
 //! `BENCH_parallel.json` — wall-clock measurements of the parallel
 //! execution layer, written to the repository root.
 //!
-//! Three workloads, each timed serial then multi-threaded, with the
+//! Two workloads, each timed serial then multi-threaded, with the
 //! parallel result asserted equal to the serial one first (the layer's
 //! whole point is that threading never changes an answer):
 //!
 //! * Monte-Carlo variation (`--mc` / `MonteCarlo::with_parallelism`),
-//! * the per-design suite flow (`smart-ndr suite --jobs`),
-//! * the mesh CG per-tap sweep, allocation-per-solve vs scratch reuse.
+//! * the per-design suite flow (`smart-ndr suite --jobs`).
 //!
 //! `--smoke` shrinks every workload so the whole run fits in a verify
 //! gate; `--out <FILE>` overrides the output path. The JSON records the
@@ -16,7 +15,6 @@
 
 use snr_core::{NdrOptimizer, OptContext, SmartNdr};
 use snr_cts::{synthesize, Assignment, CtsOptions};
-use snr_mesh::{CgScratch, ResistiveGrid};
 use snr_netlist::{BenchmarkSpec, Design};
 use snr_par::{par_map, Parallelism};
 use snr_power::PowerModel;
@@ -127,41 +125,17 @@ fn main() {
     let suite = Speedup { serial_s, parallel_s };
     eprintln!("suite {} designs: serial {:.3}s, parallel {:.3}s", designs.len(), suite.serial_s, suite.parallel_s);
 
-    // --- Mesh CG scratch reuse --------------------------------------------
-    let n = if smoke { 16 } else { 32 };
-    let mut grid = ResistiveGrid::new(n, n, 1.0, 1.0);
-    grid.ground(n / 2, n / 2);
-    let taps: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| [(0, i), (n - 1, i), (i, 0), (i, n - 1)])
-        .collect();
-    let mut scratch = CgScratch::default();
-    let (alloc_s, scratch_s) = time_pair_s(
-        reps,
-        || taps.iter().map(|&(r, c)| grid.effective_resistance(r, c)).sum::<f64>(),
-        || {
-            taps.iter()
-                .map(|&(r, c)| grid.effective_resistance_with(r, c, &mut scratch))
-                .sum::<f64>()
-        },
-    );
-    eprintln!("mesh_cg {n}x{n}, {} taps: alloc {:.4}s, scratch {:.4}s", taps.len(), alloc_s, scratch_s);
-
     // --- Emit --------------------------------------------------------------
     let machine = snr_bench::machine_json();
     let json = format!(
         "{{\n  \"generated_by\": \"scripts/bench.sh (bench_parallel{})\",\n  \"mode\": \"{}\",\n  \
          \"machine\": {machine},\n  \
          \"note\": \"all parallel paths are bit-identical to serial; speedup needs spare cores, a 1-core machine reports ~1x\",\n  \
-         \"benches\": {{\n    \"monte_carlo\": {},\n    \"suite\": {},\n    \
-         \"mesh_cg_scratch\": {{\"grid\": {n}, \"taps\": {}, \"alloc_s\": {:.4}, \"scratch_s\": {:.4}, \"alloc_over_scratch\": {:.2}}}\n  }}\n}}\n",
+         \"benches\": {{\n    \"monte_carlo\": {},\n    \"suite\": {}\n  }}\n}}\n",
         if smoke { " --smoke" } else { "" },
         if smoke { "smoke" } else { "full" },
         mc.json(&format!("\"samples\": {mc_samples}, \"sinks\": {mc_sinks}"), par.jobs()),
         suite.json(&format!("\"designs\": {}", designs.len()), par.jobs()),
-        taps.len(),
-        alloc_s,
-        scratch_s,
-        alloc_s / scratch_s,
     );
     // Atomic: an interrupted bench must not leave a truncated artifact.
     snr_fsio::atomic_write(&out_path, json.as_bytes()).expect("write BENCH_parallel.json");

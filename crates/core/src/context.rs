@@ -5,8 +5,8 @@ use snr_cts::{Assignment, ClockTree, NodeId, NodeKind};
 use snr_netlist::TimingArc;
 use snr_power::{evaluate, PowerModel, PowerReport};
 use snr_tech::{Corner, Technology};
-use snr_timing::{AnalysisOptions, Analyzer, BatchAnalyzer, DelayMetric, TimingReport, TimingSummary};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use snr_timing::{AnalysisOptions, Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
+use std::cell::{OnceCell, RefCell};
 use std::time::Duration;
 
 /// Everything an optimizer needs: the (immutable) tree, the technology, the
@@ -40,23 +40,17 @@ pub struct OptContext<'a> {
     /// to its tree node.
     arcs: Vec<(TimingArc, NodeId, NodeId)>,
     /// Conservative-baseline skew at each corner, cached on first use.
-    corner_base_skew: OnceLock<Vec<f64>>,
-    /// Shared scratch analyzer. A `Mutex` (not `RefCell`) so the context is
-    /// `Sync` and parallel probers can hold `&OptContext`; serial callers
-    /// pay one uncontended lock per analysis.
-    analyzer: Mutex<Analyzer>,
+    corner_base_skew: OnceCell<Vec<f64>>,
+    /// Shared scratch analyzer.
+    analyzer: RefCell<Analyzer>,
     /// Shared scratch for the multi-lane corner sweep: all corners of one
     /// candidate evaluate in a single tree traversal.
-    batch: Mutex<BatchAnalyzer>,
-    analysis_opts: AnalysisOptions,
+    batch: RefCell<BatchAnalyzer>,
     eval_mode: EvalMode,
     divergence_every: usize,
     divergence_epsilon_ps: f64,
     #[cfg(feature = "fault-inject")]
     exec_fault: Option<crate::ExecFault>,
-    /// Parallel probe evaluations served so far — drives probe faults.
-    #[cfg(feature = "fault-inject")]
-    probe_count: std::sync::atomic::AtomicU64,
 }
 
 impl<'a> OptContext<'a> {
@@ -71,56 +65,30 @@ impl<'a> OptContext<'a> {
             constraints,
             corners: Vec::new(),
             arcs: Vec::new(),
-            corner_base_skew: OnceLock::new(),
-            analyzer: Mutex::new(Analyzer::new()),
-            batch: Mutex::new(BatchAnalyzer::new()),
-            analysis_opts: AnalysisOptions::default(),
+            corner_base_skew: OnceCell::new(),
+            analyzer: RefCell::new(Analyzer::new()),
+            batch: RefCell::new(BatchAnalyzer::new()),
             eval_mode: EvalMode::default(),
             divergence_every: 256,
             divergence_epsilon_ps: 1e-6,
             #[cfg(feature = "fault-inject")]
             exec_fault: None,
-            #[cfg(feature = "fault-inject")]
-            probe_count: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// Arms an execution fault (chaos testing): the fault fires once, at
-    /// the probe or commit it names. See [`crate::ExecFault`].
+    /// Arms an execution fault (chaos testing): the fault fires at the
+    /// commit it names, in every session. See [`crate::ExecFault`].
     #[cfg(feature = "fault-inject")]
     pub fn with_exec_fault(mut self, fault: crate::ExecFault) -> Self {
         self.exec_fault = Some(fault);
         self
     }
 
-    /// Called by [`crate::Prober`] on every parallel probe evaluation;
-    /// fires any armed probe fault when its turn comes.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn on_parallel_probe(&self) {
-        use std::sync::atomic::Ordering;
-        let Some(fault) = self.exec_fault else { return };
-        let i = self.probe_count.fetch_add(1, Ordering::Relaxed);
-        match fault {
-            crate::ExecFault::ProbePanic { at_probe } if i == at_probe => {
-                panic!("injected fault: probe worker panic at probe {i}")
-            }
-            crate::ExecFault::ProbeStall { at_probe, millis } if i == at_probe => {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-            _ => {}
-        }
-    }
-
     /// The armed divergence fault, if any, for [`EvalSession::commit`].
     #[cfg(feature = "fault-inject")]
     pub(crate) fn divergence_fault(&self) -> Option<(usize, f64)> {
-        match self.exec_fault {
-            Some(crate::ExecFault::Divergence {
-                at_commit,
-                delta_ps,
-            }) => Some((at_commit, delta_ps)),
-            _ => None,
-        }
+        self.exec_fault
+            .map(|crate::ExecFault::Divergence { at_commit, delta_ps }| (at_commit, delta_ps))
     }
 
     /// Returns a copy whose [`EvalSession`]s use the given evaluation mode.
@@ -188,7 +156,7 @@ impl<'a> OptContext<'a> {
     /// go through [`OptContext::meets`].
     pub fn with_corners(mut self, corners: Vec<Corner>) -> Self {
         self.corners = corners;
-        self.corner_base_skew = OnceLock::new();
+        self.corner_base_skew = OnceCell::new();
         self
     }
 
@@ -262,17 +230,7 @@ impl<'a> OptContext<'a> {
     /// Runs timing analysis of `assignment` (reusing shared scratch
     /// buffers).
     pub fn analyze(&self, assignment: &Assignment) -> TimingReport {
-        // Analyzer state is pure scratch, so a lock poisoned by a panicking
-        // sibling (e.g. under catch_unwind in the CLI suite) is still valid.
-        self.analyzer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .run(self.tree, self.tech, assignment, &self.analysis_opts)
-    }
-
-    /// The analysis options sessions and probers share.
-    pub(crate) fn analysis_options(&self) -> &AnalysisOptions {
-        &self.analysis_opts
+        self.analyzer.borrow_mut().run(self.tree, self.tech, assignment, &AnalysisOptions::default())
     }
 
     /// Evaluates the power of `assignment`.
@@ -363,39 +321,15 @@ impl<'a> OptContext<'a> {
         true
     }
 
-    /// Evaluates `assignment` at every configured corner.
-    ///
-    /// Under the (default) Elmore metric all corners share one multi-lane
+    /// Evaluates `assignment` at every configured corner in one multi-lane
     /// tree traversal through the [`BatchAnalyzer`] — the summaries are bit
     /// for bit what per-corner [`snr_timing::analyze_at_corner`] calls would
-    /// produce. D2M analysis falls back to the serial per-corner path, since
-    /// the batched kernel implements only the optimizer's Elmore metric.
+    /// produce.
     fn corner_summaries(&self, assignment: &Assignment) -> Vec<TimingSummary> {
-        if self.analysis_opts.metric == DelayMetric::Elmore {
-            self.batch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .run_at_corners(self.tree, self.tech, assignment, &self.corners)
-                .to_vec()
-        } else {
-            self.corners
-                .iter()
-                .map(|&c| {
-                    let at = snr_timing::analyze_at_corner(
-                        self.tree,
-                        self.tech,
-                        assignment,
-                        c,
-                        &self.analysis_opts,
-                    );
-                    TimingSummary {
-                        latency_ps: at.latency_ps(),
-                        min_arrival_ps: at.min_arrival_ps(),
-                        max_slew_ps: at.max_slew_ps(),
-                    }
-                })
-                .collect()
-        }
+        self.batch
+            .borrow_mut()
+            .run_at_corners(self.tree, self.tech, assignment, &self.corners)
+            .to_vec()
     }
 
     /// Conservative-baseline skew at each corner — assignment-independent,

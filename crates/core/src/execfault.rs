@@ -2,29 +2,14 @@
 //!
 //! Unlike the *input* faults in `snr_netlist::faultinject` (which corrupt
 //! designs before they reach the optimizer), these faults strike the
-//! optimizer **while it runs** — a probe worker panics, a probe stalls, or
-//! the incremental engines silently drift — so tests can prove the
-//! degradation ladder recovers from each without hanging or corrupting
-//! output. Armed per-context via
+//! optimizer **while it runs** — the incremental engines silently drift —
+//! so tests can prove the degradation ladder recovers without hanging or
+//! corrupting output. Armed per-context via
 //! [`OptContext::with_exec_fault`](crate::OptContext::with_exec_fault).
 
-/// One injected execution fault. Probe faults count *parallel* probe
-/// evaluations only (the serial path never fires them), so a
-/// parallel→serial retry is always clean.
+/// One injected execution fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecFault {
-    /// Panic inside the `at_probe`-th (0-based) parallel probe evaluation.
-    ProbePanic {
-        /// Index of the probe call that panics.
-        at_probe: u64,
-    },
-    /// Stall the `at_probe`-th parallel probe evaluation for `millis`.
-    ProbeStall {
-        /// Index of the probe call that stalls.
-        at_probe: u64,
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
     /// Corrupt the incremental engines at session commit `at_commit`
     /// (1-based) by `delta_ps`, so the divergence guard must fire.
     Divergence {

@@ -1,14 +1,8 @@
 //! The smart-NDR method: sensitivity-ordered greedy downgrading.
 
-use crate::session::{run_probe_job, ProbeJob};
 use crate::supervise::Meter;
-use crate::{
-    panic_message, Budget, DegradationEvent, EvalSession, NdrOptimizer, OptContext, Prober,
-    SupervisedRun,
-};
+use crate::{Budget, DegradationEvent, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
 use snr_cts::{Assignment, NodeId};
-use snr_par::{pool_scope, Parallelism};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The paper's "smart" NDR assignment.
 ///
@@ -45,17 +39,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[derive(Debug, Clone)]
 pub struct GreedyDowngrade {
     max_passes: usize,
-    parallelism: Parallelism,
     budget: Budget,
 }
 
 impl GreedyDowngrade {
-    /// Creates the optimizer with the default pass limit (4), evaluating
-    /// candidates serially under an unlimited budget.
+    /// Creates the optimizer with the default pass limit (4) under an
+    /// unlimited budget.
     pub fn new() -> Self {
         GreedyDowngrade {
             max_passes: 4,
-            parallelism: Parallelism::serial(),
             budget: Budget::unlimited(),
         }
     }
@@ -71,20 +63,9 @@ impl GreedyDowngrade {
         self
     }
 
-    /// Returns a copy probing candidate rules concurrently on per-thread
-    /// cloned incremental engines. The assignment produced is **identical
-    /// to the serial run** for any job count: probes are read-only, the
-    /// winner is the first feasible candidate in the serial trial order,
-    /// and every commit happens on the main session.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Returns a copy bounded by `budget`. Phases: `"greedy-levels"` ticks
     /// once per non-empty tree depth; `"greedy-refine"` ticks once per
-    /// edge visit. Tick placement is identical on the serial and parallel
-    /// paths, so an iteration cap binds deterministically.
+    /// edge visit, so an iteration cap binds deterministically.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
@@ -122,45 +103,15 @@ impl GreedyDowngrade {
         self.refine_supervised(ctx, start).assignment
     }
 
-    /// [`refine`](Self::refine) with the full supervision record. When the
-    /// parallel path panics (a probe worker died), the run takes the
-    /// parallel→serial ladder rung: the attempt is abandoned and rerun
-    /// serially, which by the determinism contract produces the identical
-    /// assignment.
+    /// [`refine`](Self::refine) with the full supervision record.
     pub fn refine_supervised(&self, ctx: &OptContext<'_>, start: Assignment) -> SupervisedRun {
-        if !self.parallelism.is_serial() {
-            let serial_start = start.clone();
-            match catch_unwind(AssertUnwindSafe(|| self.attempt(ctx, start, true))) {
-                Ok(run) => return run,
-                Err(payload) => {
-                    let detail = panic_message(&*payload, 120);
-                    let mut run = self.attempt(ctx, serial_start, false);
-                    run.degradations.insert(
-                        0,
-                        DegradationEvent::ParallelToSerial {
-                            optimizer: "smart-greedy",
-                            detail,
-                        },
-                    );
-                    return run;
-                }
-            }
-        }
-        self.attempt(ctx, start, false)
-    }
-
-    fn attempt(&self, ctx: &OptContext<'_>, start: Assignment, parallel: bool) -> SupervisedRun {
         let mut session = ctx.session_from(start);
         let mut levels = Meter::start(&self.budget, "greedy-levels");
         let mut refine = Meter::start(&self.budget, "greedy-refine");
         // An infeasible start is returned unchanged (no downgrade can
         // help); the caller's feasibility check flags it.
         if session.feasible() {
-            if parallel {
-                self.run_parallel(ctx, &mut session, &mut levels, &mut refine);
-            } else {
-                self.run_serial(ctx, &mut session, &mut levels, &mut refine);
-            }
+            self.run(ctx, &mut session, &mut levels, &mut refine);
         }
         let degradations = session
             .degradations()
@@ -202,7 +153,7 @@ impl GreedyDowngrade {
         by_cap
     }
 
-    fn run_serial(
+    fn run(
         &self,
         ctx: &OptContext<'_>,
         session: &mut EvalSession<'_, '_>,
@@ -288,119 +239,6 @@ impl GreedyDowngrade {
             .collect();
         order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("gains are finite"));
         order
-    }
-
-    /// The parallel twin of [`run_serial`](Self::run_serial): every
-    /// candidate a serial step would *try* is probed concurrently on a pool
-    /// of [`Prober`]s (clones of the session's committed engines), and the
-    /// winner is the first feasible candidate in the serial trial order —
-    /// so the accepted move sequence, and therefore the final assignment,
-    /// is identical to the serial run's. Commits happen on the main session
-    /// and are broadcast to the pool to keep the probers synchronized.
-    fn run_parallel(
-        &self,
-        ctx: &OptContext<'_>,
-        session: &mut EvalSession<'_, '_>,
-        levels: &mut Meter<'_>,
-        refine: &mut Meter<'_>,
-    ) {
-        let tree = ctx.tree();
-        let by_cap = Self::rules_by_cap(ctx);
-        // A probe batch is one candidate rule per pool job; more workers
-        // than rules would idle.
-        let workers = self.parallelism.jobs().min(by_cap.len()).max(2);
-        let probers: Vec<Prober<'_, '_>> = (0..workers).map(|_| session.prober()).collect();
-
-        pool_scope(probers, &run_probe_job, |pool| {
-            let w = pool.workers();
-
-            // Phase 1: depth-synchronized group downgrades (see run_serial
-            // for why). All candidate group rules of one level are probed
-            // concurrently against the same committed state.
-            let depths = tree.depths();
-            let max_depth = depths.iter().copied().max().unwrap_or(0);
-            for d in (1..=max_depth).rev() {
-                let level: Vec<NodeId> = tree.edges().filter(|e| depths[e.0] == d).collect();
-                if level.is_empty() {
-                    continue;
-                }
-                if !levels.tick() {
-                    break;
-                }
-                let batch: Vec<(usize, Vec<(NodeId, snr_tech::RuleId)>)> = by_cap
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ci, &to)| {
-                        let moves: Vec<(NodeId, snr_tech::RuleId)> = level
-                            .iter()
-                            .filter(|e| {
-                                to.0 < session.rule(**e).0
-                                    && Self::gain(ctx, session, **e, to) > 0.0
-                            })
-                            .map(|e| (*e, to))
-                            .collect();
-                        (!moves.is_empty()).then_some((ci, moves))
-                    })
-                    .collect();
-                if batch.is_empty() {
-                    continue;
-                }
-                for (k, (ci, moves)) in batch.iter().enumerate() {
-                    pool.send(k % w, *ci, ProbeJob::Probe(moves.clone()));
-                }
-                let mut feasible = vec![false; by_cap.len()];
-                for _ in 0..batch.len() {
-                    let (ci, eval) = pool.recv();
-                    feasible[ci] = eval.expect("probes return evals").feasible;
-                }
-                // Cheapest feasible group rule wins — the first candidate
-                // the serial loop would have accepted.
-                if let Some((_, moves)) = batch.iter().find(|(ci, _)| feasible[*ci]) {
-                    session.try_moves(moves);
-                    session.commit();
-                    pool.broadcast(ProbeJob::Apply(moves.clone()));
-                }
-            }
-
-            // Phase 2: per-edge refinement passes; all surviving candidate
-            // rules of one edge are probed concurrently.
-            'passes: for _pass in 0..self.max_passes {
-                let order = Self::phase2_order(ctx, session);
-                let mut accepted = 0usize;
-                for (_, e) in order {
-                    if !refine.tick() {
-                        break 'passes;
-                    }
-                    let current = session.rule(e);
-                    let cands: Vec<snr_tech::RuleId> = by_cap
-                        .iter()
-                        .copied()
-                        .filter(|to| to.0 < current.0 && Self::gain(ctx, session, e, *to) > 0.0)
-                        .collect();
-                    if cands.is_empty() {
-                        continue;
-                    }
-                    for (k, &to) in cands.iter().enumerate() {
-                        pool.send(k % w, k, ProbeJob::Probe(vec![(e, to)]));
-                    }
-                    let mut feasible = vec![false; cands.len()];
-                    for _ in 0..cands.len() {
-                        let (k, eval) = pool.recv();
-                        feasible[k] = eval.expect("probes return evals").feasible;
-                    }
-                    if let Some(k) = feasible.iter().position(|&f| f) {
-                        let moves = vec![(e, cands[k])];
-                        session.try_moves(&moves);
-                        session.commit();
-                        accepted += 1;
-                        pool.broadcast(ProbeJob::Apply(moves));
-                    }
-                }
-                if accepted == 0 {
-                    break;
-                }
-            }
-        });
     }
 }
 

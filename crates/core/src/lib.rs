@@ -86,7 +86,7 @@ pub use level::LevelBased;
 pub use outcome::Outcome;
 pub use resize::{buffer_size_histogram, downsize_buffers, downsize_in_context, ResizeOutcome};
 pub use robustness::{enforce_robustness, RobustnessSpec};
-pub use session::{CandidateEval, Degradation, EvalMode, EvalSession, Prober};
+pub use session::{CandidateEval, Degradation, EvalMode, EvalSession};
 pub use smart::SmartNdr;
 pub use stage_exhaustive::StageExhaustive;
 pub use supervise::{panic_message, Budget, BudgetReport, DegradationEvent, SupervisedRun};

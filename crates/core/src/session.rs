@@ -42,7 +42,7 @@
 use crate::OptContext;
 use snr_cts::{Assignment, NodeId};
 use snr_tech::{units, RuleId};
-use snr_timing::{Analyzer, IncrementalAnalyzer, TimingReport, TimingSummary};
+use snr_timing::{IncrementalAnalyzer, TimingReport, TimingSummary};
 
 /// How an [`EvalSession`] evaluates candidate moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -310,13 +310,84 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         nominal: TimingSummary,
         corner_summaries: &[TimingSummary],
     ) -> bool {
-        incremental_feasible(
-            self.ctx,
-            self.engine.as_ref().expect("incremental mode has an engine"),
-            nominal,
-            corner_summaries,
-            &self.corner_base_skews,
-        )
+        let ctx = self.ctx;
+        let engine = self
+            .engine
+            .as_ref()
+            .expect("incremental mode has an engine");
+        let constraints = ctx.constraints();
+        if !(nominal.max_slew_ps <= constraints.slew_limit_ps()
+            && nominal.skew_ps() <= constraints.skew_limit_ps())
+        {
+            return false;
+        }
+        for (arc, from, to) in ctx.resolved_arcs() {
+            if !arc.satisfied_by(
+                engine.candidate_arrival_ps(*from),
+                engine.candidate_arrival_ps(*to),
+            ) {
+                return false;
+            }
+        }
+        let tree = ctx.tree();
+        let tech = ctx.tech();
+        if let Some(budget) = constraints.track_budget_um() {
+            let rules = tech.rules();
+            let mut cost = 0.0;
+            for e in tree.edges() {
+                let rule = rules
+                    .get(engine.candidate_rule(e))
+                    .expect("rule id validated by the engine");
+                cost += rule.track_cost() * tree.node(e).edge_len_nm() as f64 / 1_000.0;
+            }
+            if cost > budget * (1.0 + 1e-12) {
+                return false;
+            }
+        }
+        if let Some(limit) = constraints.em_limit_ma_per_um() {
+            let layer = tech.clock_layer();
+            let rules = tech.rules();
+            let vdd = tech.vdd_v();
+            let f = ctx.power_model().freq_ghz();
+            for e in tree.edges() {
+                if tree.node(e).edge_len_nm() == 0 {
+                    continue;
+                }
+                let rule = rules
+                    .get(engine.candidate_rule(e))
+                    .expect("rule id validated by the engine");
+                let i_ma = engine.candidate_stage_load_ff(e) * vdd * f / 1_000.0;
+                let width_um = rule.width_mult() * layer.width_min_um();
+                if i_ma > limit * width_um * (1.0 + 1e-12) {
+                    return false;
+                }
+            }
+        }
+        if let Some(limit) = constraints.noise_limit_ff_per_um() {
+            let layer = tech.clock_layer();
+            let rules = tech.rules();
+            for e in tree.edges() {
+                if tree.node(e).edge_len_nm() == 0 {
+                    continue;
+                }
+                let rule = rules
+                    .get(engine.candidate_rule(e))
+                    .expect("rule id validated by the engine");
+                if layer.unit_c_aggressor(rule) > limit + 1e-12 {
+                    return false;
+                }
+            }
+        }
+        for (i, &corner) in ctx.corners().iter().enumerate() {
+            let scale = corner.r_scale() * corner.c_scale();
+            let at = corner_summaries[i];
+            let slew_ok = at.max_slew_ps <= constraints.slew_limit_ps() * scale.max(1.0);
+            let skew_ok = at.skew_ps() <= constraints.skew_limit_ps() + self.corner_base_skews[i];
+            if !(slew_ok && skew_ok) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Makes the pending candidate the committed state.
@@ -525,197 +596,6 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     pub fn mode(&self) -> EvalMode {
         self.mode
     }
-
-    /// Snapshots this session's committed state into a [`Prober`] — an
-    /// independent, `Send` evaluator for read-only candidate probes on a
-    /// worker thread.
-    ///
-    /// The prober clones the committed incremental engines, so its probes
-    /// are bitwise identical to what this session's `try_moves` would
-    /// report. To keep a prober in sync across commits, replay every
-    /// committed move into [`Prober::apply`] in commit order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a candidate is pending (probe state cannot be snapshot).
-    pub fn prober(&self) -> Prober<'c, 'a> {
-        assert!(
-            self.pending.is_none(),
-            "commit or rollback the pending candidate before snapshotting a prober"
-        );
-        Prober {
-            ctx: self.ctx,
-            mode: self.mode,
-            asg: self.asg.clone(),
-            engine: self.engine.clone(),
-            corner_engines: self.corner_engines.clone(),
-            corner_base_skews: self.corner_base_skews.clone(),
-            committed_network_uw: self.committed_network_uw,
-            analyzer: Analyzer::new(),
-            scratch_moves: Vec::new(),
-            scratch_corners: Vec::new(),
-        }
-    }
-}
-
-/// A thread-local snapshot of an [`EvalSession`]'s committed state that
-/// evaluates candidates without touching the session.
-///
-/// Built by [`EvalSession::prober`]. A prober is `Send` (the context is
-/// `Sync`), owns cloned engines, and supports two operations:
-///
-/// * [`probe`](Prober::probe) — evaluate a candidate and discard it;
-///   bitwise identical to the session's `try_moves` on the same state;
-/// * [`apply`](Prober::apply) — replay a move set the *session* committed,
-///   keeping the prober's committed state synchronized.
-///
-/// The parallel optimizers fan probes across a pool of probers, pick a
-/// winner with a deterministic tie-break, commit it on the main session and
-/// broadcast the same move to every prober — which is why the parallel
-/// result is identical to the serial algorithm's.
-pub struct Prober<'c, 'a> {
-    ctx: &'c OptContext<'a>,
-    mode: EvalMode,
-    asg: Assignment,
-    engine: Option<IncrementalAnalyzer>,
-    corner_engines: Vec<IncrementalAnalyzer>,
-    corner_base_skews: Vec<f64>,
-    committed_network_uw: f64,
-    /// Private full-analysis scratch: probers never contend on the
-    /// context's shared `Mutex<Analyzer>`.
-    analyzer: Analyzer,
-    scratch_moves: Vec<(NodeId, RuleId)>,
-    scratch_corners: Vec<TimingSummary>,
-}
-
-impl Prober<'_, '_> {
-    /// Evaluates `moves` against the prober's committed state and discards
-    /// the candidate. Duplicate edges collapse last-write-wins, exactly as
-    /// in [`EvalSession::try_moves`].
-    pub fn probe(&mut self, moves: &[(NodeId, RuleId)]) -> CandidateEval {
-        // Probe faults fire here and only here: the serial path never
-        // constructs a prober, so a parallel→serial retry is always clean.
-        #[cfg(feature = "fault-inject")]
-        self.ctx.on_parallel_probe();
-        let eval = self.evaluate(moves).0;
-        if let Some(engine) = self.engine.as_mut() {
-            engine.rollback();
-        }
-        for engine in &mut self.corner_engines {
-            engine.rollback();
-        }
-        eval
-    }
-
-    /// Replays a move set the session committed, updating the prober's
-    /// committed state to match.
-    pub fn apply(&mut self, moves: &[(NodeId, RuleId)]) {
-        let (_, network_uw) = self.evaluate(moves);
-        let mut dedup = std::mem::take(&mut self.scratch_moves);
-        dedup.clear();
-        dedup_moves(moves, &mut dedup);
-        for &(edge, rule) in &dedup {
-            self.asg.set(edge, rule);
-        }
-        self.scratch_moves = dedup;
-        if let Some(engine) = self.engine.as_mut() {
-            engine.commit();
-        }
-        for engine in &mut self.corner_engines {
-            engine.commit();
-        }
-        self.committed_network_uw = network_uw;
-    }
-
-    fn evaluate(&mut self, moves: &[(NodeId, RuleId)]) -> (CandidateEval, f64) {
-        let mut dedup = std::mem::take(&mut self.scratch_moves);
-        dedup.clear();
-        dedup_moves(moves, &mut dedup);
-        let out = match self.mode {
-            EvalMode::Incremental => {
-                let tree = self.ctx.tree();
-                let tech = self.ctx.tech();
-                let summary = self
-                    .engine
-                    .as_mut()
-                    .expect("incremental mode has an engine")
-                    .try_moves(tree, tech, &dedup);
-                let mut corner_summaries = std::mem::take(&mut self.scratch_corners);
-                corner_summaries.clear();
-                corner_summaries.extend(
-                    self.corner_engines
-                        .iter_mut()
-                        .map(|e| e.try_moves(tree, tech, &dedup)),
-                );
-                let power_delta_uw = closed_form_power_delta_uw(self.ctx, &self.asg, &dedup);
-                let feasible = incremental_feasible(
-                    self.ctx,
-                    self.engine.as_ref().expect("checked above"),
-                    summary,
-                    &corner_summaries,
-                    &self.corner_base_skews,
-                );
-                self.scratch_corners = corner_summaries;
-                let eval = CandidateEval {
-                    power_delta_uw,
-                    worst_slew_ps: summary.max_slew_ps,
-                    skew_ps: summary.skew_ps(),
-                    feasible,
-                };
-                (eval, self.committed_network_uw + power_delta_uw)
-            }
-            EvalMode::FullReanalysis => {
-                let mut candidate = self.asg.clone();
-                for &(edge, rule) in &dedup {
-                    candidate.set(edge, rule);
-                }
-                let report = self.analyzer.run(
-                    self.ctx.tree(),
-                    self.ctx.tech(),
-                    &candidate,
-                    self.ctx.analysis_options(),
-                );
-                let feasible = self.ctx.meets(&candidate, &report);
-                let network_uw = self.ctx.power(&candidate).network_uw();
-                let eval = CandidateEval {
-                    power_delta_uw: network_uw - self.committed_network_uw,
-                    worst_slew_ps: report.max_slew_ps(),
-                    skew_ps: report.skew_ps(),
-                    feasible,
-                };
-                (eval, network_uw)
-            }
-        };
-        self.scratch_moves = dedup;
-        out
-    }
-
-    /// The rule committed on `edge` in the prober's snapshot.
-    pub fn rule(&self, edge: NodeId) -> RuleId {
-        self.asg.rule(edge)
-    }
-}
-
-/// The job protocol the parallel optimizers run over a [`Prober`] pool:
-/// probe a candidate (read-only, returns the eval) or replay a committed
-/// move set to keep the prober's state synchronized (returns `None`).
-#[derive(Clone)]
-pub(crate) enum ProbeJob {
-    /// Evaluate and discard.
-    Probe(Vec<(NodeId, RuleId)>),
-    /// Replay a move set the main session committed.
-    Apply(Vec<(NodeId, RuleId)>),
-}
-
-/// The pool handler shared by the parallel optimizers.
-pub(crate) fn run_probe_job(prober: &mut Prober<'_, '_>, job: ProbeJob) -> Option<CandidateEval> {
-    match job {
-        ProbeJob::Probe(moves) => Some(prober.probe(&moves)),
-        ProbeJob::Apply(moves) => {
-            prober.apply(&moves);
-            None
-        }
-    }
 }
 
 /// Collapses duplicate edges last-write-wins into `out` (cleared by the
@@ -752,90 +632,4 @@ fn closed_form_power_delta_uw(
     }
     let model = ctx.power_model();
     units::switching_power_uw(cap_delta_ff, tech.vdd_v(), model.freq_ghz(), model.activity())
-}
-
-/// Replicates [`OptContext::meets`] from the candidate state of an
-/// incremental engine: same checks, same order, iterating edges in the same
-/// order so every floating-point sum is reproduced exactly. Shared by
-/// [`EvalSession`] and [`Prober`].
-fn incremental_feasible(
-    ctx: &OptContext<'_>,
-    engine: &IncrementalAnalyzer,
-    nominal: TimingSummary,
-    corner_summaries: &[TimingSummary],
-    corner_base_skews: &[f64],
-) -> bool {
-    let constraints = ctx.constraints();
-    if !(nominal.max_slew_ps <= constraints.slew_limit_ps()
-        && nominal.skew_ps() <= constraints.skew_limit_ps())
-    {
-        return false;
-    }
-    for (arc, from, to) in ctx.resolved_arcs() {
-        if !arc.satisfied_by(
-            engine.candidate_arrival_ps(*from),
-            engine.candidate_arrival_ps(*to),
-        ) {
-            return false;
-        }
-    }
-    let tree = ctx.tree();
-    let tech = ctx.tech();
-    if let Some(budget) = constraints.track_budget_um() {
-        let rules = tech.rules();
-        let mut cost = 0.0;
-        for e in tree.edges() {
-            let rule = rules
-                .get(engine.candidate_rule(e))
-                .expect("rule id validated by the engine");
-            cost += rule.track_cost() * tree.node(e).edge_len_nm() as f64 / 1_000.0;
-        }
-        if cost > budget * (1.0 + 1e-12) {
-            return false;
-        }
-    }
-    if let Some(limit) = constraints.em_limit_ma_per_um() {
-        let layer = tech.clock_layer();
-        let rules = tech.rules();
-        let vdd = tech.vdd_v();
-        let f = ctx.power_model().freq_ghz();
-        for e in tree.edges() {
-            if tree.node(e).edge_len_nm() == 0 {
-                continue;
-            }
-            let rule = rules
-                .get(engine.candidate_rule(e))
-                .expect("rule id validated by the engine");
-            let i_ma = engine.candidate_stage_load_ff(e) * vdd * f / 1_000.0;
-            let width_um = rule.width_mult() * layer.width_min_um();
-            if i_ma > limit * width_um * (1.0 + 1e-12) {
-                return false;
-            }
-        }
-    }
-    if let Some(limit) = constraints.noise_limit_ff_per_um() {
-        let layer = tech.clock_layer();
-        let rules = tech.rules();
-        for e in tree.edges() {
-            if tree.node(e).edge_len_nm() == 0 {
-                continue;
-            }
-            let rule = rules
-                .get(engine.candidate_rule(e))
-                .expect("rule id validated by the engine");
-            if layer.unit_c_aggressor(rule) > limit + 1e-12 {
-                return false;
-            }
-        }
-    }
-    for (i, &corner) in ctx.corners().iter().enumerate() {
-        let scale = corner.r_scale() * corner.c_scale();
-        let at = corner_summaries[i];
-        let slew_ok = at.max_slew_ps <= constraints.slew_limit_ps() * scale.max(1.0);
-        let skew_ok = at.skew_ps() <= constraints.skew_limit_ps() + corner_base_skews[i];
-        if !(slew_ok && skew_ok) {
-            return false;
-        }
-    }
-    true
 }

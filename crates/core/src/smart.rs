@@ -1,7 +1,8 @@
 //! The headline smart-NDR flow: best of both greedy constructions.
 
 use crate::{
-    Budget, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext, SupervisedRun,
+    Budget, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext, Parallelism,
+    SupervisedRun,
 };
 use snr_cts::Assignment;
 
@@ -54,11 +55,9 @@ impl SmartNdr {
         self
     }
 
-    /// Returns a copy with both constructions probing on `parallelism`
-    /// workers. Results stay bit-identical to the serial flow.
-    pub fn with_parallelism(mut self, parallelism: snr_par::Parallelism) -> Self {
-        self.downgrade = self.downgrade.with_parallelism(parallelism);
-        self.upgrade = self.upgrade.with_parallelism(parallelism);
+    /// Returns the flow unchanged. The flow always runs serially; this
+    /// no-op only keeps existing callers building and goes away with them.
+    pub fn with_parallelism(self, _parallelism: Parallelism) -> Self {
         self
     }
 }

@@ -7,19 +7,16 @@
 //! Recoveries are structured as a ladder of [`DegradationEvent`] rungs,
 //! from cheapest to most drastic:
 //!
-//! 1. **parallel → serial** — a worker panic aborts the parallel attempt
-//!    and the optimizer reruns its (identical-by-contract) serial path;
-//! 2. **incremental → full re-analysis** — the existing divergence guard
-//!    (see [`crate::Degradation`]) drops the incremental engines when
-//!    their committed state drifts from the oracle;
-//! 3. **optimizer → uniform-2W2S** — the final rung: when an optimizer
+//! 1. **incremental → full re-analysis** — the divergence guard (see
+//!    [`crate::Degradation`]) drops the incremental engines when their
+//!    committed state drifts from the oracle;
+//! 2. **optimizer → uniform-2W2S** — the final rung: when an optimizer
 //!    cannot produce a feasible result, it passes through the
 //!    conservative uniform baseline, the guaranteed-feasible answer
 //!    whenever one exists.
 //!
-//! Iteration caps bind at *decision-step* granularity with identical tick
-//! placement on the serial and parallel paths, so a capped run is
-//! deterministic for any job count. Wall-clock deadlines (via
+//! Iteration caps bind at *decision-step* granularity inside the serial
+//! optimizers, so a capped run is deterministic. Wall-clock deadlines (via
 //! [`CancelToken`]) are inherently non-deterministic and stay off in
 //! reproducibility-sensitive runs.
 
@@ -96,9 +93,9 @@ pub struct BudgetReport {
 /// Per-phase budget meter: constructed at phase start, ticked once per
 /// decision step, harvested into a [`BudgetReport`] at phase end.
 ///
-/// `tick()` placement is part of the determinism contract: the serial and
-/// parallel twins of an optimizer tick at exactly the same decision steps,
-/// so an iteration cap binds identically for any job count.
+/// `tick()` placement is part of the determinism contract: an optimizer
+/// ticks at the same decision steps for any job count, so an iteration cap
+/// binds identically.
 pub(crate) struct Meter<'b> {
     budget: &'b Budget,
     phase: &'static str,
@@ -150,14 +147,6 @@ impl<'b> Meter<'b> {
 /// `--json` output and `suite` rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DegradationEvent {
-    /// A parallel attempt died (worker panic); the optimizer reran its
-    /// serial path, which produces the identical result by contract.
-    ParallelToSerial {
-        /// The optimizer that retried.
-        optimizer: &'static str,
-        /// Truncated panic message from the parallel attempt.
-        detail: String,
-    },
     /// The divergence guard dropped the incremental engines and the
     /// session finished under full re-analysis.
     IncrementalToFull(crate::Degradation),
@@ -182,7 +171,6 @@ impl DegradationEvent {
     /// Stable machine-readable rung name for JSON output.
     pub fn rung(&self) -> &'static str {
         match self {
-            DegradationEvent::ParallelToSerial { .. } => "parallel_to_serial",
             DegradationEvent::IncrementalToFull(_) => "incremental_to_full",
             DegradationEvent::OptimizerToBaseline { .. } => "optimizer_to_baseline",
             DegradationEvent::CacheEntryQuarantined { .. } => "cache_entry_quarantined",
@@ -192,9 +180,6 @@ impl DegradationEvent {
     /// Human-readable explanation of the rung.
     pub fn detail(&self) -> String {
         match self {
-            DegradationEvent::ParallelToSerial { optimizer, detail } => {
-                format!("{optimizer}: parallel attempt panicked ({detail}); reran serially")
-            }
             DegradationEvent::IncrementalToFull(d) => d.to_string(),
             DegradationEvent::OptimizerToBaseline { optimizer, detail } => {
                 format!("{optimizer}: {detail}; returned uniform-2W2S baseline")
@@ -321,18 +306,15 @@ mod tests {
 
     #[test]
     fn rung_names_stable() {
-        let p = DegradationEvent::ParallelToSerial {
-            optimizer: "x",
-            detail: "boom".into(),
-        };
         let b = DegradationEvent::OptimizerToBaseline {
             optimizer: "x",
             detail: "no feasible repair".into(),
         };
-        assert_eq!(p.rung(), "parallel_to_serial");
+        let q = DegradationEvent::CacheEntryQuarantined { detail: "bad checksum".into() };
         assert_eq!(b.rung(), "optimizer_to_baseline");
-        assert!(p.to_string().contains("boom"));
+        assert_eq!(q.rung(), "cache_entry_quarantined");
         assert!(b.to_string().contains("uniform-2W2S"));
+        assert!(q.to_string().contains("bad checksum"));
     }
 
     #[test]

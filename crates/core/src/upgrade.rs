@@ -1,13 +1,9 @@
 //! Dual construction: repair the all-default tree by targeted upgrades.
 
-use crate::session::{run_probe_job, ProbeJob, ViolationSites};
+use crate::session::ViolationSites;
 use crate::supervise::Meter;
-use crate::{
-    panic_message, Budget, DegradationEvent, NdrOptimizer, OptContext, Prober, SupervisedRun,
-};
+use crate::{Budget, DegradationEvent, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
 use snr_cts::{Assignment, NodeId};
-use snr_par::{pool_scope, Parallelism};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Upgrade-repair: start with *no* NDR anywhere (uniform default) and,
 /// while the tree violates the envelope, upgrade the most effective edge
@@ -24,17 +20,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[derive(Debug, Clone)]
 pub struct GreedyUpgradeRepair {
     max_iters: usize,
-    parallelism: Parallelism,
     budget: Budget,
 }
 
 impl GreedyUpgradeRepair {
-    /// Creates the optimizer with a generous iteration cap, evaluating
-    /// candidates serially under an unlimited budget.
+    /// Creates the optimizer with a generous iteration cap under an
+    /// unlimited budget.
     pub fn new() -> Self {
         GreedyUpgradeRepair {
             max_iters: 100_000,
-            parallelism: Parallelism::serial(),
             budget: Budget::unlimited(),
         }
     }
@@ -50,19 +44,8 @@ impl GreedyUpgradeRepair {
         self
     }
 
-    /// Returns a copy probing candidate upgrades concurrently on per-thread
-    /// cloned incremental engines. Identical result to the serial run for
-    /// any job count: probes are read-only, the best-score selection keeps
-    /// the serial candidate order (strict `>` — lowest candidate index wins
-    /// ties), and every commit happens on the main session.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Returns a copy bounded by `budget`. The single phase
-    /// `"upgrade-repair"` ticks once per repair iteration; tick placement
-    /// is identical on the serial and parallel paths.
+    /// `"upgrade-repair"` ticks once per repair iteration.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
@@ -122,44 +105,9 @@ impl NdrOptimizer for GreedyUpgradeRepair {
     }
 
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
-        if !self.parallelism.is_serial() {
-            match catch_unwind(AssertUnwindSafe(|| self.attempt(ctx, true))) {
-                Ok(run) => return run,
-                Err(payload) => {
-                    let detail = panic_message(&*payload, 120);
-                    let mut run = self.attempt(ctx, false);
-                    run.degradations.insert(
-                        0,
-                        DegradationEvent::ParallelToSerial {
-                            optimizer: "upgrade-repair",
-                            detail,
-                        },
-                    );
-                    return run;
-                }
-            }
-        }
-        self.attempt(ctx, false)
-    }
-}
-
-impl GreedyUpgradeRepair {
-    fn attempt(&self, ctx: &OptContext<'_>, parallel: bool) -> SupervisedRun {
         let mut session = ctx.session_from(ctx.default_assignment());
         let mut meter = Meter::start(&self.budget, "upgrade-repair");
-        if parallel {
-            // The candidate pool of one iteration is usually tens of edges;
-            // cap the pool at the job count (engine clones are not free).
-            let workers = self.parallelism.jobs().max(2);
-            let probers: Vec<Prober<'_, '_>> = (0..workers).map(|_| session.prober()).collect();
-            let session = &mut session;
-            let m = &mut meter;
-            pool_scope(probers, &run_probe_job, move |pool| {
-                self.repair_loop(ctx, session, Some(pool), m);
-            });
-        } else {
-            self.repair_loop(ctx, &mut session, None, &mut meter);
-        }
+        self.repair_loop(ctx, &mut session, &mut meter);
         let mut degradations: Vec<DegradationEvent> = session
             .degradations()
             .iter()
@@ -184,17 +132,15 @@ impl GreedyUpgradeRepair {
             degradations,
         }
     }
+}
 
-    /// The repair loop shared by the serial and parallel paths. With a
-    /// pool, candidate probes fan out across the probers (read-only) and
-    /// every commit is broadcast back so the probers track the session;
-    /// scoring always walks candidates in their serial order with a strict
-    /// `>` comparison, so both paths pick the same upgrade every iteration.
-    fn repair_loop<'c, 'a, 'h>(
+impl GreedyUpgradeRepair {
+    /// Upgrades one edge per iteration until the committed state is
+    /// feasible, the budget binds or nothing more fits the track budget.
+    fn repair_loop(
         &self,
-        ctx: &'c OptContext<'a>,
-        session: &mut crate::EvalSession<'c, 'a>,
-        mut pool: Option<&mut snr_par::PoolHandle<'h, Prober<'c, 'a>, ProbeJob, Option<crate::CandidateEval>>>,
+        ctx: &OptContext<'_>,
+        session: &mut EvalSession<'_, '_>,
         meter: &mut Meter<'_>,
     ) {
         let tree = ctx.tree();
@@ -225,7 +171,7 @@ impl GreedyUpgradeRepair {
             if candidates.is_empty() {
                 break;
             }
-            // Surviving (edge, next rule, added fF) triples, serial order.
+            // Surviving (edge, next rule, added fF) triples, in candidate order.
             let cands: Vec<(NodeId, snr_tech::RuleId, f64)> = candidates
                 .into_iter()
                 .filter_map(|e| {
@@ -244,39 +190,14 @@ impl GreedyUpgradeRepair {
                     Some((e, next, added_ff))
                 })
                 .collect();
-            // Probe every candidate against the current committed state —
-            // through the pool when parallel, through the session when not.
-            let evals: Vec<crate::CandidateEval> = match pool.as_deref_mut() {
-                Some(pool) => {
-                    let w = pool.workers();
-                    for (k, &(e, next, _)) in cands.iter().enumerate() {
-                        pool.send(k % w, k, ProbeJob::Probe(vec![(e, next)]));
-                    }
-                    let mut evals = vec![None; cands.len()];
-                    for _ in 0..cands.len() {
-                        let (k, eval) = pool.recv();
-                        evals[k] = eval;
-                    }
-                    evals
-                        .into_iter()
-                        .map(|e| e.expect("probes return evals"))
-                        .collect()
-                }
-                None => cands
-                    .iter()
-                    .map(|&(e, next, _)| {
-                        let eval = session.try_edge(e, next);
-                        session.rollback();
-                        eval
-                    })
-                    .collect(),
-            };
-            // Best violation reduction per added capacitance; strict `>`
+            // Probe every candidate against the committed state and keep the
+            // best violation reduction per added capacitance; strict `>`
             // keeps the earliest candidate on ties.
             let mut best: Option<(f64, NodeId, snr_tech::RuleId)> = None;
-            for (&(e, next, added_ff), eval) in cands.iter().zip(&evals) {
-                let new_violation =
-                    constraints.violation_ps_of(eval.worst_slew_ps, eval.skew_ps);
+            for (e, next, added_ff) in cands {
+                let eval = session.try_edge(e, next);
+                session.rollback();
+                let new_violation = constraints.violation_ps_of(eval.worst_slew_ps, eval.skew_ps);
                 let score = (violation - new_violation) / added_ff;
                 if best.is_none_or(|(s, _, _)| score > s) {
                     best = Some((score, e, next));
@@ -289,9 +210,6 @@ impl GreedyUpgradeRepair {
                         * len_um(e);
                     session.try_edge(e, next);
                     session.commit();
-                    if let Some(pool) = pool.as_deref_mut() {
-                        pool.broadcast(ProbeJob::Apply(vec![(e, next)]));
-                    }
                 }
                 // No single upgrade helps (plateau): take the largest
                 // candidate-free step — upgrade the longest still-cheap
@@ -322,9 +240,6 @@ impl GreedyUpgradeRepair {
                                 * len_um(e);
                             session.try_edge(e, next);
                             session.commit();
-                            if let Some(pool) = pool.as_deref_mut() {
-                                pool.broadcast(ProbeJob::Apply(vec![(e, next)]));
-                            }
                         }
                         None => break, // nothing more fits the budget
                     }

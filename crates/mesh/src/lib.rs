@@ -24,7 +24,7 @@
 
 mod solver;
 
-pub use solver::{CgScratch, ResistiveGrid};
+pub use solver::ResistiveGrid;
 
 use snr_geom::Point;
 use snr_netlist::Design;
@@ -264,15 +264,13 @@ impl ClockMesh {
         let c_unit_power = layer.unit_c(rule);
         let c_unit_delay = layer.unit_c_delay(rule);
 
-        // Effective resistance per *unique* tap node (memoized), one CG
-        // scratch shared across the whole tap sweep.
-        let mut scratch = CgScratch::default();
+        // Effective resistance per *unique* tap node (memoized).
         let mut r_eff = vec![f64::NAN; self.grid.len()];
         let mut delays = Vec::with_capacity(self.taps.len());
         for ((r, c, stub_um), cap) in self.taps.iter().zip(&self.sink_cap_ff) {
             let node = self.grid.node(*r, *c);
             if r_eff[node].is_nan() {
-                r_eff[node] = self.grid.effective_resistance_with(*r, *c, &mut scratch);
+                r_eff[node] = self.grid.effective_resistance(*r, *c);
             }
             let stub_delay = r_unit * stub_um * (c_unit_delay * stub_um / 2.0 + cap);
             delays.push(r_eff[node] * cap + stub_delay);

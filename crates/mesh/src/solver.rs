@@ -123,51 +123,32 @@ impl ResistiveGrid {
     /// (mA), with grounded nodes pinned to 0 V. Returns the voltage vector
     /// (mV·kΩ/mA ≡ V when conductances are 1/kΩ and currents mA).
     ///
-    /// Allocates five grid-sized vectors per call; batch callers should use
-    /// [`solve_with`](Self::solve_with) with a reused [`CgScratch`].
-    ///
     /// # Panics
     ///
     /// Panics if no node is grounded (the system would be singular), or if
     /// the injection vector length mismatches the grid.
     pub fn solve(&self, i_inj: &[f64]) -> Vec<f64> {
-        let mut scratch = CgScratch::default();
-        self.solve_with(i_inj, &mut scratch);
-        std::mem::take(&mut scratch.x)
-    }
-
-    /// [`solve`](Self::solve) into reused scratch storage: zero allocations
-    /// once `scratch` has warmed to this grid's size. The solution is left
-    /// in (and returned as a view of) `scratch.x`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`solve`](Self::solve).
-    pub fn solve_with<'s>(&self, i_inj: &[f64], scratch: &'s mut CgScratch) -> &'s [f64] {
         assert_eq!(i_inj.len(), self.len(), "injection vector length mismatch");
         assert!(self.has_ground(), "grid needs at least one grounded node");
         let n = self.len();
-        let CgScratch { x, r, p, ap, .. } = scratch;
         // Right-hand side with Dirichlet rows forced to 0, doubling as the
         // initial residual r = b − A·0.
-        r.clear();
-        r.extend((0..n).map(|i| if self.grounded[i] { 0.0 } else { i_inj[i] }));
+        let mut r: Vec<f64> = (0..n)
+            .map(|i| if self.grounded[i] { 0.0 } else { i_inj[i] })
+            .collect();
 
         // Conjugate gradients.
-        x.clear();
-        x.resize(n, 0.0);
-        p.clear();
-        p.extend_from_slice(r);
-        ap.clear();
-        ap.resize(n, 0.0);
+        let mut x = vec![0.0; n];
+        let mut p = r.clone();
+        let mut ap = vec![0.0; n];
         let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
         let b_norm = rs_old.sqrt().max(1e-30);
         for _ in 0..4 * n {
             if rs_old.sqrt() <= 1e-10 * b_norm {
                 break;
             }
-            self.apply(p, ap);
-            let p_ap: f64 = p.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
+            self.apply(&p, &mut ap);
+            let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
             if p_ap.abs() < 1e-300 {
                 break;
             }
@@ -183,7 +164,7 @@ impl ResistiveGrid {
             }
             rs_old = rs_new;
         }
-        &scratch.x
+        x
     }
 
     /// Effective resistance (kΩ) from the grounded driver set to node
@@ -193,43 +174,11 @@ impl ResistiveGrid {
     ///
     /// Same conditions as [`ResistiveGrid::solve`].
     pub fn effective_resistance(&self, r: usize, c: usize) -> f64 {
-        let mut scratch = CgScratch::default();
-        self.effective_resistance_with(r, c, &mut scratch)
-    }
-
-    /// [`effective_resistance`](Self::effective_resistance) with reused
-    /// scratch storage — the form the per-tap analysis loop uses so a
-    /// k-tap mesh costs k solves and zero steady-state allocations.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ResistiveGrid::solve`].
-    pub fn effective_resistance_with(&self, r: usize, c: usize, scratch: &mut CgScratch) -> f64 {
         let node = self.node(r, c);
-        let inj = &mut scratch.inj;
-        inj.clear();
-        inj.resize(self.len(), 0.0);
+        let mut inj = vec![0.0; self.len()];
         inj[node] = 1.0;
-        let inj = std::mem::take(&mut scratch.inj);
-        let v = self.solve_with(&inj, scratch)[node];
-        scratch.inj = inj;
-        v
+        self.solve(&inj)[node]
     }
-}
-
-/// Reusable conjugate-gradient work vectors (solution, residual, search
-/// direction, `A·p`, and an injection buffer). One `CgScratch` amortizes
-/// every per-iteration and per-solve allocation across a batch of
-/// [`ResistiveGrid::solve_with`] / [`ResistiveGrid::effective_resistance_with`]
-/// calls; it grows to the largest grid it has served and is reusable across
-/// grids of different sizes.
-#[derive(Debug, Default, Clone)]
-pub struct CgScratch {
-    x: Vec<f64>,
-    r: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    inj: Vec<f64>,
 }
 
 #[cfg(test)]

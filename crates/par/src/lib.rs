@@ -1,7 +1,7 @@
 //! Deterministic parallel execution layer for the smart-ndr workspace.
 //!
 //! The workloads this workspace parallelizes — Monte-Carlo variation
-//! samples, per-design suite rows, candidate rule probes — are
+//! samples, per-design suite rows, Pareto sweep points — are
 //! embarrassingly parallel *and* must stay **bit-identical** to their
 //! serial runs: every figure and table in the repo is reproducible from
 //! fixed seeds, and the determinism test-suite compares parallel against
@@ -12,6 +12,11 @@
 //! > read-only state), never on which worker ran it or in what order, and
 //! > results are always delivered in item order.
 //!
+//! Work is split at a coarse grain: a unit is a Monte-Carlo chunk, a
+//! design or a sweep point. A single candidate probe takes microseconds,
+//! less than shipping it to a worker costs, so the optimizers run
+//! serially.
+//!
 //! Everything is built on [`std::thread::scope`] — no crates.io
 //! dependencies (this environment has no registry access, so rayon is
 //! deliberately not used).
@@ -21,12 +26,8 @@
 //! * [`par_map`] / [`par_map_with`] / [`par_map_n`] / [`par_for_each`] —
 //!   chunk-free dynamic fan-out over a slice (or index range) with
 //!   results reassembled in input order. `par_map_with` gives each worker
-//!   its own mutable state (an RNG-free analyzer, a cloned engine, scratch
-//!   buffers) built once per worker.
-//! * [`pool_scope`] — a scoped worker pool for stateful probing loops:
-//!   per-worker state lives across many small job batches, so an
-//!   optimizer can keep per-thread cloned incremental engines in sync
-//!   with its committed state instead of re-cloning them per probe.
+//!   its own mutable state (an analyzer, scratch buffers) built once per
+//!   worker.
 //! * [`CancelToken`] / [`Deadline`] — cooperative cancellation: a shared
 //!   flag (optionally armed with a wall-clock deadline) that
 //!   [`try_par_map`] / [`try_par_map_n`] check at every work-claim
@@ -54,10 +55,8 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -498,231 +497,6 @@ where
     par_map(par, items, |i, item| f(i, item));
 }
 
-// ---------------------------------------------------------------------------
-// Scoped worker pool
-// ---------------------------------------------------------------------------
-
-/// Handle to a live [`pool_scope`] pool: dispatch tagged jobs to specific
-/// workers, collect their results, or broadcast a job to every worker.
-///
-/// On the serial path (one state) jobs execute inline at `send` time and
-/// queue their results; the threaded and inline variants are
-/// indistinguishable to callers that collect all outstanding results
-/// before acting on them.
-pub enum PoolHandle<'h, S, J, R> {
-    /// Single-state inline execution on the calling thread.
-    Inline {
-        /// The pool's only worker state.
-        state: &'h mut S,
-        /// Shared job handler.
-        handler: &'h (dyn Fn(&mut S, J) -> R + Sync),
-        /// Results produced by `send`, drained by `recv` in send order.
-        queued: VecDeque<(usize, R)>,
-    },
-    /// One channel-fed scoped thread per worker state.
-    Threaded {
-        /// Per-worker job senders.
-        txs: Vec<Sender<(usize, J)>>,
-        /// Shared result channel (tag, result-or-panic), arrival order.
-        /// A worker whose handler panicked delivers the payload as `Err`
-        /// instead of dying silently — otherwise a panicked worker would
-        /// leave the main thread blocked forever on `recv`.
-        rx: Receiver<(usize, Result<R, PanicPayload>)>,
-        /// Results sent but not yet received.
-        outstanding: usize,
-    },
-}
-
-/// A caught panic payload in transit from a pool worker to the caller.
-type PanicPayload = Box<dyn std::any::Any + Send>;
-
-impl<S, J, R> PoolHandle<'_, S, J, R> {
-    /// Number of workers (= states) in the pool.
-    pub fn workers(&self) -> usize {
-        match self {
-            PoolHandle::Inline { .. } => 1,
-            PoolHandle::Threaded { txs, .. } => txs.len(),
-        }
-    }
-
-    /// Dispatches `job` to `worker`, tagging the eventual result with
-    /// `tag`. Inline pools run the job immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range, or (threaded) re-raises the
-    /// original panic if that worker already died from one.
-    pub fn send(&mut self, worker: usize, tag: usize, job: J) {
-        match self {
-            PoolHandle::Inline { state, handler, queued } => {
-                assert_eq!(worker, 0, "inline pool has a single worker");
-                let r = handler(state, job);
-                queued.push_back((tag, r));
-            }
-            PoolHandle::Threaded { txs, rx, outstanding } => {
-                if txs[worker].send((tag, job)).is_err() {
-                    // The worker broke out of its loop after a panic; its
-                    // payload is queued on the result channel.
-                    raise_worker_panic(rx);
-                }
-                *outstanding += 1;
-            }
-        }
-    }
-
-    /// Receives one `(tag, result)` pair. Arrival order across workers is
-    /// unspecified on the threaded path — collect every outstanding result
-    /// before making order-sensitive decisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no results are outstanding; re-raises the original panic
-    /// if a worker's handler panicked instead of producing a result.
-    pub fn recv(&mut self) -> (usize, R) {
-        match self {
-            PoolHandle::Inline { queued, .. } => {
-                queued.pop_front().expect("no outstanding pool results")
-            }
-            PoolHandle::Threaded { rx, outstanding, .. } => {
-                assert!(*outstanding > 0, "no outstanding pool results");
-                *outstanding -= 1;
-                match rx.recv() {
-                    Ok((tag, Ok(r))) => (tag, r),
-                    Ok((_, Err(payload))) => resume_unwind(payload),
-                    // Every live worker holds a result-sender clone, so a
-                    // closed channel means all workers panicked and their
-                    // payloads were already consumed.
-                    Err(_) => panic!("all pool workers died"),
-                }
-            }
-        }
-    }
-
-    /// Sends `job` to every worker and waits for all of them, discarding
-    /// the results — the state-synchronization primitive (e.g. replaying a
-    /// committed move on every worker's cloned engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if results are already outstanding (interleaving a broadcast
-    /// with pending probes would mix up tags); re-raises the original
-    /// panic if a worker has died or dies handling the broadcast.
-    pub fn broadcast(&mut self, job: J)
-    where
-        J: Clone,
-    {
-        match self {
-            PoolHandle::Inline { state, handler, queued } => {
-                assert!(queued.is_empty(), "broadcast with outstanding results");
-                let _ = handler(state, job);
-            }
-            PoolHandle::Threaded { txs, rx, outstanding } => {
-                assert_eq!(*outstanding, 0, "broadcast with outstanding results");
-                let n = txs.len();
-                for tx in txs.iter() {
-                    if tx.send((usize::MAX, job.clone())).is_err() {
-                        raise_worker_panic(rx);
-                    }
-                }
-                for _ in 0..n {
-                    match rx.recv() {
-                        Ok((_, Ok(_))) => {}
-                        Ok((_, Err(payload))) => resume_unwind(payload),
-                        Err(_) => panic!("all pool workers died"),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Drains the result channel looking for a dead worker's panic payload and
-/// re-raises it; the generic panic below is unreachable in practice
-/// because a worker only breaks its loop after queueing its payload.
-fn raise_worker_panic<R>(rx: &Receiver<(usize, Result<R, PanicPayload>)>) -> ! {
-    while let Ok((_, res)) = rx.try_recv() {
-        if let Err(payload) = res {
-            resume_unwind(payload);
-        }
-    }
-    panic!("pool worker died without a panic payload");
-}
-
-/// Runs `body` with a pool of stateful workers.
-///
-/// Each element of `states` becomes one worker; `handler` processes every
-/// job against that worker's `&mut` state. With a single state no thread
-/// is spawned and jobs run inline at `send` time — the serial path. With
-/// more, each state moves onto its own scoped thread fed by a channel;
-/// the pool is torn down (workers joined) when `body` returns.
-///
-/// The pool exists for loops of many *small* stateful jobs — candidate
-/// probes against per-worker cloned engines that must survive across
-/// batches and be kept in sync via [`PoolHandle::broadcast`] — where
-/// re-cloning state per batch (as [`par_map_with`] would) costs more than
-/// the probes themselves.
-///
-/// # Panics
-///
-/// A handler panic kills its worker, but the payload is captured and
-/// delivered over the result channel: it re-surfaces on the calling
-/// thread at the next `send`/`recv`/`broadcast` involving that worker —
-/// never as a silent hang or a process abort.
-pub fn pool_scope<S, J, R, Ret>(
-    mut states: Vec<S>,
-    handler: &(dyn Fn(&mut S, J) -> R + Sync),
-    body: impl FnOnce(&mut PoolHandle<'_, S, J, R>) -> Ret,
-) -> Ret
-where
-    S: Send,
-    J: Send,
-    R: Send,
-{
-    assert!(!states.is_empty(), "pool needs at least one state");
-    if states.len() == 1 {
-        let state = &mut states[0];
-        let mut handle = PoolHandle::Inline {
-            state,
-            handler,
-            queued: VecDeque::new(),
-        };
-        return body(&mut handle);
-    }
-
-    thread::scope(|s| {
-        let (res_tx, res_rx) = channel::<(usize, Result<R, PanicPayload>)>();
-        let mut txs = Vec::with_capacity(states.len());
-        for mut state in states {
-            let (tx, rx) = channel::<(usize, J)>();
-            let res_tx = res_tx.clone();
-            s.spawn(move || {
-                for (tag, job) in rx {
-                    // Catch handler panics and ship the payload as a
-                    // result: a dying worker that never answers would
-                    // deadlock the caller's next `recv`.
-                    let r = catch_unwind(AssertUnwindSafe(|| handler(&mut state, job)));
-                    let died = r.is_err();
-                    if res_tx.send((tag, r)).is_err() || died {
-                        break; // pool torn down mid-flight, or state poisoned
-                    }
-                }
-            });
-            txs.push(tx);
-        }
-        drop(res_tx);
-        let mut handle = PoolHandle::Threaded {
-            txs,
-            rx: res_rx,
-            outstanding: 0,
-        };
-        let ret = body(&mut handle);
-        // Dropping the handle's senders lets workers drain and exit; the
-        // scope joins them before returning.
-        drop(handle);
-        ret
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,29 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_inline_and_threaded_agree() {
-        // Worker state: a base offset; jobs add to it (read-only use).
-        let handler = |state: &mut u64, j: u64| *state + j;
-        for workers in [1usize, 3] {
-            let states = vec![100u64; workers];
-            let got = pool_scope(states, &handler, |pool| {
-                let w = pool.workers();
-                for (tag, j) in [(0usize, 1u64), (1, 2), (2, 3), (3, 4), (4, 5)]
-                {
-                    pool.send(tag % w, tag, j);
-                }
-                let mut out = vec![0u64; 5];
-                for _ in 0..5 {
-                    let (tag, r) = pool.recv();
-                    out[tag] = r;
-                }
-                out
-            });
-            assert_eq!(got, vec![101, 102, 103, 104, 105], "workers={workers}");
-        }
-    }
-
-    #[test]
     fn cancel_token_fires_for_every_clone() {
         let t = CancelToken::new();
         let u = t.clone();
@@ -944,87 +695,5 @@ mod tests {
         .expect_err("panic must propagate");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(msg.contains("exploded"), "payload lost: {msg:?}");
-    }
-
-    #[test]
-    fn pool_worker_panic_surfaces_instead_of_hanging() {
-        // Regression: a panicking handler used to kill its worker without
-        // answering, leaving the caller blocked forever in recv().
-        let handler = |_state: &mut (), j: u32| {
-            if j == 13 {
-                panic!("probe failed on 13");
-            }
-            j * 2
-        };
-        for workers in [1usize, 3] {
-            let err = catch_unwind(AssertUnwindSafe(|| {
-                pool_scope(vec![(); workers], &handler, |pool| {
-                    pool.send(0, 0, 13);
-                    pool.recv()
-                })
-            }))
-            .expect_err("worker panic must re-surface");
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert!(msg.contains("13"), "workers={workers}: payload lost: {msg:?}");
-        }
-    }
-
-    #[test]
-    fn pool_survivors_still_answer_after_a_worker_dies() {
-        let handler = |state: &mut u32, j: u32| {
-            if j == u32::MAX {
-                panic!("dead worker");
-            }
-            *state + j
-        };
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            pool_scope(vec![10u32, 20], &handler, |pool| {
-                // Healthy probe on worker 1 first, then kill worker 0: the
-                // healthy result must still arrive before the payload does.
-                pool.send(1, 1, 5);
-                pool.send(0, 0, u32::MAX);
-                let mut healthy = None;
-                for _ in 0..2 {
-                    let (tag, r) = pool.recv();
-                    if tag == 1 {
-                        healthy = Some(r);
-                    }
-                }
-                healthy
-            })
-        }))
-        .expect_err("the dead worker's panic must still propagate");
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("dead worker"), "payload lost: {msg:?}");
-    }
-
-    #[test]
-    fn pool_broadcast_updates_every_state() {
-        // States accumulate via broadcast; probes then read them.
-        let handler = |state: &mut u64, j: i64| {
-            if j < 0 {
-                *state += (-j) as u64; // "apply"
-                0
-            } else {
-                *state // "probe"
-            }
-        };
-        for workers in [1usize, 4] {
-            let states = vec![0u64; workers];
-            let got = pool_scope(states, &handler, |pool| {
-                pool.broadcast(-5);
-                pool.broadcast(-2);
-                let w = pool.workers();
-                let mut vals = Vec::new();
-                for i in 0..w {
-                    pool.send(i, i, 1);
-                }
-                for _ in 0..w {
-                    vals.push(pool.recv().1);
-                }
-                vals
-            });
-            assert!(got.iter().all(|&v| v == 7), "workers={workers}: {got:?}");
-        }
     }
 }

@@ -532,18 +532,13 @@ fn acquire_warm(
 }
 
 /// Builds the optimizer a `method` spelling names, with the run's budget
-/// and parallelism attached where the optimizer supports them. Shared by
-/// `run` and `export_ndr` so the two cannot disagree on what a method
-/// means.
-fn make_optimizer(method: Method, budget: Budget, par: Parallelism) -> Box<dyn NdrOptimizer> {
+/// attached where the optimizer supports it. Shared by `run` and
+/// `export_ndr` so the two cannot disagree on what a method means.
+fn make_optimizer(method: Method, budget: Budget) -> Box<dyn NdrOptimizer> {
     match method {
-        Method::Smart => Box::new(SmartNdr::default().with_budget(budget).with_parallelism(par)),
-        Method::Greedy => {
-            Box::new(GreedyDowngrade::default().with_budget(budget).with_parallelism(par))
-        }
-        Method::Upgrade => {
-            Box::new(GreedyUpgradeRepair::default().with_budget(budget).with_parallelism(par))
-        }
+        Method::Smart => Box::new(SmartNdr::default().with_budget(budget)),
+        Method::Greedy => Box::new(GreedyDowngrade::default().with_budget(budget)),
+        Method::Upgrade => Box::new(GreedyUpgradeRepair::default().with_budget(budget)),
         Method::Level => Box::new(LevelBased),
         Method::Uniform => Box::new(Uniform::conservative()),
         Method::Anneal => Box::new(Annealing::new(20_000, 1).with_budget(budget)),
@@ -568,13 +563,6 @@ fn execute_run(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Box<RunResponse>, Ap
             plan.slew_margin,
             plan.skew_budget_ps,
         ));
-    #[cfg(feature = "fault-inject")]
-    let opt_ctx = match plan.fault {
-        Some(crate::request::ServeFault::ProbePanic(at_probe)) => {
-            opt_ctx.with_exec_fault(snr_core::ExecFault::ProbePanic { at_probe })
-        }
-        _ => opt_ctx,
-    };
 
     // Budget and cancellation, exactly as the CLI has always armed them —
     // plus a resident-mode twist: when the front end wants a cancellation
@@ -599,8 +587,7 @@ fn execute_run(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Box<RunResponse>, Ap
         }
     }
 
-    let par = plan.jobs.unwrap_or_else(Parallelism::serial);
-    let method = make_optimizer(plan.method, budget, par);
+    let method = make_optimizer(plan.method, budget);
 
     let baseline = opt_ctx.conservative_baseline();
     let result = ctx.phase("optimize", || method.optimize(&opt_ctx));
@@ -962,8 +949,7 @@ fn execute_export_ndr(
                         plan.slew_margin,
                         plan.skew_budget_ps,
                     ));
-            let method =
-                make_optimizer(plan.method, Budget::unlimited(), Parallelism::serial());
+            let method = make_optimizer(plan.method, Budget::unlimited());
             let out = ctx.phase("optimize", || method.optimize(&opt_ctx));
             if !out.meets_constraints() {
                 return Err(ApiError::infeasible(format!(

@@ -132,9 +132,6 @@ pub enum CacheMode {
 pub enum ServeFault {
     /// Panic inside `execute`, after planning succeeded.
     Panic,
-    /// Arm [`snr_core::ExecFault::ProbePanic`] on the optimizer context,
-    /// exercising the parallel→serial degradation rung inside the daemon.
-    ProbePanic(u64),
 }
 
 /// A `run` request: the full NDR flow on one design.
@@ -152,9 +149,8 @@ pub struct RunRequest {
     pub skew_budget_ps: f64,
     /// Monte-Carlo sample count (0 = skip variation analysis).
     pub mc_samples: usize,
-    /// Worker threads for Monte Carlo and candidate probes; `None` keeps
-    /// each phase's own default (MC auto-detects cores, probes stay
-    /// serial).
+    /// Worker threads for Monte Carlo (`None` auto-detects cores); the
+    /// optimizer always runs serially.
     pub jobs: Option<usize>,
     /// Cooperative wall-clock deadline in seconds (0 = off).
     pub timeout_s: f64,
@@ -501,12 +497,7 @@ fn fault_of(obj: &Json) -> Result<Option<ServeFault>, ApiError> {
     match obj.get("fault") {
         None => Ok(None),
         Some(Json::Str(s)) if s == "panic" => Ok(Some(ServeFault::Panic)),
-        Some(v) => {
-            if let Some(n) = v.get("probe_panic").and_then(Json::as_u64) {
-                return Ok(Some(ServeFault::ProbePanic(n)));
-            }
-            Err(ApiError::usage("unknown \"fault\" (want \"panic\" or {\"probe_panic\": N})"))
-        }
+        Some(_) => Err(ApiError::usage("unknown \"fault\" (want \"panic\")")),
     }
 }
 

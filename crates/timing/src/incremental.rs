@@ -103,9 +103,8 @@ impl TimingSummary {
 
 /// Incremental Elmore analyzer with `try`/`commit`/`rollback` semantics.
 ///
-/// `Clone` copies the full committed state bit for bit, which is what lets
-/// parallel optimizers probe candidates on per-thread engine clones and
-/// still reproduce the serial run exactly.
+/// `Clone` copies the full committed state bit for bit, so a clone answers
+/// every `try_moves` exactly as the original would.
 ///
 /// See the [module documentation](self) for the model and an example.
 #[derive(Debug, Clone)]

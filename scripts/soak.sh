@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Chaos/soak gate for the run-supervision layer: the seeded fault-injection
-# soak (128 seeds × {probe panic, probe stall, forced divergence} plus the
+# soak (128 seeds of forced incremental-engine divergence plus the
 # crash-safe-writer cycle) and a real kill-and-resume round-trip of
 # `smart-ndr suite`. Everything sits under an outer timeout so a hang is a
 # failure, not a stuck CI job. Exits non-zero on the first failure.

@@ -37,10 +37,11 @@
 //!
 //! # Parallelism and panics
 //!
-//! `--jobs <N>` (alias `-j <N>`) runs the Monte Carlo samples of `run --mc`
-//! and the per-design flow of `suite` on `N` worker threads. Output is
-//! bit-identical for every job count: sample seeds are derived per index and
-//! rows print in suite order. Worker panics never abort the process:
+//! `--jobs <N>` (alias `-j <N>`) runs the Monte Carlo samples of `run --mc`,
+//! the per-design flow of `suite` and the sweep points of `pareto` on `N`
+//! worker threads; the optimizer itself always runs serially. Output is
+//! bit-identical for every job count: sample seeds are derived per index
+//! and rows print in suite order. Worker panics never abort the process:
 //!
 //! * `suite` catches a panicking design inside its worker and prints a
 //!   `FAILED` row with the truncated panic message in the reason column
@@ -137,6 +138,12 @@ IMPORT / EXPORT:
   solves an assignment (or reimports one with --from-tcl) and emits
   deterministic OpenROAD create_ndr/assign_ndr Tcl.
 
+PARALLELISM:
+  --jobs <N>, -j <N>  worker threads for Monte Carlo samples (run), designs
+                      (suite), sweep points (pareto) and requests (serve);
+                      the optimizer always runs serially. Output is
+                      identical for any N
+
 SUPERVISION:
   --timeout <SECS>    cooperative wall-clock deadline (0 = off); anytime —
                       the best feasible solution found so far is returned
@@ -184,27 +191,96 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Flags) -> Result<(), ApiError>;
+
 fn run(args: Vec<String>) -> Result<(), ApiError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(ApiError::usage("no command given"));
     };
-    let flags = parse_flags(rest)?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&flags),
-        "run" => cmd_run(&flags),
-        "pareto" => cmd_pareto(&flags),
-        "lint" => cmd_lint(&flags),
-        "import" => cmd_import(&flags),
-        "export-ndr" => cmd_export_ndr(&flags),
-        "suite" => cmd_suite(&flags),
-        "serve" => cmd_serve(&flags),
-        "mesh" => cmd_mesh(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
+    let values = parse_flags(rest)?;
+    // Each command with every flag it reads: the one record of what a
+    // command accepts (`Flags` rejects the rest and checks every read).
+    let (command, reads): (Command, &'static [&'static str]) = match cmd.as_str() {
+        "gen" => (cmd_gen, &["design", "sinks", "seed", "freq", "out"]),
+        "run" => (
+            cmd_run,
+            &[
+                "design", "sinks", "seed", "freq", "tech", "method", "slew-margin", "skew-budget",
+                "mc", "jobs", "timeout", "max-iters", "no-cache", "store", "svg", "save-asg",
+            ],
+        ),
+        "pareto" => (
+            cmd_pareto,
+            &[
+                "design", "sinks", "seed", "freq", "tech", "slew-margins", "skew-budgets",
+                "windows", "track-fracs", "corners", "mc", "jobs", "timeout", "max-points",
+                "no-cache", "store",
+            ],
+        ),
+        "lint" => (cmd_lint, &["design", "tech", "repair", "out"]),
+        "import" => (cmd_import, &["design", "tech", "repair", "out"]),
+        "export-ndr" => (
+            cmd_export_ndr,
+            &[
+                "design", "sinks", "seed", "freq", "tech", "method", "slew-margin", "skew-budget",
+                "from-tcl", "out", "save-asg",
+            ],
+        ),
+        "suite" => (cmd_suite, &["designs", "tech", "jobs", "out", "resume", "no-cache", "store"]),
+        "serve" => (cmd_serve, &["jobs", "queue", "cache", "store", "socket"]),
+        "mesh" => (
+            cmd_mesh,
+            &["design", "sinks", "seed", "freq", "tech", "grid", "drivers", "rule"],
+        ),
+        "help" | "--help" | "-h" => (cmd_help, &[]),
+        other => return Err(ApiError::usage(format!("unknown command {other:?}"))),
+    };
+    command(&Flags::new(cmd, values, reads)?)
+}
+
+/// The flags one command was given, checked against the flags it reads.
+struct Flags {
+    values: HashMap<String, String>,
+    reads: &'static [&'static str],
+}
+
+impl Flags {
+    /// Rejects any flag outside `reads`, so a misspelt flag cannot silently
+    /// fall back to its default. `--json` is accepted everywhere: `main`
+    /// honours it for error output.
+    fn new(
+        cmd: &str,
+        values: HashMap<String, String>,
+        reads: &'static [&'static str],
+    ) -> Result<Flags, ApiError> {
+        let unknown = values.keys().filter(|k| *k != "json" && !reads.contains(&k.as_str())).min();
+        if let Some(key) = unknown {
+            return Err(ApiError::usage(format!("unknown flag --{key} for {cmd}")));
         }
-        other => Err(ApiError::usage(format!("unknown command {other:?}"))),
+        Ok(Flags { values, reads })
     }
+
+    /// The value of `--key`, if given. A command may only read the flags in
+    /// its list; reading another would reject that flag whenever a caller
+    /// passed it, so debug builds assert it here.
+    fn get(&self, key: &str) -> Option<&String> {
+        debug_assert!(
+            key == "json" || self.reads.contains(&key),
+            "--{key} is read but missing from the command's flag list"
+        );
+        self.values.get(key)
+    }
+
+    /// Whether `--key` was given, under the same check as [`Flags::get`].
+    fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+}
+
+fn cmd_help(_: &Flags) -> Result<(), ApiError> {
+    println!("{USAGE}");
+    Ok(())
 }
 
 /// Flags that take no value; present means "true".
@@ -232,7 +308,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, ApiError> {
 }
 
 fn get_parsed<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     key: &str,
     default: T,
 ) -> Result<T, ApiError> {
@@ -246,7 +322,7 @@ fn get_parsed<T: std::str::FromStr>(
 
 /// `--jobs <N>` / `-j <N>`, or `None` when absent so each command keeps its
 /// own default (Monte Carlo auto-detects cores, the suite stays serial).
-fn jobs_of(flags: &HashMap<String, String>) -> Result<Option<usize>, ApiError> {
+fn jobs_of(flags: &Flags) -> Result<Option<usize>, ApiError> {
     match flags.get("jobs") {
         None => Ok(None),
         Some(v) => {
@@ -261,7 +337,7 @@ fn jobs_of(flags: &HashMap<String, String>) -> Result<Option<usize>, ApiError> {
     }
 }
 
-fn tech_of(flags: &HashMap<String, String>) -> Result<TechId, ApiError> {
+fn tech_of(flags: &Flags) -> Result<TechId, ApiError> {
     match flags.get("tech") {
         None => Ok(TechId::default()),
         Some(v) => TechId::parse(v),
@@ -270,7 +346,7 @@ fn tech_of(flags: &HashMap<String, String>) -> Result<TechId, ApiError> {
 
 /// `--no-cache` maps to the API's `"cache": "off"`: skip warm caches and
 /// the durable store for this invocation.
-fn cache_of(flags: &HashMap<String, String>) -> CacheMode {
+fn cache_of(flags: &Flags) -> CacheMode {
     if flags.contains_key("no-cache") {
         CacheMode::Off
     } else {
@@ -280,7 +356,7 @@ fn cache_of(flags: &HashMap<String, String>) -> CacheMode {
 
 /// Opens the durable result store named by `--store <DIR>`, if any. An
 /// unopenable store degrades to a warning — the run still computes.
-fn store_of(flags: &HashMap<String, String>) -> Option<ResultStore> {
+fn store_of(flags: &Flags) -> Option<ResultStore> {
     let dir = flags.get("store")?;
     match ResultStore::open(Path::new(dir)) {
         Ok(store) => Some(store),
@@ -303,7 +379,7 @@ fn store_note(store: Option<&ResultStore>) {
 
 /// The design a `run` request names: a file path, or a generator spec from
 /// `--sinks`/`--seed`/`--freq`.
-fn design_source_of(flags: &HashMap<String, String>) -> Result<DesignSource, ApiError> {
+fn design_source_of(flags: &Flags) -> Result<DesignSource, ApiError> {
     if let Some(path) = flags.get("design") {
         return Ok(DesignSource::Path(path.clone()));
     }
@@ -318,7 +394,7 @@ fn design_source_of(flags: &HashMap<String, String>) -> Result<DesignSource, Api
 
 /// Loads or generates a design eagerly — for `gen` and `mesh`, which need
 /// the design itself rather than a plan over it.
-fn design_of(flags: &HashMap<String, String>) -> Result<Design, ApiError> {
+fn design_of(flags: &Flags) -> Result<Design, ApiError> {
     if let Some(path) = flags.get("design") {
         let file = fs::File::open(path)
             .map_err(|e| ApiError::invalid(format!("cannot open {path}: {e}")))?;
@@ -337,7 +413,7 @@ fn design_of(flags: &HashMap<String, String>) -> Result<Design, ApiError> {
         .map_err(|e| ApiError::invalid(e.to_string()))
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_gen(flags: &Flags) -> Result<(), ApiError> {
     let design = design_of(flags)?;
     let out = flags
         .get("out")
@@ -352,7 +428,7 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 /// `smart-ndr run`: build the typed request from flags, plan, execute
 /// one-shot, render. The engine is exactly the daemon's; only the
 /// presentation here is CLI-specific.
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_run(flags: &Flags) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
     let mut req = RunRequest::new(design_source_of(flags)?);
     req.tech = tech_of(flags)?;
@@ -442,7 +518,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 /// flag is absent (keep the request default), `Some(vec![])` for an
 /// explicit empty string (clear the axis).
 fn f64_list_of(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     key: &str,
 ) -> Result<Option<Vec<f64>>, ApiError> {
     let Some(raw) = flags.get(key) else { return Ok(None) };
@@ -462,7 +538,7 @@ fn f64_list_of(
 /// `smart-ndr pareto`: sweep the constraint space and print the
 /// non-dominated front. Same engine as the daemon's `pareto` op; the
 /// CLI only adds flag parsing and the table rendering.
-fn cmd_pareto(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_pareto(flags: &Flags) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
     let mut req = ParetoRequest::new(design_source_of(flags)?);
     req.tech = tech_of(flags)?;
@@ -511,7 +587,7 @@ fn cmd_pareto(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 /// without running the flow. Every diagnostic and every repair action is
 /// printed; a feasibility smoke-check (can the default CTS flow synthesize
 /// the design at all?) separates "invalid input" from "infeasible".
-fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_lint(flags: &Flags) -> Result<(), ApiError> {
     let path = flags
         .get("design")
         .ok_or_else(|| ApiError::usage("lint needs --design <FILE>"))?;
@@ -573,7 +649,7 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 /// diagnostics instead of crashing. `--out` writes the canonical `.sndr`
 /// so imported designs feed straight into run/suite/pareto (and get
 /// content-byte store keys like any other design).
-fn cmd_import(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_import(flags: &Flags) -> Result<(), ApiError> {
     let path = flags
         .get("design")
         .ok_or_else(|| ApiError::usage("import needs --design <FILE>"))?;
@@ -638,7 +714,7 @@ fn cmd_import(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 /// re-render it (the round-trip path the interop checks diff). The
 /// script goes to `--out` or stdout; `--save-asg` additionally writes
 /// the assignment in the native `.asg` format.
-fn cmd_export_ndr(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_export_ndr(flags: &Flags) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
     let mut req = ExportNdrRequest::new(design_source_of(flags)?);
     req.tech = tech_of(flags)?;
@@ -687,7 +763,7 @@ fn cmd_export_ndr(flags: &HashMap<String, String>) -> Result<(), ApiError> {
     Ok(())
 }
 
-fn cmd_mesh(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_mesh(flags: &Flags) -> Result<(), ApiError> {
     use smart_ndr::mesh::{ClockMesh, MeshSpec};
     use smart_ndr::tech::Rule;
 
@@ -790,7 +866,7 @@ fn journal_row(line: &str) -> Option<SuiteRow> {
 /// of re-evaluating them, so an interrupted run picks up where it stopped
 /// and still produces the byte-identical `FILE`. The journal is deleted
 /// once `FILE` lands.
-fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_suite(flags: &Flags) -> Result<(), ApiError> {
     let out_path = flags.get("out").map(PathBuf::from);
     let resume = flags.contains_key("resume");
     if resume && out_path.is_none() {
@@ -919,7 +995,7 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 
 /// `smart-ndr serve`: the resident daemon. See the module docs and
 /// `DESIGN.md` §3.9 for the protocol.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), ApiError> {
+fn cmd_serve(flags: &Flags) -> Result<(), ApiError> {
     let mut config = ServeConfig::default();
     if let Some(n) = jobs_of(flags)? {
         config.workers = n;

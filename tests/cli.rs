@@ -151,6 +151,36 @@ fn bad_flag_value_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --sinks"));
 }
 
+#[test]
+fn misspelt_flag_is_a_usage_error() {
+    // A typo must not silently run at the default 1.10 margin.
+    let out = bin()
+        .args(["run", "--sinks", "40", "--slew-margn", "1.3"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "unknown flags exit 1");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --slew-margn"), "{err}");
+
+    // Under --json the error is the structured object on stdout.
+    let out = bin()
+        .args(["run", "--sinks", "40", "--slew-margn", "1.3", "--json"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.starts_with("{\"error\": {\"code\": \"usage\"") && text.contains("--slew-margn"),
+        "{text}"
+    );
+
+    // A flag another command reads is still unknown here; --json is not.
+    let out = bin().args(["lint", "--sinks", "40", "--json"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("unknown flag --sinks for lint"));
+}
+
 // ---------------------------------------------------------------------------
 // Robustness: lint, typed exit codes, JSON error objects, hardened suite.
 // ---------------------------------------------------------------------------

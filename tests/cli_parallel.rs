@@ -1,6 +1,7 @@
 //! `--jobs` plumbing: the CLI must produce the same results for any job
 //! count — suite rows in suite order (FAILED rows included), Monte Carlo
-//! statistics bit-identical — and must reject a zero job count cleanly.
+//! statistics and optimizer output bit-identical — and must reject a zero
+//! job count cleanly.
 //!
 //! Runtime columns are wall-clock and legitimately vary between runs, so
 //! comparisons strip them before asserting equality.
@@ -99,6 +100,44 @@ fn monte_carlo_stats_identical_across_job_counts() {
     // thread count, even oversubscribed on a small machine.
     assert_eq!(serial, variation_of("3"));
     assert_eq!(serial, variation_of("8"));
+}
+
+/// Blanks every `"runtime_s": <seconds>` value, the only wall-clock field
+/// of `run --json`.
+fn blank_runtimes(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(i) = rest.find("\"runtime_s\": ") {
+        let (head, tail) = rest.split_at(i + "\"runtime_s\": ".len());
+        out.push_str(head);
+        out.push('_');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn optimizer_json_identical_across_job_counts() {
+    // Without --mc nothing in `run` is parallel: --jobs must not move a
+    // byte of any optimizer's output.
+    for method in ["smart", "greedy", "upgrade"] {
+        let json_of = |jobs: &str| {
+            let out = bin()
+                .args(["run", "--sinks", "150", "--seed", "4", "--method", method, "--jobs", jobs])
+                .arg("--json")
+                .output()
+                .expect("binary runs");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let text = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(text.contains("\"runtime_s\": "), "{text}");
+            blank_runtimes(&text)
+        };
+        let serial = json_of("1");
+        assert!(serial.contains("\"supervision\""), "{serial}");
+        assert_eq!(serial, json_of("2"), "--method {method}: jobs 1 vs 2");
+        assert_eq!(serial, json_of("8"), "--method {method}: jobs 1 vs 8");
+    }
 }
 
 #[test]
