@@ -1,6 +1,5 @@
-//! Crash-safe filesystem primitives for result artifacts.
-//!
-//! Two invariants, shared by the CLI and the bench bins:
+//! Crash-safe filesystem primitives for result artifacts and the result
+//! store.
 //!
 //! * **No partial artifacts.** [`atomic_write`] writes through a fixed
 //!   sibling temp file (`<path>.tmp`) and renames into place, so a reader
@@ -8,10 +7,11 @@
 //!   truncated one. The temp name is *fixed* (not randomized) so an orphan
 //!   left by a killed process is simply overwritten by the next run, and
 //!   chaos tests can assert none survive a successful one.
-//! * **No lost completed work.** A [`Journal`] appends one line per
-//!   completed row, flushing and syncing each append. A crash can truncate
-//!   at most the line being written; [`Journal::load`] drops an unterminated
-//!   final line, so every line it returns was written completely.
+//! * **Concurrent writers never clobber each other.**
+//!   [`atomic_write_unique`] stages through a per-call temp file, so racing
+//!   writers of one destination land last-writer-wins; [`temp_writer_pid`]
+//!   and [`process_alive`] let sweepers tell a dead writer's orphan from a
+//!   live stage, and [`LockFile`] guards that maintenance work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +19,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -181,106 +181,6 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
     })
 }
 
-/// An append-only line journal of completed work, used by `suite` to make
-/// runs resumable: one line per completed row, each synced before the row
-/// is considered durable.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    file: File,
-}
-
-impl Journal {
-    /// Opens (creating if absent) the journal at `path` for appending.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from open/create.
-    pub fn open(path: &Path) -> io::Result<Journal> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Journal {
-            path: path.to_owned(),
-            file,
-        })
-    }
-
-    /// Reads the complete lines of the journal at `path`. A final line
-    /// without a terminating newline (a crash mid-append) is dropped.
-    /// Returns an empty list when the journal does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error other than the file being absent.
-    pub fn load(path: &Path) -> io::Result<Vec<String>> {
-        let mut raw = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut raw)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        }
-        let complete = match raw.rfind('\n') {
-            Some(last) => &raw[..=last],
-            None => "", // a single unterminated line: nothing durable
-        };
-        Ok(complete.lines().map(str::to_owned).collect())
-    }
-
-    /// Resumes a journal after a crash: loads the complete lines, rewrites
-    /// the file to exactly those lines (discarding any unterminated tail,
-    /// so the next append cannot concatenate onto it), and opens it for
-    /// appending. Returns the journal and the recovered lines.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from load/rewrite/open.
-    pub fn resume(path: &Path) -> io::Result<(Journal, Vec<String>)> {
-        let lines = Journal::load(path)?;
-        let mut clean = lines.join("\n");
-        if !clean.is_empty() {
-            clean.push('\n');
-        }
-        atomic_write(path, clean.as_bytes())?;
-        Ok((Journal::open(path)?, lines))
-    }
-
-    /// Appends one line and syncs it to disk; once this returns, the line
-    /// survives a crash.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from write/sync.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line` contains a newline (it would forge extra rows).
-    pub fn append(&mut self, line: &str) -> io::Result<()> {
-        assert!(!line.contains('\n'), "journal lines must be single lines");
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.sync_data()
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Deletes the journal file — called after the final artifact has been
-    /// atomically written, when the journal has nothing left to protect.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error other than the file already being gone.
-    pub fn remove(self) -> io::Result<()> {
-        match fs::remove_file(&self.path) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,39 +212,6 @@ mod tests {
         atomic_write(&p, b"clean").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"clean");
         assert!(!temp_path(&p).exists());
-        fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
-    fn journal_roundtrip_and_truncated_tail_dropped() {
-        let d = tmpdir("journal");
-        let p = d.join("rows.journal.jsonl");
-        assert_eq!(Journal::load(&p).unwrap(), Vec::<String>::new());
-        {
-            let mut j = Journal::open(&p).unwrap();
-            j.append("row one").unwrap();
-            j.append("row two").unwrap();
-        }
-        // Simulate a crash mid-append: an unterminated third line.
-        {
-            let mut f = OpenOptions::new().append(true).open(&p).unwrap();
-            f.write_all(b"row thr").unwrap();
-        }
-        assert_eq!(Journal::load(&p).unwrap(), vec!["row one", "row two"]);
-        // Resume discards the unterminated tail before appending, so the
-        // next row cannot concatenate onto the partial line.
-        {
-            let (mut j, recovered) = Journal::resume(&p).unwrap();
-            assert_eq!(recovered, vec!["row one", "row two"]);
-            j.append("row three").unwrap();
-            assert_eq!(j.path(), p);
-        }
-        let lines = Journal::load(&p).unwrap();
-        assert_eq!(lines, vec!["row one", "row two", "row three"]);
-        Journal::open(&p).unwrap().remove().unwrap();
-        assert!(!p.exists());
-        // Removing an already-gone journal is fine.
-        Journal::open(&p).unwrap().remove().unwrap();
         fs::remove_dir_all(&d).unwrap();
     }
 
@@ -386,13 +253,5 @@ mod tests {
             assert!(LockFile::try_acquire(&p).unwrap().is_some(), "dead owner is stolen");
         }
         let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    #[should_panic(expected = "single lines")]
-    fn multiline_append_rejected() {
-        let d = tmpdir("ml");
-        let mut j = Journal::open(&d.join("j")).unwrap();
-        let _ = j.append("a\nb");
     }
 }

@@ -51,9 +51,8 @@ pub enum Event {
         /// Wall-clock time the phase took.
         elapsed: Duration,
     },
-    /// One suite row finished evaluating (fresh rows only — rows restored
-    /// from a journal or replayed from the result store are not
-    /// re-announced).
+    /// One suite row finished evaluating (fresh rows only — rows replayed
+    /// from the result store are not re-announced).
     SuiteRow(
         /// The completed row.
         SuiteRow,
@@ -228,16 +227,17 @@ impl ExportNdrResponse {
 
 /// One evaluated suite row: an optional stderr diagnostic, the
 /// deterministic table columns (runtime excluded), the measured runtime
-/// (absent for rows restored from a journal), and the FAILED verdict.
+/// (absent for rows replayed from the result store), and the FAILED
+/// verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRow {
-    /// Design name (the resume key).
+    /// Design name.
     pub name: String,
     /// The deterministic table line.
     pub line: String,
     /// Optional stderr diagnostic.
     pub diagnostic: Option<String>,
-    /// Measured runtime; `None` for FAILED and journal-restored rows.
+    /// Measured runtime; `None` for FAILED and replayed rows.
     pub runtime_s: Option<f64>,
     /// Whether the flow failed on this design.
     pub failed: bool,
@@ -245,8 +245,8 @@ pub struct SuiteRow {
 
 impl SuiteRow {
     /// The stdout rendering: deterministic columns plus the wall-clock
-    /// runtime column (`-` for FAILED rows and rows resumed from a
-    /// journal, whose runtime was not re-measured).
+    /// runtime column (`-` for FAILED rows and rows replayed from the
+    /// result store, whose runtime was not re-measured).
     pub fn stdout_line(&self) -> String {
         match self.runtime_s {
             Some(rt) => format!("{} {rt:>8.1}s", self.line),
@@ -1085,8 +1085,8 @@ fn suite_row_key(design: &Design, tech: &Technology) -> Option<CacheKey> {
 }
 
 /// Reassembles a suite row from a verified store entry. Stored rows are
-/// always successful ones (see the save gate), so the diagnostic is empty
-/// and — like journal-restored rows — the runtime was not re-measured.
+/// always clean ones (see the save gate), so the diagnostic is empty; the
+/// runtime was not re-measured.
 fn suite_row_from_sections(sections: snr_store::Sections) -> Option<SuiteRow> {
     let mut name = None;
     let mut line = None;
@@ -1110,9 +1110,6 @@ fn suite_row_from_sections(sections: snr_store::Sections) -> Option<SuiteRow> {
 fn execute_suite(plan: &SuitePlan, ctx: &ExecCtx<'_>) -> Result<SuiteResponse, ApiError> {
     let store = active_store(plan.cache, ctx);
     let rows = par_map(plan.par, &plan.entries, |_, entry| {
-        if let Some(row) = plan.prefilled.get(entry.name()) {
-            return row.clone();
-        }
         let key = match (store, entry) {
             (Some(_), SuiteEntry::Design(d)) => suite_row_key(d, &plan.tech),
             _ => None,
@@ -1120,8 +1117,7 @@ fn execute_suite(plan: &SuitePlan, ctx: &ExecCtx<'_>) -> Result<SuiteResponse, A
         if let (Some(store), Some(key)) = (store, key) {
             match store.load(StoreKind::SuiteRow, key) {
                 Lookup::Hit(sections) => match suite_row_from_sections(sections) {
-                    // Replayed rows are not re-announced (no SuiteRow
-                    // event), exactly like journal-restored rows.
+                    // Replayed rows are not re-announced (no SuiteRow event).
                     Some(row) => return row,
                     None => store.quarantine(StoreKind::SuiteRow, key, QuarantineReason::BadFraming),
                 },

@@ -8,7 +8,6 @@
 //! further I/O decisions — the same plan executes identically one-shot or
 //! inside the daemon, and identical inputs produce identical cache keys.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::BufReader;
 
@@ -209,16 +208,6 @@ pub enum SuiteEntry {
     },
 }
 
-impl SuiteEntry {
-    /// The design name this entry answers to (the resume key).
-    pub fn name(&self) -> &str {
-        match self {
-            SuiteEntry::Design(d) => d.name(),
-            SuiteEntry::Unloadable { name, .. } => name,
-        }
-    }
-}
-
 /// A resolved `suite` request.
 #[derive(Debug, Clone)]
 pub struct SuitePlan {
@@ -228,9 +217,6 @@ pub struct SuitePlan {
     pub tech: Technology,
     /// Cross-design parallelism.
     pub par: Parallelism,
-    /// Rows restored from a journal, keyed by design name; these are
-    /// returned as-is (and not re-journaled via events).
-    pub prefilled: HashMap<String, crate::exec::SuiteRow>,
     /// Cache participation: `Off` bypasses the per-row result store.
     pub cache: CacheMode,
 }
@@ -458,28 +444,10 @@ fn suite_entries(source: &SuiteSource) -> Result<Vec<SuiteEntry>, ApiError> {
 }
 
 fn plan_suite(req: &SuiteRequest) -> Result<SuitePlan, ApiError> {
-    let entries = suite_entries(&req.source)?;
-    let prefilled = req
-        .prefilled
-        .iter()
-        .map(|row| {
-            (
-                row.name.clone(),
-                crate::exec::SuiteRow {
-                    name: row.name.clone(),
-                    line: row.line.clone(),
-                    diagnostic: row.diagnostic.clone(),
-                    runtime_s: None,
-                    failed: row.failed,
-                },
-            )
-        })
-        .collect();
     Ok(SuitePlan {
-        entries,
+        entries: suite_entries(&req.source)?,
         tech: req.tech.resolve(),
         par: req.jobs.map(Parallelism::new).unwrap_or_else(Parallelism::serial),
-        prefilled,
         cache: req.cache,
     })
 }

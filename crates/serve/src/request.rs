@@ -310,20 +310,6 @@ pub enum SuiteSource {
     Dir(String),
 }
 
-/// A pre-completed suite row carried by a resuming request: rows restored
-/// from a journal are returned as-is instead of being re-evaluated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefilledRow {
-    /// Design name (the resume key).
-    pub name: String,
-    /// The deterministic table line.
-    pub line: String,
-    /// Optional stderr diagnostic.
-    pub diagnostic: Option<String>,
-    /// Whether the row had FAILED.
-    pub failed: bool,
-}
-
 /// A `suite` request: the headline table over many designs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRequest {
@@ -333,8 +319,6 @@ pub struct SuiteRequest {
     pub tech: TechId,
     /// Worker threads across designs; `None` = serial.
     pub jobs: Option<usize>,
-    /// Rows already completed by an earlier interrupted run.
-    pub prefilled: Vec<PrefilledRow>,
     /// Cache participation (`--no-cache` / `"cache": "off"` bypasses the
     /// per-row result store).
     pub cache: CacheMode,
@@ -390,62 +374,107 @@ pub enum Op {
     Control(Control),
 }
 
-fn get_f64(obj: &Json, key: &str, default: f64) -> Result<f64, ApiError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| ApiError::usage(format!("field {key:?} must be a number"))),
+/// One JSON object, read field by field. Every key looked up is recorded,
+/// so [`Fields::finish`] can reject the first key nothing read: the reads
+/// themselves are the one record of what a request accepts.
+struct Fields<'j> {
+    pairs: &'j [(String, Json)],
+    read: Vec<&'static str>,
+    /// This object's dotted path in the request: `""` for the protocol
+    /// line itself, else ending in `.`.
+    at: &'static str,
+}
+
+impl<'j> Fields<'j> {
+    fn new(v: &'j Json, at: &'static str) -> Result<Self, ApiError> {
+        match v {
+            Json::Obj(pairs) => Ok(Fields { pairs, read: Vec::new(), at }),
+            _ if at.is_empty() => Err(ApiError::usage("protocol line must be a JSON object")),
+            _ => Err(ApiError::usage(format!(
+                "{:?} must be a JSON object",
+                at.trim_end_matches('.')
+            ))),
+        }
+    }
+
+    fn get(&mut self, key: &'static str) -> Option<&'j Json> {
+        self.read.push(key);
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The value of `key` through `conv`, or `None` when absent; a value
+    /// `conv` rejects is a usage error saying it must be `kind`.
+    fn typed<T>(
+        &mut self,
+        key: &'static str,
+        conv: fn(&'j Json) -> Option<T>,
+        kind: &str,
+    ) -> Result<Option<T>, ApiError> {
+        self.get(key)
+            .map(|v| conv(v).ok_or_else(|| ApiError::usage(format!("field {key:?} must be {kind}"))))
+            .transpose()
+    }
+
+    /// Rejects the first key no read looked up.
+    fn finish(self) -> Result<(), ApiError> {
+        match self.pairs.iter().find(|(k, _)| !self.read.contains(&k.as_str())) {
+            Some((key, _)) => {
+                Err(ApiError::usage(format!("unknown field {:?}", format!("{}{key}", self.at))))
+            }
+            None => Ok(()),
+        }
     }
 }
 
-fn get_u64(obj: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| ApiError::usage(format!("field {key:?} must be a non-negative integer"))),
-    }
+fn get_f64(obj: &mut Fields, key: &'static str, default: f64) -> Result<f64, ApiError> {
+    Ok(obj.typed(key, Json::as_f64, "a number")?.unwrap_or(default))
 }
 
-fn get_str<'j>(obj: &'j Json, key: &str) -> Result<Option<&'j str>, ApiError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| ApiError::usage(format!("field {key:?} must be a string"))),
-    }
+fn get_u64(obj: &mut Fields, key: &'static str, default: u64) -> Result<u64, ApiError> {
+    Ok(obj.typed(key, Json::as_u64, "a non-negative integer")?.unwrap_or(default))
 }
 
-/// Parses the `design` field of a run/lint request.
-fn design_source(obj: &Json) -> Result<DesignSource, ApiError> {
+fn get_bool(obj: &mut Fields, key: &'static str) -> Result<bool, ApiError> {
+    Ok(obj.typed(key, Json::as_bool, "a boolean")?.unwrap_or(false))
+}
+
+fn get_str<'j>(obj: &mut Fields<'j>, key: &'static str) -> Result<Option<&'j str>, ApiError> {
+    obj.typed(key, Json::as_str, "a string")
+}
+
+/// Parses the `design` field of a request: exactly one of `path`,
+/// `inline` or `generate`.
+fn design_source(obj: &mut Fields) -> Result<DesignSource, ApiError> {
     let Some(design) = obj.get("design") else {
         return Err(ApiError::usage("request needs a \"design\" object"));
     };
-    if let Some(path) = get_str(design, "path")? {
-        return Ok(DesignSource::Path(path.to_owned()));
-    }
-    if let Some(text) = get_str(design, "inline")? {
-        return Ok(DesignSource::Inline(text.to_owned()));
-    }
-    if let Some(gen) = design.get("generate") {
-        let sinks = get_u64(gen, "sinks", 0)? as usize;
+    let mut design = Fields::new(design, "design.")?;
+    let source = if let Some(path) = get_str(&mut design, "path")? {
+        DesignSource::Path(path.to_owned())
+    } else if let Some(text) = get_str(&mut design, "inline")? {
+        DesignSource::Inline(text.to_owned())
+    } else if let Some(gen) = design.get("generate") {
+        let mut gen = Fields::new(gen, "design.generate.")?;
+        let sinks = get_u64(&mut gen, "sinks", 0)? as usize;
         if sinks == 0 {
             return Err(ApiError::usage("\"generate\" needs a positive \"sinks\" count"));
         }
-        let seed = get_u64(gen, "seed", 1)?;
-        let freq_ghz = get_f64(gen, "freq_ghz", 1.0)?;
-        return Ok(DesignSource::Generate { sinks, seed, freq_ghz });
-    }
-    Err(ApiError::usage(
-        "\"design\" must carry \"path\", \"inline\" or \"generate\"",
-    ))
+        let seed = get_u64(&mut gen, "seed", 1)?;
+        let freq_ghz = get_f64(&mut gen, "freq_ghz", 1.0)?;
+        gen.finish()?;
+        DesignSource::Generate { sinks, seed, freq_ghz }
+    } else {
+        return Err(ApiError::usage(
+            "\"design\" must carry \"path\", \"inline\" or \"generate\"",
+        ));
+    };
+    design.finish()?;
+    Ok(source)
 }
 
 /// Parses an optional JSON array of numbers (e.g. `"slew_margins":
 /// [1.05, 1.2]`). `None` when the field is absent.
-fn f64_list(obj: &Json, key: &str) -> Result<Option<Vec<f64>>, ApiError> {
+fn f64_list(obj: &mut Fields, key: &'static str) -> Result<Option<Vec<f64>>, ApiError> {
     match obj.get(key) {
         None => Ok(None),
         Some(Json::Arr(items)) => items
@@ -461,30 +490,29 @@ fn f64_list(obj: &Json, key: &str) -> Result<Option<Vec<f64>>, ApiError> {
     }
 }
 
-fn tech_of(obj: &Json) -> Result<TechId, ApiError> {
+fn tech_of(obj: &mut Fields) -> Result<TechId, ApiError> {
     match get_str(obj, "tech")? {
         None => Ok(TechId::default()),
         Some(s) => TechId::parse(s),
     }
 }
 
-fn jobs_of(obj: &Json) -> Result<Option<usize>, ApiError> {
-    match obj.get("jobs") {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_u64()
-                .ok_or_else(|| ApiError::usage("field \"jobs\" must be a non-negative integer"))?;
-            if n == 0 {
-                return Err(ApiError::usage("\"jobs\" must be at least 1"));
-            }
-            Ok(Some(n as usize))
-        }
+fn method_of(obj: &mut Fields) -> Result<Method, ApiError> {
+    match get_str(obj, "method")? {
+        None => Ok(Method::default()),
+        Some(m) => Method::parse(m),
+    }
+}
+
+fn jobs_of(obj: &mut Fields) -> Result<Option<usize>, ApiError> {
+    match obj.typed("jobs", Json::as_u64, "a non-negative integer")? {
+        Some(0) => Err(ApiError::usage("\"jobs\" must be at least 1")),
+        n => Ok(n.map(|n| n as usize)),
     }
 }
 
 /// Parses the shared `"cache": "on"|"off"` escape hatch.
-fn cache_of(obj: &Json) -> Result<CacheMode, ApiError> {
+fn cache_of(obj: &mut Fields) -> Result<CacheMode, ApiError> {
     match get_str(obj, "cache")? {
         None | Some("on") => Ok(CacheMode::On),
         Some("off") => Ok(CacheMode::Off),
@@ -493,7 +521,7 @@ fn cache_of(obj: &Json) -> Result<CacheMode, ApiError> {
 }
 
 #[cfg(feature = "fault-inject")]
-fn fault_of(obj: &Json) -> Result<Option<ServeFault>, ApiError> {
+fn fault_of(obj: &mut Fields) -> Result<Option<ServeFault>, ApiError> {
     match obj.get("fault") {
         None => Ok(None),
         Some(Json::Str(s)) if s == "panic" => Ok(Some(ServeFault::Panic)),
@@ -507,11 +535,11 @@ impl Envelope {
     /// # Errors
     ///
     /// [`ApiError::usage`] for a missing/unknown `op`, a job without an
-    /// `id`, or any ill-typed field.
+    /// `id`, any ill-typed field, or any field the op does not read
+    /// (`fault` is read only by `fault-inject` builds).
     pub fn from_json(v: &Json) -> Result<Envelope, ApiError> {
-        if !matches!(v, Json::Obj(_)) {
-            return Err(ApiError::usage("protocol line must be a JSON object"));
-        }
+        let mut fields = Fields::new(v, "")?;
+        let v = &mut fields;
         let id = match v.get("id") {
             None | Some(Json::Null) => None,
             Some(j) => Some(
@@ -524,9 +552,7 @@ impl Envelope {
             "run" => {
                 let mut req = RunRequest::new(design_source(v)?);
                 req.tech = tech_of(v)?;
-                if let Some(m) = get_str(v, "method")? {
-                    req.method = Method::parse(m)?;
-                }
+                req.method = method_of(v)?;
                 req.slew_margin = get_f64(v, "slew_margin", req.slew_margin)?;
                 req.skew_budget_ps = get_f64(v, "skew_budget", req.skew_budget_ps)?;
                 req.mc_samples = get_u64(v, "mc", 0)? as usize;
@@ -537,12 +563,6 @@ impl Envelope {
                 #[cfg(feature = "fault-inject")]
                 {
                     req.fault = fault_of(v)?;
-                }
-                #[cfg(not(feature = "fault-inject"))]
-                if v.get("fault").is_some() {
-                    return Err(ApiError::usage(
-                        "\"fault\" requires a fault-inject build",
-                    ));
                 }
                 Op::Job(Request::Run(req))
             }
@@ -561,7 +581,7 @@ impl Envelope {
                 if let Some(list) = f64_list(v, "track_fracs")? {
                     req.track_fracs = list;
                 }
-                req.corners = v.get("corners").and_then(Json::as_bool).unwrap_or(false);
+                req.corners = get_bool(v, "corners")?;
                 req.mc_samples = get_u64(v, "mc", req.mc_samples as u64)? as usize;
                 req.jobs = jobs_of(v)?;
                 req.timeout_s = get_f64(v, "timeout", 0.0)?;
@@ -572,19 +592,17 @@ impl Envelope {
             "lint" => Op::Job(Request::Lint(LintRequest {
                 design: design_source(v)?,
                 tech: tech_of(v)?,
-                repair: v.get("repair").and_then(Json::as_bool).unwrap_or(false),
+                repair: get_bool(v, "repair")?,
             })),
             "import" => Op::Job(Request::Import(ImportRequest {
                 design: design_source(v)?,
                 tech: tech_of(v)?,
-                repair: v.get("repair").and_then(Json::as_bool).unwrap_or(false),
+                repair: get_bool(v, "repair")?,
             })),
             "export_ndr" => {
                 let mut req = ExportNdrRequest::new(design_source(v)?);
                 req.tech = tech_of(v)?;
-                if let Some(m) = get_str(v, "method")? {
-                    req.method = Method::parse(m)?;
-                }
+                req.method = method_of(v)?;
                 req.slew_margin = get_f64(v, "slew_margin", req.slew_margin)?;
                 req.skew_budget_ps = get_f64(v, "skew_budget", req.skew_budget_ps)?;
                 req.from_tcl = get_str(v, "from_tcl")?.map(str::to_owned);
@@ -597,7 +615,6 @@ impl Envelope {
                 },
                 tech: tech_of(v)?,
                 jobs: jobs_of(v)?,
-                prefilled: Vec::new(),
                 cache: cache_of(v)?,
             })),
             "stats" => Op::Control(Control::Stats),
@@ -614,6 +631,7 @@ impl Envelope {
         if id.is_none() && matches!(op, Op::Job(_)) {
             return Err(ApiError::usage("job requests need an \"id\""));
         }
+        fields.finish()?;
         Ok(Envelope { id, op })
     }
 }
@@ -730,6 +748,59 @@ mod tests {
         ] {
             let env = Envelope::from_json(&Json::parse(line).unwrap()).unwrap();
             assert_eq!(env.op, Op::Control(want));
+        }
+    }
+
+    #[test]
+    fn unread_fields_are_rejected_by_name() {
+        for (line, field) in [
+            (
+                r#"{"id": 1, "op": "run", "design": {"generate": {"sinks": 40}}, "slew_margn": 1.3}"#,
+                "\"slew_margn\"",
+            ),
+            (r#"{"id": 1, "op": "lint", "design": {"inline": "x"}, "cache": "off"}"#, "\"cache\""),
+            (r#"{"op": "stats", "verbose": true}"#, "\"verbose\""),
+            (
+                r#"{"id": 1, "op": "run", "design": {"path": "a.sndr", "inline": "x"}}"#,
+                "\"design.inline\"",
+            ),
+            (
+                r#"{"id": 1, "op": "run", "design": {"generate": {"sinks": 40, "sead": 2}}}"#,
+                "\"design.generate.sead\"",
+            ),
+        ] {
+            let err = Envelope::from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert_eq!(err.code(), crate::ApiCode::Usage, "{line}");
+            assert_eq!(err.message(), format!("unknown field {field}"), "{line}");
+        }
+    }
+
+    #[test]
+    fn flags_must_be_booleans() {
+        for line in [
+            r#"{"id": 1, "op": "pareto", "design": {"inline": "x"}, "corners": 1}"#,
+            r#"{"id": 1, "op": "lint", "design": {"inline": "x"}, "repair": "yes"}"#,
+            r#"{"id": 1, "op": "import", "design": {"inline": "x"}, "repair": null}"#,
+        ] {
+            let err = Envelope::from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert!(err.message().contains("must be a boolean"), "{line}: {}", err.message());
+        }
+        let v = Json::parse(r#"{"id": 1, "op": "lint", "design": {"inline": "x"}, "repair": false}"#)
+            .unwrap();
+        let Op::Job(Request::Lint(req)) = Envelope::from_json(&v).unwrap().op else {
+            panic!("expected lint")
+        };
+        assert!(!req.repair);
+    }
+
+    #[test]
+    fn nested_design_objects_must_be_objects() {
+        for line in [
+            r#"{"id": 1, "op": "run", "design": "a.sndr"}"#,
+            r#"{"id": 1, "op": "run", "design": {"generate": 40}}"#,
+        ] {
+            let err = Envelope::from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert!(err.message().contains("must be a JSON object"), "{line}: {}", err.message());
         }
     }
 

@@ -208,8 +208,8 @@ struct Job {
 fn send<W: Write>(out: &Mutex<W>, line: &str) {
     let mut out = lock(out);
     // A broken pipe means the client is gone; the daemon keeps draining
-    // its queue (journal-style side effects still matter) and exits on
-    // EOF as usual.
+    // its queue (side effects such as store writes still matter) and
+    // exits on EOF as usual.
     let _ = writeln!(out, "{line}");
     let _ = out.flush();
 }

@@ -333,7 +333,7 @@ fn store_replays_across_restarts_byte_identically() {
         cache_capacity: 8,
         store_dir: Some(dir.clone()),
     };
-    let request = r#"{"op": "run", "id": 1, "json": true, "design": {"generate": {"sinks": 40, "seed": 2}}}"#;
+    let request = r#"{"op": "run", "id": 1, "design": {"generate": {"sinks": 40, "seed": 2}}}"#;
 
     // Cold daemon: compute, persist.
     let state = ServerState::new(&config);

@@ -258,6 +258,19 @@ impl ResultStore {
         Ok(store)
     }
 
+    /// Whether `root` is laid out as a result store: an `entries/`
+    /// directory and nothing outside the layout in the module docs.
+    /// Callers that clear or remove a store directory check this first, so
+    /// a mistyped path never deletes anything else.
+    pub fn is_store(root: &Path) -> bool {
+        let layout = |name: &std::ffi::OsStr| {
+            ["entries", "corrupt", "store.lock"].iter().any(|n| name == *n)
+        };
+        root.join("entries").is_dir()
+            && fs::read_dir(root)
+                .is_ok_and(|listing| listing.filter_map(Result::ok).all(|e| layout(&e.file_name())))
+    }
+
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
@@ -703,6 +716,20 @@ mod tests {
         }
         assert!(live.exists(), "live writer's temp kept");
         fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn is_store_recognises_only_the_store_layout() {
+        let (d, store) = tmp_store("layout");
+        save_one(&store);
+        assert!(ResultStore::is_store(&d), "an opened store");
+        fs::write(d.join("notes.txt"), b"not ours").unwrap();
+        assert!(!ResultStore::is_store(&d), "a file outside the layout");
+        fs::remove_file(d.join("notes.txt")).unwrap();
+        fs::remove_dir_all(d.join("entries")).unwrap();
+        assert!(!ResultStore::is_store(&d), "no entries/ directory");
+        fs::remove_dir_all(&d).unwrap();
+        assert!(!ResultStore::is_store(&d), "a missing directory");
     }
 
     #[test]

@@ -1,28 +1,38 @@
 #!/usr/bin/env bash
-# Optimizer output lock (tests/optimizer_lock.rs).
+# Output locks: optimizer digests (tests/optimizer_lock.rs) and suite
+# artifacts (tests/suite_lock.rs).
 #
-#   scripts/golden.sh           check: run the lock test, fail on any drift
-#   scripts/golden.sh --bless   regenerate tests/golden/optimizer_digests.txt
-#                               and print every entry that changed
+#   scripts/golden.sh           check: run the lock tests, fail on any drift
+#   scripts/golden.sh --bless   regenerate tests/golden/optimizer_digests.txt,
+#                               suite_builtin.txt and suite_examples.txt and
+#                               print every entry or line that changed
 #
-# Bless only when a change is meant to alter optimizer results; an
-# engine or refactoring change must leave the file untouched.
+# Bless only when a change is meant to alter results; an engine or
+# refactoring change must leave every file untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GOLDEN=tests/golden/optimizer_digests.txt
 ACTUAL=target/tmp/optimizer_digests.actual.txt
+SUITES="suite_builtin suite_examples"
+LOCKS=(--test optimizer_lock --test suite_lock)
 
 case "${1:-}" in
     "")
-        exec cargo test -q --test optimizer_lock
+        exec cargo test -q "${LOCKS[@]}"
         ;;
     --bless)
-        # The test writes the digests it computed before comparing, so a
-        # failing comparison still leaves a complete actual file.
+        # The tests write what they computed before comparing, so a
+        # failing comparison still leaves complete actual files.
         rm -f "$ACTUAL"
-        cargo test -q --test optimizer_lock >/dev/null 2>&1 || true
+        for s in $SUITES; do rm -f "target/tmp/$s.actual.txt"; done
+        cargo test -q --no-fail-fast "${LOCKS[@]}" >/dev/null 2>&1 || true
         [ -s "$ACTUAL" ] || { echo "golden: the lock test produced no digests" >&2; exit 1; }
+        for s in $SUITES; do
+            [ -s "target/tmp/$s.actual.txt" ] || {
+                echo "golden: the suite lock produced no $s artifact" >&2; exit 1
+            }
+        done
         mkdir -p "$(dirname "$GOLDEN")"
         touch "$GOLDEN"
         changed=0
@@ -44,6 +54,11 @@ case "${1:-}" in
         done < "$GOLDEN"
         cp "$ACTUAL" "$GOLDEN"
         echo "golden: $changed entr$([ "$changed" -eq 1 ] && echo y || echo ies) changed in $GOLDEN"
+        for s in $SUITES; do
+            diff -u --label "golden $s" --label "actual $s" \
+                "tests/golden/$s.txt" "target/tmp/$s.actual.txt" || true
+            cp "target/tmp/$s.actual.txt" "tests/golden/$s.txt"
+        done
         ;;
     *)
         echo "usage: scripts/golden.sh [--bless]" >&2

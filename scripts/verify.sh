@@ -12,11 +12,13 @@ step "cargo build --release --workspace"
 # skip the other members (and leave target/release/bench_parallel stale).
 cargo build --release --workspace
 
-step "optimizer output lock (scripts/golden.sh)"
-# Runs before the full test step so that optimizer drift fails here, under
+step "output locks (scripts/golden.sh)"
+# Runs before the full test step so that result drift fails here, under
 # its own name: every optimizer outcome on the golden corpus must match
-# tests/golden/optimizer_digests.txt bit for bit, and the failure lists
-# each drifted entry. Bless intended changes with scripts/golden.sh --bless.
+# tests/golden/optimizer_digests.txt bit for bit (the failure lists each
+# drifted entry), and the suite --out artifacts must match
+# tests/golden/suite_*.txt byte for byte. Bless intended changes with
+# scripts/golden.sh --bless.
 scripts/golden.sh
 
 step "cargo test --workspace"

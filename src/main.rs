@@ -55,10 +55,12 @@
 //! caps every optimizer phase at `N` iterations; both are *anytime* bounds —
 //! the optimizer returns its best feasible solution so far and the `--json`
 //! output carries a `"supervision"` object (per-phase budget receipts plus
-//! the degradation-ladder record). `suite --out <FILE> --resume` journals
-//! each completed row to `<FILE>.journal.jsonl` and skips journaled rows on
-//! the next run; the final `--out` file is written atomically and is
-//! byte-identical whether or not the run was interrupted.
+//! the degradation-ladder record). `suite --out <FILE>` saves each clean
+//! row to a result store as it completes (`--store <DIR>`, or else
+//! `<FILE>.rows/`, removed once `FILE` lands); `--resume` replays the
+//! stored rows of an interrupted run instead of re-evaluating them. The
+//! final `--out` file is written atomically and is byte-identical whether
+//! or not the run was interrupted.
 //!
 //! # Serve mode
 //!
@@ -73,23 +75,21 @@ use smart_ndr::core::{NdrOptimizer, OptContext, SmartNdr};
 use smart_ndr::cts::{save_assignment, svg::render_svg, svg::SvgOptions, synthesize, CtsOptions};
 use smart_ndr::netlist::{load_design, save_design, BenchmarkSpec, Design};
 use smart_ndr::power::PowerModel;
-use snr_fsio::{atomic_write, Journal};
-use snr_serve::json::json_escape;
+use snr_fsio::atomic_write;
 use snr_serve::render::{
     error_json, export_ndr_json, import_json, lint_json, pareto_human, pareto_json, run_human,
     run_json, suite_det_header, suite_header,
 };
 use snr_serve::{
     execute, plan, ApiCode, ApiError, CacheMode, DesignSource, Event, ExecCtx, ExportNdrRequest,
-    ImportRequest, LintRequest, Method, ParetoRequest, Plan, Request, Response, ResultStore,
-    RunRequest, ServeConfig, SuiteRequest, SuiteRow, SuiteSource, TechId,
+    ImportRequest, LintRequest, Method, ParetoRequest, Request, Response, ResultStore,
+    RunRequest, ServeConfig, SuiteRequest, SuiteSource, TechId,
 };
 use std::collections::HashMap;
 use std::fs;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Mutex;
 
 const USAGE: &str = "\
 smart-ndr: per-edge NDR assignment for clock power reduction
@@ -148,8 +148,9 @@ SUPERVISION:
   --timeout <SECS>    cooperative wall-clock deadline (0 = off); anytime —
                       the best feasible solution found so far is returned
   --max-iters <N>     per-phase iteration cap (0 = off); deterministic
-  suite --resume      skip rows journaled in <OUT>.journal.jsonl by an
-                      earlier interrupted run (requires --out)
+  suite --resume      replay the rows an interrupted run stored in
+                      <OUT>.rows/ (or --store) instead of re-evaluating
+                      them (requires --out, conflicts with --no-cache)
 
 CACHING:
   --store <DIR>       durable content-addressed result store: clean runs
@@ -354,17 +355,28 @@ fn cache_of(flags: &Flags) -> CacheMode {
     }
 }
 
-/// Opens the durable result store named by `--store <DIR>`, if any. An
-/// unopenable store degrades to a warning — the run still computes.
+/// Opens the durable result store at `dir`. An unopenable store degrades
+/// to a warning — the run still computes.
+fn open_store(dir: &Path) -> Option<ResultStore> {
+    ResultStore::open(dir)
+        .inspect_err(|e| eprintln!("warning: result store disabled ({}: {e})", dir.display()))
+        .ok()
+}
+
+/// The result store named by `--store <DIR>`, if any.
 fn store_of(flags: &Flags) -> Option<ResultStore> {
-    let dir = flags.get("store")?;
-    match ResultStore::open(Path::new(dir)) {
-        Ok(store) => Some(store),
-        Err(e) => {
-            eprintln!("warning: result store disabled ({dir}: {e})");
-            None
+    open_store(Path::new(flags.get("store")?))
+}
+
+/// The CLI's execution context: no warm cache or cancel hook, and a stderr
+/// warning for each quarantined store entry (the executor recomputes it).
+fn cli_ctx(store: Option<&ResultStore>) -> ExecCtx<'_> {
+    fn warn_quarantined(event: &Event) {
+        if let Event::StoreQuarantined { detail, .. } = event {
+            eprintln!("warning: {detail}; recomputing from scratch");
         }
     }
+    ExecCtx { cache: None, store, sink: Some(&warn_quarantined), on_token: None }
 }
 
 /// One stderr line of store traffic for this invocation, when attached.
@@ -457,13 +469,7 @@ fn cmd_run(flags: &Flags) -> Result<(), ApiError> {
     };
 
     let plan = plan(&Request::Run(req))?;
-    let sink = |event: &Event| {
-        if let Event::StoreQuarantined { detail, .. } = event {
-            eprintln!("warning: {detail}; recomputing from scratch");
-        }
-    };
-    let ctx = ExecCtx { cache: None, store: store.as_ref(), sink: Some(&sink), on_token: None };
-    let resp = match execute(&plan, &ctx)? {
+    let resp = match execute(&plan, &cli_ctx(store.as_ref()))? {
         Response::Run(resp) => resp,
         Response::Replayed(r) => {
             // The stored entry holds the cold run's rendered bytes, so a
@@ -563,13 +569,7 @@ fn cmd_pareto(flags: &Flags) -> Result<(), ApiError> {
 
     let store = store_of(flags);
     let plan = plan(&Request::Pareto(req))?;
-    let sink = |event: &Event| {
-        if let Event::StoreQuarantined { detail, .. } = event {
-            eprintln!("warning: {detail}; recomputing from scratch");
-        }
-    };
-    let ctx = ExecCtx { cache: None, store: store.as_ref(), sink: Some(&sink), on_token: None };
-    let resp = match execute(&plan, &ctx)? {
+    let resp = match execute(&plan, &cli_ctx(store.as_ref()))? {
         Response::Pareto(resp) => resp,
         _ => unreachable!("pareto plans produce pareto responses"),
     };
@@ -796,60 +796,30 @@ fn cmd_mesh(flags: &Flags) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// The journal path for a `suite --out` file: `<out>.journal.jsonl`.
-fn journal_path(out: &Path) -> PathBuf {
+/// The row store of `suite --out <FILE>` without `--store`: `<FILE>.rows/`.
+fn rows_dir_of(out: &Path) -> PathBuf {
     let mut os = out.as_os_str().to_owned();
-    os.push(".journal.jsonl");
+    os.push(".rows");
     PathBuf::from(os)
 }
 
-/// One journal line for a completed row: flat JSON with the fields needed
-/// to reproduce the row byte-identically on `--resume`.
-fn journal_record(row: &SuiteRow) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"failed\": {}, \"line\": \"{}\", \"diag\": \"{}\"}}",
-        json_escape(&row.name),
-        row.failed,
-        json_escape(&row.line),
-        json_escape(row.diagnostic.as_deref().unwrap_or("")),
-    )
-}
-
-/// Extracts and unescapes the string value of `key` from a flat one-line
-/// JSON object written by [`journal_record`]. `None` on malformed input.
-fn json_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                c => out.push(c),
-            },
-            c => out.push(c),
+/// Opens the row store at `dir`, cleared first unless `resume`. Only a
+/// result store is ever cleared or attached there: any other directory is
+/// left alone with a warning and the run goes unstored.
+fn open_rows(dir: &Path, resume: bool) -> Option<ResultStore> {
+    if dir.exists() {
+        if !ResultStore::is_store(dir) {
+            eprintln!("warning: {} is not a result store; leaving it", dir.display());
+            return None;
+        }
+        // A fresh run must not replay an older run's rows.
+        if !resume {
+            fs::remove_dir_all(dir)
+                .inspect_err(|e| eprintln!("warning: cannot clear {}: {e}", dir.display()))
+                .ok()?;
         }
     }
-}
-
-/// Parses one journal line back into a (resumed) row. Malformed lines
-/// return `None` and the design is simply re-evaluated.
-fn journal_row(line: &str) -> Option<SuiteRow> {
-    let name = json_field(line, "name")?;
-    let row_line = json_field(line, "line")?;
-    let diag = json_field(line, "diag")?;
-    Some(SuiteRow {
-        diagnostic: (!diag.is_empty()).then_some(diag),
-        name,
-        line: row_line,
-        runtime_s: None,
-        failed: line.contains("\"failed\": true"),
-    })
+    open_store(dir)
 }
 
 /// `smart-ndr suite`: the headline table. Robust by construction — every
@@ -860,18 +830,24 @@ fn journal_row(line: &str) -> Option<SuiteRow> {
 /// job count. Always exits 0 when the table itself could be produced.
 ///
 /// With `--out <FILE>` the deterministic columns (runtime excluded) are
-/// additionally written to `FILE` through [`atomic_write`], and every
-/// completed row is journaled to `<FILE>.journal.jsonl` as it finishes (via
-/// the executor's event stream); `--resume` restores journaled rows instead
-/// of re-evaluating them, so an interrupted run picks up where it stopped
-/// and still produces the byte-identical `FILE`. The journal is deleted
-/// once `FILE` lands.
+/// additionally written to `FILE` through [`atomic_write`], and the
+/// executor saves every clean row to a result store as it completes:
+/// `--store <DIR>` if given, else `<FILE>.rows/`, which a fresh run clears
+/// and which is removed once `FILE` lands. `--resume` keeps `<FILE>.rows/`,
+/// so an interrupted run replays its stored rows instead of re-evaluating
+/// them and still produces the byte-identical `FILE`.
 fn cmd_suite(flags: &Flags) -> Result<(), ApiError> {
     let out_path = flags.get("out").map(PathBuf::from);
     let resume = flags.contains_key("resume");
+    let cache = cache_of(flags);
     if resume && out_path.is_none() {
         return Err(ApiError::usage(
-            "suite --resume needs --out <FILE> (the journal lives next to it)",
+            "suite --resume needs --out <FILE> (its rows are stored next to it)",
+        ));
+    }
+    if resume && cache == CacheMode::Off {
+        return Err(ApiError::usage(
+            "suite --resume conflicts with --no-cache (it detaches the row store)",
         ));
     }
     let req = Request::Suite(SuiteRequest {
@@ -881,75 +857,22 @@ fn cmd_suite(flags: &Flags) -> Result<(), ApiError> {
         },
         tech: tech_of(flags)?,
         jobs: jobs_of(flags)?,
-        prefilled: Vec::new(),
-        cache: cache_of(flags),
+        cache,
     });
-    let store = store_of(flags);
-    let mut plan = plan(&req)?;
-
-    // Rows completed by an earlier interrupted run, restored from the
-    // journal and injected into the plan so the executor skips them.
-    let journal = match &out_path {
-        None => None,
-        Some(out) => {
-            let jpath = journal_path(out);
-            let j = if resume {
-                let (j, lines) = Journal::resume(&jpath).map_err(|e| {
-                    ApiError::invalid(format!("cannot resume journal {}: {e}", jpath.display()))
-                })?;
-                let Plan::Suite(sp) = &mut plan else {
-                    unreachable!("suite requests produce suite plans")
-                };
-                for row in lines.iter().filter_map(|l| journal_row(l)) {
-                    sp.prefilled.insert(row.name.clone(), row);
-                }
-                j
-            } else {
-                // A fresh run must not inherit rows from an older one.
-                match fs::remove_file(&jpath) {
-                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                        return Err(ApiError::invalid(format!(
-                            "cannot clear stale journal {}: {e}",
-                            jpath.display()
-                        )));
-                    }
-                    _ => {}
-                }
-                Journal::open(&jpath).map_err(|e| {
-                    ApiError::invalid(format!("cannot open journal {}: {e}", jpath.display()))
-                })?
-            };
-            Some(Mutex::new(j))
+    let plan = plan(&req)?;
+    let rows_dir = match &out_path {
+        Some(out) if cache == CacheMode::On && !flags.contains_key("store") => {
+            Some(rows_dir_of(out))
         }
+        _ => None,
+    };
+    let store = match &rows_dir {
+        Some(dir) => open_rows(dir, resume),
+        None => store_of(flags),
     };
 
     println!("{}", suite_header());
-    let journal_ref = journal.as_ref();
-    // Fresh rows reach this sink from the executor's worker threads the
-    // moment they complete; journaling here (not after the barrier) is
-    // what makes --resume survive a mid-run kill.
-    let sink = |event: &Event| {
-        if let Event::StoreQuarantined { detail, .. } = event {
-            eprintln!("warning: {detail}; recomputing from scratch");
-            return;
-        }
-        let Event::SuiteRow(row) = event else { return };
-        if let Some(j) = journal_ref {
-            let record = journal_record(row);
-            // A journaling failure must not fail the run — the table is
-            // still produced; only resumability is lost.
-            match j.lock() {
-                Ok(mut j) => {
-                    if let Err(e) = j.append(&record) {
-                        eprintln!("warning: cannot journal row {}: {e}", row.name);
-                    }
-                }
-                Err(poisoned) => drop(poisoned),
-            }
-        }
-    };
-    let ctx = ExecCtx { cache: None, store: store.as_ref(), sink: Some(&sink), on_token: None };
-    let resp = match execute(&plan, &ctx)? {
+    let resp = match execute(&plan, &cli_ctx(store.as_ref()))? {
         Response::Suite(resp) => resp,
         _ => unreachable!("suite plans produce suite responses"),
     };
@@ -982,14 +905,13 @@ fn cmd_suite(flags: &Flags) -> Result<(), ApiError> {
         }
         atomic_write(out, text.as_bytes())
             .map_err(|e| ApiError::invalid(format!("cannot write {}: {e}", out.display())))?;
-        if let Some(j) = journal {
-            let j = j.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Err(e) = j.remove() {
-                eprintln!("warning: cannot remove journal: {e}");
-            }
-        }
     }
     store_note(store.as_ref());
+    if let (Some(dir), Some(_)) = (&rows_dir, &store) {
+        if let Err(e) = fs::remove_dir_all(dir) {
+            eprintln!("warning: cannot remove {}: {e}", dir.display());
+        }
+    }
     Ok(())
 }
 

@@ -214,6 +214,35 @@ fn malformed_lines_answer_typed_errors_without_killing_the_daemon() {
     assert!(d.eof_and_wait().success());
 }
 
+/// A field the daemon does not read is a usage error naming the field,
+/// not a silent fallback to its default, and a non-boolean flag is not
+/// read as `false`; the daemon keeps serving after both.
+#[test]
+fn unread_or_ill_typed_fields_fail_by_name_and_daemon_keeps_serving() {
+    let mut d = Daemon::spawn(&["--jobs", "1"]);
+    d.send(&run_request(30, 40, 1, ", \"slew_margn\": 1.3"));
+    d.send(
+        "{\"op\": \"pareto\", \"id\": 31, \
+         \"design\": {\"generate\": {\"sinks\": 40, \"seed\": 1}}, \"corners\": 1}",
+    );
+    d.send(&run_request(32, 40, 1, ""));
+    let finals = d.finals_for(&[30, 31, 32]);
+    assert!(
+        finals[&30].contains("\"code\": \"usage\"")
+            && finals[&30].contains("unknown field \\\"slew_margn\\\""),
+        "{}",
+        finals[&30]
+    );
+    assert!(
+        finals[&31].contains("\"code\": \"usage\"")
+            && finals[&31].contains("\\\"corners\\\" must be a boolean"),
+        "{}",
+        finals[&31]
+    );
+    assert!(finals[&32].contains("\"ok\": true"), "{}", finals[&32]);
+    assert!(d.eof_and_wait().success());
+}
+
 /// Hostile requests against the newer ops — `pareto`, `import`,
 /// `export_ndr` — answer typed errors (wrong-typed fields and missing
 /// design are `usage`; unreadable or oversized payloads are
