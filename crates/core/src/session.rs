@@ -41,8 +41,10 @@
 
 use crate::OptContext;
 use snr_cts::{Assignment, NodeId};
+use snr_netlist::TimingArc;
 use snr_tech::{units, RuleId};
 use snr_timing::{IncrementalAnalyzer, TimingReport, TimingSummary};
+use std::ops::Range;
 
 /// How an [`EvalSession`] evaluates candidate moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,6 +147,9 @@ pub struct EvalSession<'c, 'a> {
     asg: Assignment,
     /// Present in [`EvalMode::Incremental`] only.
     engine: Option<IncrementalAnalyzer>,
+    /// The context's timing arcs over `engine`'s slots; present in
+    /// [`EvalMode::Incremental`] when the context has arcs.
+    arc_index: Option<ArcIndex>,
     corner_engines: Vec<IncrementalAnalyzer>,
     corner_base_skews: Vec<f64>,
     committed_slew_ps: f64,
@@ -174,6 +179,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                     mode,
                     asg,
                     engine: None,
+                    arc_index: None,
                     corner_engines: Vec::new(),
                     corner_base_skews: Vec::new(),
                     committed_slew_ps: report.max_slew_ps(),
@@ -191,6 +197,8 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                 let tree = ctx.tree();
                 let tech = ctx.tech();
                 let engine = IncrementalAnalyzer::new(tree, tech, &asg);
+                let arcs = ctx.resolved_arcs();
+                let arc_index = (!arcs.is_empty()).then(|| ArcIndex::new(&engine, arcs));
                 let corner_engines: Vec<IncrementalAnalyzer> = ctx
                     .corners()
                     .iter()
@@ -207,6 +215,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                     mode,
                     asg,
                     engine: Some(engine),
+                    arc_index,
                     corner_engines,
                     corner_base_skews,
                     committed_slew_ps: summary.max_slew_ps,
@@ -304,7 +313,9 @@ impl<'c, 'a> EvalSession<'c, 'a> {
 
     /// Replicates [`OptContext::meets`] from the candidate state of the
     /// incremental engines: same checks, same order, iterating edges in the
-    /// same order so every floating-point sum is reproduced exactly.
+    /// same order so every floating-point sum is reproduced exactly. Timing
+    /// arcs are re-checked only inside the probe's cone ([`ArcIndex`]);
+    /// the verdict is the one a scan of every arc gives.
     fn incremental_feasible(
         &self,
         nominal: TimingSummary,
@@ -321,11 +332,23 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         {
             return false;
         }
-        for (arc, from, to) in ctx.resolved_arcs() {
-            if !arc.satisfied_by(
-                engine.candidate_arrival_ps(*from),
-                engine.candidate_arrival_ps(*to),
-            ) {
+        if let Some(index) = &self.arc_index {
+            // Outside the probe's cone every arrival is the committed one,
+            // so only arcs with an endpoint inside can change verdict; the
+            // rest pass exactly when they pass now.
+            let arcs = ctx.resolved_arcs();
+            let mut violated_in_cone = 0;
+            for i in index.in_cone(engine.pending_cone()) {
+                let (arc, from, to) = &arcs[i];
+                if !arc.satisfied_by(
+                    engine.candidate_arrival_ps(*from),
+                    engine.candidate_arrival_ps(*to),
+                ) {
+                    return false;
+                }
+                violated_in_cone += usize::from(!index.ok[i]);
+            }
+            if violated_in_cone != index.violated {
                 return false;
             }
         }
@@ -402,7 +425,11 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         }
         self.scratch_moves = pending.moves;
         if let Some(engine) = self.engine.as_mut() {
+            let cone = engine.pending_cone();
             engine.commit();
+            if let Some(index) = self.arc_index.as_mut() {
+                index.refresh(engine, self.ctx.resolved_arcs(), cone);
+            }
         }
         for engine in &mut self.corner_engines {
             engine.commit();
@@ -457,6 +484,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         });
         self.mode = EvalMode::FullReanalysis;
         self.engine = None;
+        self.arc_index = None;
         self.corner_engines.clear();
         self.corner_base_skews.clear();
         // Re-seed the committed scalars from the oracle so everything the
@@ -595,6 +623,101 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// The evaluation mode this session runs in.
     pub fn mode(&self) -> EvalMode {
         self.mode
+    }
+}
+
+/// Timing arcs indexed by the arrival slot of each endpoint
+/// ([`IncrementalAnalyzer::arrival_slot`]), with every arc's verdict under
+/// the committed state. A probe moves arrivals only inside its
+/// [`pending_cone`](IncrementalAnalyzer::pending_cone), a contiguous slot
+/// range, so the arcs it can flip are one contiguous run of `entries`.
+struct ArcIndex {
+    /// The entries of slot `s` are `entries[start[s]..start[s + 1]]`.
+    start: Vec<u32>,
+    /// `2 * arc` under the arc's from-slot, and `2 * arc + 1` under its
+    /// to-slot when that slot differs.
+    entries: Vec<u32>,
+    /// Per arc: the slot of its from-endpoint.
+    from_slot: Vec<u32>,
+    /// Per arc: whether the committed state satisfies it.
+    ok: Vec<bool>,
+    /// Committed arcs that fail: upgrade-repair commits infeasible states,
+    /// so a probe must also know about failures it does not re-check.
+    violated: usize,
+}
+
+impl ArcIndex {
+    fn new(engine: &IncrementalAnalyzer, arcs: &[(TimingArc, NodeId, NodeId)]) -> Self {
+        let slots = engine.stage_count();
+        let mut tagged = Vec::with_capacity(2 * arcs.len());
+        let mut from_slot = Vec::with_capacity(arcs.len());
+        for (i, (_, from, to)) in arcs.iter().enumerate() {
+            let (f, t) = (engine.arrival_slot(*from), engine.arrival_slot(*to));
+            let i = i as u32;
+            from_slot.push(f as u32);
+            tagged.push((f, 2 * i));
+            if t != f {
+                tagged.push((t, 2 * i + 1));
+            }
+        }
+        tagged.sort_unstable();
+        let mut start = vec![0u32; slots + 1];
+        for &(s, _) in &tagged {
+            start[s + 1] += 1;
+        }
+        for s in 0..slots {
+            start[s + 1] += start[s];
+        }
+        let entries = tagged.into_iter().map(|(_, e)| e).collect();
+        let ok: Vec<bool> = arcs
+            .iter()
+            .map(|(arc, from, to)| arc.satisfied_by(engine.arrival_ps(*from), engine.arrival_ps(*to)))
+            .collect();
+        let violated = ok.iter().filter(|ok| !**ok).count();
+        ArcIndex {
+            start,
+            entries,
+            from_slot,
+            ok,
+            violated,
+        }
+    }
+
+    /// Every arc with an endpoint in `cone`, once each.
+    fn in_cone(&self, cone: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let run = self.start[cone.start] as usize..self.start[cone.end] as usize;
+        self.entries[run].iter().filter_map(move |&e| {
+            let arc = (e / 2) as usize;
+            // A to-entry whose from-endpoint is in the cone too was
+            // already listed under the from-slot.
+            let seen = e % 2 == 1 && cone.contains(&(self.from_slot[arc] as usize));
+            (!seen).then_some(arc)
+        })
+    }
+
+    /// Re-evaluates the arcs with an endpoint in `cone` — the cone of the
+    /// commit `engine` just folded in — against its committed arrivals. An
+    /// arc listed under both endpoints is re-evaluated twice, to the same
+    /// verdict.
+    fn refresh(
+        &mut self,
+        engine: &IncrementalAnalyzer,
+        arcs: &[(TimingArc, NodeId, NodeId)],
+        cone: Range<usize>,
+    ) {
+        for k in self.start[cone.start] as usize..self.start[cone.end] as usize {
+            let i = (self.entries[k] / 2) as usize;
+            let (arc, from, to) = &arcs[i];
+            let ok = arc.satisfied_by(engine.arrival_ps(*from), engine.arrival_ps(*to));
+            if ok != self.ok[i] {
+                self.ok[i] = ok;
+                if ok {
+                    self.violated -= 1;
+                } else {
+                    self.violated += 1;
+                }
+            }
+        }
     }
 }
 

@@ -15,7 +15,10 @@ use snr_cts::Assignment;
 /// which one wins depends on how much of the tree is constraint-critical,
 /// so the flow runs both. Either result alone is already feasible whenever
 /// the conservative baseline is, so the combination inherits that
-/// guarantee.
+/// guarantee. When upgrade-repair ends at the conservative start (it falls
+/// back there on window-arc, corner, EM and noise points it cannot repair),
+/// the downgrade polish of that start would replay the downgrade run, so
+/// the flow reuses that run instead of repeating it.
 ///
 /// # Examples
 ///
@@ -73,6 +76,7 @@ impl NdrOptimizer for SmartNdr {
 
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
         let mut run = self.downgrade.assign_supervised(ctx);
+        let (down_receipts, down_events) = (run.budgets.len(), run.degradations.len());
         let down = std::mem::replace(&mut run.assignment, ctx.conservative_assignment());
         // Polish the upgrade-repair result with downgrade passes: repair
         // leaves slack on non-critical edges the downgrades can harvest.
@@ -80,6 +84,18 @@ impl NdrOptimizer for SmartNdr {
         // reports everything that happened during the run, not just the
         // winner's path.
         let repaired = run.absorb(self.upgrade.assign_supervised(ctx));
+        if repaired == run.assignment {
+            // Repair fell back to (or ended at) the conservative start, so
+            // its polish would replay the downgrade run step for step: same
+            // assignment, same receipts, same guard events. Reuse that run.
+            // Exact under unlimited and iteration-capped budgets (caps
+            // apply per phase); token-cancelled runs are timing-dependent
+            // anyway.
+            run.budgets.extend_from_within(..down_receipts);
+            run.degradations.extend_from_within(..down_events);
+            run.assignment = down;
+            return run;
+        }
         let up = run.absorb(self.downgrade.refine_supervised(ctx, repaired));
         let down_ok = ctx.feasible(&down);
         let up_ok = ctx.feasible(&up);

@@ -213,6 +213,50 @@ proptest! {
         drive(&tree, &tech, &mut inc, &mut full, 40, seed)?;
     }
 
+    /// Deep trees under useful-skew windows as the Pareto sweep builds them
+    /// (`sinks/2` arcs under a relaxed global budget). The incremental
+    /// session re-checks only the arcs with an endpoint in a probe's
+    /// re-timed cone and keeps every other arc's committed verdict. From
+    /// the conservative start, 5–10 ps windows make the arcs decide a good
+    /// share of probes both ways, and `drive` commits infeasible states,
+    /// so committed violations outside later cones must still count.
+    #[test]
+    fn incremental_matches_oracle_with_windows_on_deep_trees(
+        n in 150usize..400,
+        design_seed in 0u64..1_000,
+        window in 5.0f64..10.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let design = BenchmarkSpec::new(format!("win{n}-{design_seed}"), n)
+            .seed(design_seed)
+            .build()
+            .expect("spec is valid");
+        let tech = Technology::n45();
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+        let arcs = random_timing_arcs(
+            &design,
+            n / 2,
+            (window, window),
+            (window, window),
+            seed.wrapping_add(77),
+        );
+        let power = PowerModel::new(design.freq_ghz());
+        let constraints = Constraints::relative(&tree, &tech, 1.1, 150.0);
+        let inc_ctx = OptContext::new(&tree, &tech, power)
+            .with_constraints(constraints)
+            .with_timing_arcs(arcs.clone())
+            .expect("arcs reference design sinks")
+            .with_eval_mode(EvalMode::Incremental);
+        let full_ctx = OptContext::new(&tree, &tech, power)
+            .with_constraints(constraints)
+            .with_timing_arcs(arcs)
+            .expect("arcs reference design sinks")
+            .with_eval_mode(EvalMode::FullReanalysis);
+        let mut inc = inc_ctx.session();
+        let mut full = full_ctx.session();
+        drive(&tree, &tech, &mut inc, &mut full, 80, seed)?;
+    }
+
     /// Optimizers produce identical results in both modes — the API
     /// redesign changes the evaluation machinery, not the search.
     #[test]

@@ -34,7 +34,7 @@
 use snr_core::{Budget, Constraints, NdrOptimizer, OptContext, SmartNdr};
 use snr_cts::ClockTree;
 use snr_netlist::{random_timing_arcs, Design};
-use snr_par::CancelToken;
+use snr_par::{CancelToken, Parallelism};
 use snr_power::PowerModel;
 use snr_tech::{Corner, Technology};
 use snr_variation::{MonteCarlo, VariationError, VariationModel};
@@ -285,8 +285,8 @@ impl SweepSpec {
 // Point evaluation
 // ---------------------------------------------------------------------------
 
-/// Sweep-wide evaluation knobs (identical for every point, part of each
-/// point's content-hash identity).
+/// Sweep-wide evaluation knobs, identical for every point. All but
+/// `mc_parallelism` are part of each point's content-hash identity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
     /// Monte-Carlo sample count for the robustness axis (0 = off; the
@@ -303,6 +303,11 @@ pub struct EvalConfig {
     pub arc_seed: u64,
     /// Upper bound on synthesized arcs (scaled down on small designs).
     pub max_arcs: usize,
+    /// Threads for one point's Monte-Carlo samples. Scheduling only: the
+    /// samples are bit-identical for any value, so it is not part of the
+    /// point's identity. A sweep spread over `--jobs` workers sets it to
+    /// serial, so each point samples on its own worker.
+    pub mc_parallelism: Parallelism,
 }
 
 impl Default for EvalConfig {
@@ -314,6 +319,7 @@ impl Default for EvalConfig {
             relaxed_skew_budget_ps: 150.0,
             arc_seed: 77,
             max_arcs: 400,
+            mc_parallelism: Parallelism::auto(),
         }
     }
 }
@@ -334,8 +340,10 @@ pub struct PointEval {
 }
 
 /// Evaluates one sweep point: smart-NDR under the point's constraints,
-/// then the four objectives. Fully serial and seeded — the returned
-/// vector is bit-identical across processes and job counts.
+/// then the four objectives. The optimizer is serial and everything is
+/// seeded, and the Monte-Carlo samples on `cfg.mc_parallelism` threads
+/// with the same result for any count — the returned vector is
+/// bit-identical across processes and job counts.
 ///
 /// Returns `None` when `token` cancelled the evaluation (before it
 /// started, mid-optimization, or mid-variation): a cancelled point
@@ -402,7 +410,8 @@ pub fn evaluate_point(
     }
 
     let sigma_skew_ps = if cfg.mc_samples > 0 {
-        let mc = MonteCarlo::new(VariationModel::default(), cfg.mc_samples, cfg.mc_seed);
+        let mc = MonteCarlo::new(VariationModel::default(), cfg.mc_samples, cfg.mc_seed)
+            .with_parallelism(cfg.mc_parallelism);
         let mc_token = token.cloned().unwrap_or_default();
         match mc.run_with_token(tree, tech, out.assignment(), &mc_token) {
             Ok(rep) => rep.sigma_skew_ps(),

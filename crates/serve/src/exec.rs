@@ -673,11 +673,13 @@ fn pareto_eval_from_sections(sections: snr_store::Sections) -> Option<PointEval>
 /// (replaying completed points from the durable store where possible)
 /// and folds the feasible evaluations through the dominance filter.
 ///
-/// Determinism contract: each point's evaluation is fully serial and
-/// seeded, so parallelism exists only *across* points — `par_map`
-/// returns results in enumeration order, making the front (and its
-/// rendering) bit-identical for any `--jobs` value, and identical
-/// whether a point was computed fresh or replayed from the store.
+/// Determinism contract: each point's evaluation is seeded, its
+/// optimizer serial and its Monte-Carlo bit-identical for any thread
+/// count (with `jobs` it runs on the point's own worker, so a sweep never
+/// exceeds `jobs` threads) — `par_map` returns results in enumeration
+/// order, making the front (and its rendering) bit-identical for any
+/// `--jobs` value, and identical whether a point was computed fresh or
+/// replayed from the store.
 fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse, ApiError> {
     let store = active_store(plan.cache, ctx);
     let (warm, cache_status) =

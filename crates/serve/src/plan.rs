@@ -352,6 +352,12 @@ fn plan_pareto(req: &ParetoRequest) -> Result<ParetoPlan, ApiError> {
     let eval = EvalConfig {
         mc_samples: req.mc_samples,
         corners: req.corners,
+        // Under `jobs` the points share the workers, so each point's
+        // Monte-Carlo runs on the worker evaluating it.
+        mc_parallelism: match req.jobs {
+            Some(_) => Parallelism::serial(),
+            None => Parallelism::auto(),
+        },
         ..EvalConfig::default()
     };
     Ok(ParetoPlan {

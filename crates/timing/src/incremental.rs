@@ -451,6 +451,33 @@ impl IncrementalAnalyzer {
         }
     }
 
+    /// The stage slot whose source arrival `node`'s arrival is read from:
+    /// the stage it heads, else the stage owning its edge. Fixed per tree.
+    pub fn arrival_slot(&self, node: NodeId) -> usize {
+        if self.headed[node.0] != NO_STAGE {
+            self.headed[node.0] as usize
+        } else {
+            self.owner[node.0] as usize
+        }
+    }
+
+    /// The stage slots the pending candidate re-timed (empty when no
+    /// candidate is pending). A node whose [`arrival_slot`] lies outside
+    /// this range has a [`candidate_arrival_ps`] bit-equal to its committed
+    /// [`arrival_ps`]: every dirty stage lies inside the cone, so outside
+    /// it both the source arrival and the relative offset are committed.
+    ///
+    /// [`arrival_slot`]: Self::arrival_slot
+    /// [`candidate_arrival_ps`]: Self::candidate_arrival_ps
+    /// [`arrival_ps`]: Self::arrival_ps
+    pub fn pending_cone(&self) -> std::ops::Range<usize> {
+        if self.has_pending {
+            self.p_cone.0..self.p_cone.1
+        } else {
+            0..0
+        }
+    }
+
     /// Source output arrival of stage `si` under the pending candidate:
     /// re-timed inside the pending cone, committed outside it.
     fn candidate_out(&self, si: usize) -> f64 {

@@ -8,7 +8,8 @@
 //! (exact arrival ties) and the single-node degenerate tree, at nominal
 //! parasitics and at the slow and fast corners. The repair queries
 //! (`slew_violators`, `latest_sink`) must match brute-force scans of the
-//! committed [`TimingReport`](snr_timing::TimingReport).
+//! committed [`TimingReport`](snr_timing::TimingReport), and arrivals
+//! outside a probe's `pending_cone()` must be the committed ones.
 
 use proptest::prelude::*;
 use snr_cts::{h_tree, synthesize, Assignment, ClockTree, CtsOptions, NodeId, NodeKind};
@@ -170,6 +171,57 @@ proptest! {
                 inc.rollback();
                 prop_assert_eq!(bits(inc.summary()), before, "step {} rollback", step);
             }
+        }
+    }
+
+    /// Outside `pending_cone()` every candidate arrival is the committed
+    /// one, bit for bit — what lets a session re-check only the timing arcs
+    /// with an endpoint inside the cone — the cone covers every moved edge,
+    /// and it is empty whenever nothing is pending.
+    #[test]
+    fn arrivals_outside_the_pending_cone_are_committed(
+        kind in 0usize..4,
+        n in 2usize..160,
+        seed in 0u64..400,
+        corner in 0usize..3,
+        ops in 0u64..1_000_000,
+    ) {
+        let tech = Technology::n45();
+        let tree = build_tree(kind, n, seed, &tech);
+        let (r, c) = scales(corner);
+        let rules = tech.rules();
+        let edges: Vec<NodeId> = tree.edges().collect();
+        let mut rng = Mix(ops);
+        let asg = Assignment::uniform(&tree, RuleId(rng.below(rules.len())));
+        let mut inc = IncrementalAnalyzer::with_scales(&tree, &tech, &asg, r, c);
+        prop_assert!(inc.pending_cone().is_empty(), "cone of a fresh analyzer");
+
+        for step in 0..30 {
+            let mv = moves(&mut rng, &edges, rules.len());
+            inc.try_moves(&tree, &tech, &mv);
+            let cone = inc.pending_cone();
+            prop_assert!(cone.end <= inc.stage_count(), "step {} cone {:?}", step, cone);
+            for &(e, _) in &mv {
+                prop_assert!(cone.contains(&inc.arrival_slot(e)), "step {} moved edge {}", step, e.0);
+            }
+            for v in 0..tree.len() {
+                let id = NodeId(v);
+                let slot = inc.arrival_slot(id);
+                prop_assert!(slot < inc.stage_count(), "step {} node {} slot {}", step, v, slot);
+                if !cone.contains(&slot) {
+                    prop_assert_eq!(
+                        inc.candidate_arrival_ps(id).to_bits(),
+                        inc.arrival_ps(id).to_bits(),
+                        "step {} node {} outside cone {:?}", step, v, cone
+                    );
+                }
+            }
+            if rng.below(2) == 0 {
+                inc.commit();
+            } else {
+                inc.rollback();
+            }
+            prop_assert!(inc.pending_cone().is_empty(), "step {} cone after settling", step);
         }
     }
 

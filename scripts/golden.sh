@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Output locks: optimizer digests (tests/optimizer_lock.rs) and suite
-# artifacts (tests/suite_lock.rs).
+# Output locks: optimizer digests (tests/optimizer_lock.rs), suite
+# artifacts (tests/suite_lock.rs) and Pareto fronts (tests/pareto_lock.rs).
 #
 #   scripts/golden.sh           check: run the lock tests, fail on any drift
 #   scripts/golden.sh --bless   regenerate tests/golden/optimizer_digests.txt,
-#                               suite_builtin.txt and suite_examples.txt and
-#                               print every entry or line that changed
+#                               the suite_*.txt artifacts and the
+#                               pareto_*.txt fronts and print every entry
+#                               or line that changed
 #
 # Bless only when a change is meant to alter results; an engine or
 # refactoring change must leave every file untouched.
@@ -14,8 +15,8 @@ cd "$(dirname "$0")/.."
 
 GOLDEN=tests/golden/optimizer_digests.txt
 ACTUAL=target/tmp/optimizer_digests.actual.txt
-SUITES="suite_builtin suite_examples"
-LOCKS=(--test optimizer_lock --test suite_lock)
+ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid"
+LOCKS=(--test optimizer_lock --test suite_lock --test pareto_lock)
 
 case "${1:-}" in
     "")
@@ -25,12 +26,12 @@ case "${1:-}" in
         # The tests write what they computed before comparing, so a
         # failing comparison still leaves complete actual files.
         rm -f "$ACTUAL"
-        for s in $SUITES; do rm -f "target/tmp/$s.actual.txt"; done
+        for s in $ARTIFACTS; do rm -f "target/tmp/$s.actual.txt"; done
         cargo test -q --no-fail-fast "${LOCKS[@]}" >/dev/null 2>&1 || true
         [ -s "$ACTUAL" ] || { echo "golden: the lock test produced no digests" >&2; exit 1; }
-        for s in $SUITES; do
+        for s in $ARTIFACTS; do
             [ -s "target/tmp/$s.actual.txt" ] || {
-                echo "golden: the suite lock produced no $s artifact" >&2; exit 1
+                echo "golden: the locks produced no $s artifact" >&2; exit 1
             }
         done
         mkdir -p "$(dirname "$GOLDEN")"
@@ -54,7 +55,7 @@ case "${1:-}" in
         done < "$GOLDEN"
         cp "$ACTUAL" "$GOLDEN"
         echo "golden: $changed entr$([ "$changed" -eq 1 ] && echo y || echo ies) changed in $GOLDEN"
-        for s in $SUITES; do
+        for s in $ARTIFACTS; do
             diff -u --label "golden $s" --label "actual $s" \
                 "tests/golden/$s.txt" "target/tmp/$s.actual.txt" || true
             cp "target/tmp/$s.actual.txt" "tests/golden/$s.txt"

@@ -16,9 +16,9 @@ step "output locks (scripts/golden.sh)"
 # Runs before the full test step so that result drift fails here, under
 # its own name: every optimizer outcome on the golden corpus must match
 # tests/golden/optimizer_digests.txt bit for bit (the failure lists each
-# drifted entry), and the suite --out artifacts must match
-# tests/golden/suite_*.txt byte for byte. Bless intended changes with
-# scripts/golden.sh --bless.
+# drifted entry), and the suite --out artifacts and the pareto --json
+# fronts must match tests/golden/suite_*.txt and tests/golden/pareto_*.txt
+# byte for byte. Bless intended changes with scripts/golden.sh --bless.
 scripts/golden.sh
 
 step "cargo test --workspace"

@@ -38,10 +38,11 @@
 //! # Parallelism and panics
 //!
 //! `--jobs <N>` (alias `-j <N>`) runs the Monte Carlo samples of `run --mc`,
-//! the per-design flow of `suite` and the sweep points of `pareto` on `N`
-//! worker threads; the optimizer itself always runs serially. Output is
-//! bit-identical for every job count: sample seeds are derived per index
-//! and rows print in suite order. Worker panics never abort the process:
+//! the per-design flow of `suite` and the sweep points of `pareto` (each
+//! with its Monte Carlo) on `N` worker threads; the optimizer itself always
+//! runs serially. Output is bit-identical for every job count: sample seeds
+//! are derived per index and rows print in suite order. Worker panics never
+//! abort the process:
 //!
 //! * `suite` catches a panicking design inside its worker and prints a
 //!   `FAILED` row with the truncated panic message in the reason column
@@ -237,6 +238,11 @@ fn run(args: Vec<String>) -> Result<(), ApiError> {
         "help" | "--help" | "-h" => (cmd_help, &[]),
         other => return Err(ApiError::usage(format!("unknown command {other:?}"))),
     };
+    // `<command> --help` (or `-h`) asks for the usage, whatever else is given.
+    if values.contains_key("help") {
+        println!("{USAGE}");
+        return Ok(());
+    }
     command(&Flags::new(cmd, values, reads)?)
 }
 
@@ -285,7 +291,7 @@ fn cmd_help(_: &Flags) -> Result<(), ApiError> {
 }
 
 /// Flags that take no value; present means "true".
-const BOOL_FLAGS: &[&str] = &["json", "repair", "resume", "no-cache", "corners"];
+const BOOL_FLAGS: &[&str] = &["json", "repair", "resume", "no-cache", "corners", "help"];
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, ApiError> {
     let mut flags = HashMap::new();
@@ -294,6 +300,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, ApiError> {
         let key = match arg.strip_prefix("--") {
             Some(key) => key,
             None if arg == "-j" => "jobs",
+            None if arg == "-h" => "help",
             None => return Err(ApiError::usage(format!("expected --flag, got {arg:?}"))),
         };
         if BOOL_FLAGS.contains(&key) {

@@ -22,6 +22,31 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn command_help_flag_prints_usage_for_every_command() {
+    let commands = [
+        "gen", "run", "pareto", "lint", "import", "export-ndr", "suite", "serve", "mesh", "help",
+    ];
+    for cmd in commands {
+        for flag in ["--help", "-h"] {
+            let out = bin().args([cmd, flag]).output().expect("binary runs");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "{cmd} {flag} exited {:?}: {}",
+                out.status.code(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(text.contains("USAGE") && text.contains("smart-ndr run"), "{cmd} {flag}");
+        }
+    }
+    // Other flags do not get in the way, but the command must exist.
+    let out = bin().args(["run", "--sinks", "40", "--help"]).output().expect("binary runs");
+    assert!(out.status.success() && String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    let out = bin().args(["frobnicate", "--help"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let out = bin().arg("frobnicate").output().expect("binary runs");
     assert!(!out.status.success());

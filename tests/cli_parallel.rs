@@ -157,11 +157,46 @@ fn pareto_front_identical_across_job_counts() {
     let serial = front_of("1");
     assert!(serial.contains("\"front\": ["), "{serial}");
     assert!(serial.contains("\"power_uw\""), "{serial}");
-    // Each point evaluates fully serial and seeded; parallelism exists
-    // only across points and results fold in enumeration order, so the
-    // whole JSON object — front included — is byte-identical.
+    // Each point evaluates serially and seeded (with --jobs its Monte
+    // Carlo runs on the point's worker); parallelism exists only across
+    // points and results fold in enumeration order, so the whole JSON
+    // object — front included — is byte-identical.
     assert_eq!(serial, front_of("2"), "pareto front must not depend on --jobs");
     assert_eq!(serial, front_of("8"), "pareto front must not depend on --jobs");
+}
+
+/// `pareto --jobs 1` must run on one thread: each point's Monte Carlo
+/// samples on the point's worker instead of spawning its own. Samples the
+/// child's thread count from `/proc/<pid>/task` until it exits.
+#[cfg(target_os = "linux")]
+#[test]
+fn pareto_jobs_one_stays_single_threaded() {
+    use std::process::Stdio;
+    let mut child = bin()
+        .args(["pareto", "--sinks", "200", "--seed", "3", "--mc", "300", "--jobs", "1", "--json"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let tasks = PathBuf::from(format!("/proc/{}/task", child.id()));
+    let (mut samples, mut peak) = (0usize, 0usize);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        // The directory vanishes (or lists nothing) once the child exits.
+        if let Ok(entries) = std::fs::read_dir(&tasks) {
+            let threads = entries.count();
+            if threads > 0 {
+                samples += 1;
+                peak = peak.max(threads);
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    };
+    assert!(status.success(), "pareto failed: {status:?}");
+    assert!(samples > 0, "the sweep ended before a thread count was sampled");
+    assert_eq!(peak, 1, "pareto --jobs 1 ran {peak} threads at once ({samples} samples)");
 }
 
 #[test]
