@@ -53,6 +53,20 @@ pub struct OptContext<'a> {
     exec_fault: Option<crate::ExecFault>,
 }
 
+/// The default divergence-guard cadence: every `max(256, #stages)`
+/// commits. A check is one O(n) analysis, and a run's commit count grows
+/// with n as its stage count does, so runs of every size make a roughly
+/// constant number of checks — a fixed cadence makes O(n / cadence) of them,
+/// O(n² / cadence) work in all.
+fn default_divergence_every(tree: &ClockTree) -> usize {
+    let stages = 1 + tree
+        .nodes()
+        .iter()
+        .filter(|n| n.kind().is_buffer() && n.parent().is_some())
+        .count();
+    stages.max(256)
+}
+
 impl<'a> OptContext<'a> {
     /// Creates a context with constraints derived from the conservative
     /// baseline (10 % slew margin, 30 ps skew budget).
@@ -69,7 +83,7 @@ impl<'a> OptContext<'a> {
             analyzer: RefCell::new(Analyzer::new()),
             batch: RefCell::new(BatchAnalyzer::new()),
             eval_mode: EvalMode::default(),
-            divergence_every: 256,
+            divergence_every: default_divergence_every(tree),
             divergence_epsilon_ps: 1e-6,
             #[cfg(feature = "fault-inject")]
             exec_fault: None,
@@ -111,10 +125,10 @@ impl<'a> OptContext<'a> {
     /// power, `epsilon` relative to the committed magnitude) records a
     /// [`crate::Degradation`] and permanently falls the
     /// session back to [`EvalMode::FullReanalysis`]. `every = 0` disables
-    /// the guard. The default is every 256 commits with epsilon `1e-6` —
-    /// two orders of magnitude above the reassociation noise the
-    /// equivalence suite bounds (≪ 1e-9 ps), and an amortized overhead of
-    /// one O(n) analysis per 256 O(stage) commits.
+    /// the guard. The default is every `max(256, #stages)` commits, where
+    /// the stages are the root's and one per buffer below it, with epsilon
+    /// `1e-6` — two orders of magnitude above the reassociation noise the
+    /// equivalence suite bounds (≪ 1e-9 ps).
     pub fn with_divergence_guard(mut self, every: usize, epsilon: f64) -> Self {
         assert!(
             epsilon.is_finite() && epsilon >= 0.0,

@@ -413,6 +413,33 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         true
     }
 
+    /// The nominal violation ([`Constraints::violation_ps_of`]) of
+    /// changing `edge` to `rule`, bit-equal to that of
+    /// `try_edge(edge, rule)`'s slew and skew, leaving nothing pending —
+    /// all an upgrade-repair probe reads. In [`EvalMode::Incremental`] only
+    /// the nominal engine answers, through its probe memo
+    /// ([`IncrementalAnalyzer::probe_edge`]): no corner engine is re-timed
+    /// and no feasibility scan runs.
+    ///
+    /// [`Constraints::violation_ps_of`]: crate::Constraints::violation_ps_of
+    pub(crate) fn probe_violation_ps(&mut self, edge: NodeId, rule: RuleId) -> f64 {
+        if self.pending.is_some() {
+            self.rollback();
+        }
+        let constraints = self.ctx.constraints();
+        match self.engine.as_mut() {
+            Some(engine) => {
+                let s = engine.probe_edge(self.ctx.tree(), self.ctx.tech(), edge, rule);
+                constraints.violation_ps_of(s.max_slew_ps, s.skew_ps())
+            }
+            None => {
+                let eval = self.try_edge(edge, rule);
+                self.rollback();
+                constraints.violation_ps_of(eval.worst_slew_ps, eval.skew_ps)
+            }
+        }
+    }
+
     /// Makes the pending candidate the committed state.
     ///
     /// # Panics

@@ -3,7 +3,8 @@
 use crate::session::ViolationSites;
 use crate::supervise::Meter;
 use crate::{Budget, DegradationEvent, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
-use snr_cts::{Assignment, NodeId};
+use snr_cts::{Assignment, ClockTree, NodeId};
+use std::cmp::Reverse;
 
 /// Upgrade-repair: start with *no* NDR anywhere (uniform default) and,
 /// while the tree violates the envelope, upgrade the most effective edge
@@ -87,6 +88,15 @@ impl GreedyUpgradeRepair {
         marked.retain(|&e| asg.rule(e) != most);
         marked
     }
+
+    /// Every edge in plateau-fallback order: longest first, equal lengths
+    /// by descending id — the order in which `max_by_key` over ascending
+    /// ids would pick them, since it returns the last maximum.
+    fn plateau_order(tree: &ClockTree) -> Vec<NodeId> {
+        let mut edges: Vec<NodeId> = tree.edges().collect();
+        edges.sort_unstable_by_key(|&e| Reverse((tree.node(e).edge_len_nm(), e)));
+        edges
+    }
 }
 
 impl Default for GreedyUpgradeRepair {
@@ -155,6 +165,11 @@ impl GreedyUpgradeRepair {
             .map(|e| rules.rule(session.rule(e)).track_cost() * len_um(e))
             .sum();
         let budget = constraints.track_budget_um().unwrap_or(f64::INFINITY);
+        let most = rules.most_conservative_id();
+        // The plateau fallback's edge order, built on the first plateau,
+        // and a cursor past its prefix of edges at the top rule: repair
+        // only raises rules, so those never leave it.
+        let mut plateau: Option<(Vec<NodeId>, usize)> = None;
         for _ in 0..self.max_iters {
             if !meter.tick() {
                 return;
@@ -164,9 +179,10 @@ impl GreedyUpgradeRepair {
             if violation <= 0.0 && session.feasible() {
                 return;
             }
-            // Nominal is clean but a corner still violates: fall through
-            // to the plateau branch, which keeps widening the longest
-            // cheap edges (terminating at uniform-conservative).
+            // Candidates come from nominal slew and skew violations only.
+            // When nominal is clean but the state is still infeasible (a
+            // corner, arc, EM or noise violation), there are none and
+            // repair stops here, infeasible.
             let candidates = Self::candidates(ctx, session.assignment(), &sites);
             if candidates.is_empty() {
                 break;
@@ -195,9 +211,7 @@ impl GreedyUpgradeRepair {
             // keeps the earliest candidate on ties.
             let mut best: Option<(f64, NodeId, snr_tech::RuleId)> = None;
             for (e, next, added_ff) in cands {
-                let eval = session.try_edge(e, next);
-                session.rollback();
-                let new_violation = constraints.violation_ps_of(eval.worst_slew_ps, eval.skew_ps);
+                let new_violation = session.probe_violation_ps(e, next);
                 let score = (violation - new_violation) / added_ff;
                 if best.is_none_or(|(s, _, _)| score > s) {
                     best = Some((score, e, next));
@@ -215,20 +229,21 @@ impl GreedyUpgradeRepair {
                 // candidate-free step — upgrade the longest still-cheap
                 // edge that fits the budget — before giving up.
                 _ => {
-                    let fallback = tree
-                        .edges()
-                        .filter(|e| {
-                            let cur = session.rule(*e);
-                            if cur == rules.most_conservative_id() {
-                                return false;
-                            }
-                            let next = rules.pricier_than(cur).next().expect("not top");
-                            let d = (rules.rule(next).track_cost()
-                                - rules.rule(cur).track_cost())
-                                * len_um(*e);
-                            track_um + d <= budget
-                        })
-                        .max_by_key(|e| tree.node(*e).edge_len_nm());
+                    let (order, cursor) =
+                        plateau.get_or_insert_with(|| (Self::plateau_order(tree), 0));
+                    while order.get(*cursor).is_some_and(|&e| session.rule(e) == most) {
+                        *cursor += 1;
+                    }
+                    let fallback = order[*cursor..].iter().copied().find(|&e| {
+                        let cur = session.rule(e);
+                        if cur == most {
+                            return false;
+                        }
+                        let next = rules.pricier_than(cur).next().expect("not top");
+                        let d = (rules.rule(next).track_cost() - rules.rule(cur).track_cost())
+                            * len_um(e);
+                        track_um + d <= budget
+                    });
                     match fallback {
                         Some(e) => {
                             let next = rules
@@ -325,6 +340,27 @@ mod tests {
             b.commit();
         }
         assert!(checked > 0, "the trajectory must visit violating states");
+    }
+
+    /// The plateau step picks the edge `max_by_key` over ascending ids
+    /// picks: the longest, and among equal lengths the highest id.
+    #[test]
+    fn plateau_order_matches_max_by_key_on_equal_lengths() {
+        use snr_cts::h_tree;
+        use snr_geom::{Point, Rect};
+        let area = Rect::new(Point::new(0, 0), Point::new(800_000, 800_000));
+        let tree = h_tree(area, 3, 8.0);
+        let len = |e: &NodeId| tree.node(*e).edge_len_nm();
+        let order = GreedyUpgradeRepair::plateau_order(&tree);
+        assert_eq!(order.len(), tree.edges().count());
+        // A symmetric H-tree has many equal-length edges: the tie rule is
+        // exercised at every position.
+        let mut rest: Vec<NodeId> = tree.edges().collect();
+        assert!(rest.iter().filter(|e| len(e) == len(&order[0])).count() > 1);
+        for &e in &order {
+            assert_eq!(Some(e), rest.iter().copied().max_by_key(len));
+            rest.retain(|&r| r != e);
+        }
     }
 
     #[test]

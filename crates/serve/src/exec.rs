@@ -407,42 +407,66 @@ fn save_eligible(plan: &RunPlan, resp: &RunResponse) -> bool {
     plan.timeout_s == 0.0 && !resp.mc_cancelled && resp.result.degradations().is_empty()
 }
 
-/// The store-aware run path: consult the durable store, replay on a
-/// verified hit, otherwise compute, write back, and surface any
-/// quarantine as a degradation event.
-fn execute_run_stored(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Response, ApiError> {
-    let store = active_store(plan.cache, ctx);
-    let mut quarantine_detail: Option<String> = None;
-    if let Some(store) = store {
-        match store.load(StoreKind::Run, plan.result_key) {
-            Lookup::Hit(sections) => match ReplayedRun::from_sections(sections) {
-                Some(replay) => return Ok(Response::Replayed(Box::new(replay))),
-                None => {
-                    // Checksum-valid bytes this reader cannot use (an
-                    // incompatible writer's sections): same treatment as
-                    // corruption — quarantine and recompute.
-                    store.quarantine(
-                        StoreKind::Run,
-                        plan.result_key,
-                        QuarantineReason::BadFraming,
-                    );
-                    quarantine_detail = Some(format!(
-                        "result-store entry {:016x} missing required sections",
-                        plan.result_key.0
-                    ));
-                }
-            },
-            Lookup::Quarantined(reason) => {
-                quarantine_detail = Some(format!(
-                    "result-store entry {:016x} failed verification ({})",
-                    plan.result_key.0,
-                    reason.as_str()
-                ));
-            }
-            Lookup::Miss => {}
-        }
-    }
+/// A run's result-store lookup, split from its recompute so the daemon's
+/// reader can answer stored results without a worker (§3.9).
+pub(crate) enum RunLookup {
+    /// The verified stored result.
+    Replay(Box<ReplayedRun>),
+    /// Nothing usable is stored: recompute. `Some` describes an entry
+    /// that failed verification and was quarantined.
+    Recompute(Option<String>),
+}
 
+/// Looks `plan`'s result up in `store`, quarantining an entry that fails
+/// verification or lacks a required section.
+pub(crate) fn lookup_run(plan: &RunPlan, store: &ResultStore) -> RunLookup {
+    match store.load(StoreKind::Run, plan.result_key) {
+        Lookup::Hit(sections) => match ReplayedRun::from_sections(sections) {
+            Some(replay) => RunLookup::Replay(Box::new(replay)),
+            None => {
+                // Checksum-valid bytes this reader cannot use (an
+                // incompatible writer's sections): same treatment as
+                // corruption — quarantine and recompute.
+                store.quarantine(
+                    StoreKind::Run,
+                    plan.result_key,
+                    QuarantineReason::BadFraming,
+                );
+                RunLookup::Recompute(Some(format!(
+                    "result-store entry {:016x} missing required sections",
+                    plan.result_key.0
+                )))
+            }
+        },
+        Lookup::Quarantined(reason) => RunLookup::Recompute(Some(format!(
+            "result-store entry {:016x} failed verification ({})",
+            plan.result_key.0,
+            reason.as_str()
+        ))),
+        Lookup::Miss => RunLookup::Recompute(None),
+    }
+}
+
+/// The store-aware run path: consult the durable store, replay on a
+/// verified hit, otherwise recompute ([`recompute_run`]).
+fn execute_run_stored(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Response, ApiError> {
+    let quarantine_detail = match active_store(plan.cache, ctx).map(|s| lookup_run(plan, s)) {
+        Some(RunLookup::Replay(replay)) => return Ok(Response::Replayed(replay)),
+        Some(RunLookup::Recompute(detail)) => detail,
+        None => None,
+    };
+    recompute_run(plan, ctx, quarantine_detail)
+}
+
+/// A run whose store lookup found nothing usable: compute, write back,
+/// and surface `quarantine_detail` (the lookup's quarantine, if any) as a
+/// degradation event.
+pub(crate) fn recompute_run(
+    plan: &RunPlan,
+    ctx: &ExecCtx<'_>,
+    quarantine_detail: Option<String>,
+) -> Result<Response, ApiError> {
+    let store = active_store(plan.cache, ctx);
     let mut resp = execute_run(plan, ctx)?;
 
     // Write back *before* recording the quarantine rung: the stored

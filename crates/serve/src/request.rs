@@ -341,6 +341,27 @@ pub enum Request {
     ExportNdr(ExportNdrRequest),
 }
 
+impl Request {
+    /// Gives a `run` or `pareto` request that names no `jobs` one thread,
+    /// so it samples its Monte-Carlo on the thread executing it instead of
+    /// on every core. Results are bit-identical for any job count; the
+    /// daemon applies this to every job, so `serve --jobs N` runs at most
+    /// `N` request threads.
+    pub(crate) fn on_one_thread(mut self) -> Self {
+        match &mut self {
+            Request::Run(r) => {
+                r.jobs.get_or_insert(1);
+            }
+            Request::Pareto(r) => {
+                r.jobs.get_or_insert(1);
+            }
+            // Suites without `jobs` are serial; the rest never sample.
+            Request::Lint(_) | Request::Suite(_) | Request::Import(_) | Request::ExportNdr(_) => {}
+        }
+        self
+    }
+}
+
 /// A control operation the daemon answers directly, without scheduling.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Control {

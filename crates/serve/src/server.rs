@@ -13,6 +13,10 @@
 //!   line: `{"id": N, "ok": true, ...}` or `{"id": N, "error": {...}}`.
 //! * control requests (`"op": "stats" | "cancel" | "shutdown"`) are
 //!   answered immediately by the reader thread, ahead of queued jobs.
+//! * a `run` of an inline or generated design whose result is in the
+//!   durable store is answered by the reader too: it plans the request
+//!   and reads the entry itself, so a replay never waits for a worker.
+//!   On a miss the planned run goes to the queue.
 //!
 //! # Backpressure
 //!
@@ -38,14 +42,14 @@ use snr_par::{CancelToken, Parallelism};
 
 use crate::cache::WarmCache;
 use crate::error::ApiError;
-use crate::exec::{execute, Event, ExecCtx, Response};
+use crate::exec::{execute, lookup_run, recompute_run, Event, ExecCtx, Response, RunLookup};
 use crate::json::Json;
-use crate::plan::plan;
+use crate::plan::{plan, Plan, RunPlan};
 use crate::queue::BoundedQueue;
 use crate::render::{
     error_line, event_line, response_line, supervision_event_line, supervision_event_line_raw,
 };
-use crate::request::{Control, Envelope, Op, Request};
+use crate::request::{CacheMode, Control, DesignSource, Envelope, Op, Request};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -201,7 +205,34 @@ impl ServerState {
 /// One scheduled job.
 struct Job {
     id: u64,
-    req: Request,
+    work: Work,
+}
+
+/// What a worker does for a job.
+enum Work {
+    /// Plan and execute the request.
+    Request(Request),
+    /// Recompute a run the reader planned and found no stored result
+    /// for; `Some` describes an entry the lookup quarantined.
+    Run(Box<RunPlan>, Option<String>),
+}
+
+/// Plans a `run` of an inline or generated design and looks its result
+/// up in the store, for the reader to answer a hit itself. `None` when
+/// the request does not qualify (other ops, no store, `"cache": "off"`,
+/// a design file the plan would read) or does not plan: the worker then
+/// plans it and reports any error.
+fn reader_lookup(state: &ServerState, req: &Request) -> Option<(RunPlan, RunLookup)> {
+    let Request::Run(run) = req else { return None };
+    let store = state.store.as_ref()?;
+    if run.cache != CacheMode::On || matches!(run.design, DesignSource::Path(_)) {
+        return None;
+    }
+    let Ok(Plan::Run(planned)) = plan(req) else {
+        return None;
+    };
+    let lookup = lookup_run(&planned, store);
+    Some((planned, lookup))
 }
 
 /// Writes one protocol line and flushes, so clients see it immediately.
@@ -231,7 +262,6 @@ fn worker_loop<W: Write + Send>(state: &ServerState, queue: &BoundedQueue<Job>, 
         }
 
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let plan = plan(&job.req)?;
             let sink = |event: &Event| {
                 if let Event::PhaseDone { phase, elapsed } = event {
                     state.record_phase(phase, *elapsed);
@@ -247,7 +277,12 @@ fn worker_loop<W: Write + Send>(state: &ServerState, queue: &BoundedQueue<Job>, 
                 sink: Some(&sink),
                 on_token: Some(&on_token),
             };
-            execute(&plan, &ctx)
+            match &job.work {
+                Work::Request(req) => execute(&plan(req)?, &ctx),
+                Work::Run(planned, quarantined) => {
+                    recompute_run(planned, &ctx, quarantined.clone())
+                }
+            }
         }));
         lock(&state.cancels).remove(&id);
         // Count before sending: the response line is the client's signal
@@ -421,8 +456,27 @@ pub fn serve_io<R: BufRead, W: Write + Send>(
                             queue.depth()
                         ),
                     );
+                    // Each job runs on the one worker that pops it.
+                    let req = req.on_one_thread();
+                    // A stored result is answered here; a panic while
+                    // looking it up leaves the request to a worker, which
+                    // isolates it.
+                    let lookup = catch_unwind(AssertUnwindSafe(|| reader_lookup(state, &req)));
+                    let work = match lookup.ok().flatten() {
+                        Some((_, RunLookup::Replay(replay))) => {
+                            lock(&state.cancels).remove(&id);
+                            lock(&state.counters).completed += 1;
+                            send(&out, &supervision_event_line_raw(id, &replay.supervision));
+                            send(&out, &response_line(id, &Response::Replayed(replay)));
+                            continue;
+                        }
+                        Some((planned, RunLookup::Recompute(quarantined))) => {
+                            Work::Run(Box::new(planned), quarantined)
+                        }
+                        None => Work::Request(req),
+                    };
                     // Blocks while the queue is full: backpressure.
-                    if queue.push(Job { id, req }).is_err() {
+                    if queue.push(Job { id, work }).is_err() {
                         send(
                             &out,
                             &error_line(

@@ -65,14 +65,26 @@ use snr_fsio::{atomic_write_unique, process_alive, temp_writer_pid, LockFile};
 pub mod faultinject;
 
 /// Content-hash key of a cache/store entry. Stable across processes for
-/// the same inputs (FNV-1a, no randomized hasher).
+/// the same inputs ([`ContentHasher`], no randomized hasher).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey(pub u64);
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-/// Incremental FNV-1a hasher over domain-separated byte chunks.
+/// Odd multiplier of the content hash's word step: ⌊2⁶⁴/φ⌋.
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Incremental content hasher over domain-separated byte chunks.
+///
+/// Each chunk is its length followed by its bytes as little-endian `u64`
+/// words (the last one zero-padded); every word is folded in with one
+/// xor–multiply–rotate step, and [`finish`](Self::finish) ends with a
+/// 64-bit avalanche. A step is a bijection of the state for a fixed word
+/// and of the word for a fixed state, so inputs of equal length that
+/// differ in one word never collide. Keys name on-disk entries, so this
+/// function is part of the store format: changing it turns every stored
+/// entry into a miss.
 #[derive(Debug, Clone)]
 pub struct ContentHasher {
     state: u64,
@@ -87,18 +99,36 @@ impl ContentHasher {
     /// Feeds one chunk, prefixed with its length so `("ab", "c")` and
     /// `("a", "bc")` hash differently.
     pub fn chunk(&mut self, bytes: &[u8]) -> &mut Self {
-        for b in (bytes.len() as u64).to_le_bytes() {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        let mut buf = [0u8; 8];
+        for w in &mut words {
+            buf.copy_from_slice(w);
+            self.word(u64::from_le_bytes(buf));
         }
-        for &b in bytes {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            buf = [0u8; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(buf));
         }
         self
     }
 
-    /// The finished key.
+    fn word(&mut self, w: u64) {
+        self.state = (self.state ^ w).wrapping_mul(WORD_MUL).rotate_left(31);
+    }
+
+    /// The finished key: the state through a 64-bit avalanche (the
+    /// MurmurHash3 finalizer), so every input bit reaches every key bit.
     pub fn finish(&self) -> CacheKey {
-        CacheKey(self.state)
+        let mut h = self.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        CacheKey(h)
     }
 }
 
@@ -739,5 +769,42 @@ mod tests {
         assert_ne!(a, b);
         let again = ContentHasher::new().chunk(b"ab").chunk(b"c").finish();
         assert_eq!(a, again);
+    }
+
+    /// Keys name on-disk entries, so the hash function itself is pinned:
+    /// a change here orphans every stored entry.
+    #[test]
+    fn content_hash_known_answers() {
+        let key = |chunks: &[&[u8]]| {
+            let mut h = ContentHasher::new();
+            for c in chunks {
+                h.chunk(c);
+            }
+            h.finish().0
+        };
+        let long: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let got = [
+            key(&[]),
+            key(&[b""]),
+            key(&[b"a"]),
+            key(&[b"abcdefgh"]),
+            key(&[b"abcdefghi"]),
+            key(&[b"ab", b"c"]),
+            key(&[b"a", b"bc"]),
+            key(&[b"abc", b""]),
+            key(&[&long]),
+        ];
+        let want: [u64; 9] = [
+            0xefd0_1f60_ba99_2926,
+            0x7222_6624_8b6d_5286,
+            0x96b8_86df_c490_7d92,
+            0x257f_5cdf_97ac_8f32,
+            0xd232_1966_c324_4414,
+            0x8c88_9feb_ec1e_24d0,
+            0x087d_37c6_83e9_f0a7,
+            0x0699_7370_73e9_8f47,
+            0x33d0_28cb_6140_d8e4,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 }

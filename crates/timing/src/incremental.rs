@@ -13,15 +13,24 @@
 //! stage's downstream *cone* is one contiguous index range. A probe
 //! re-times the cone of the dirty stages' lowest common ancestor and reads
 //! everything outside it from committed per-stage figures — latest sink
-//! arrival, earliest sink arrival and worst slew — folded into preorder
-//! prefix and suffix max/min arrays. A candidate evaluation therefore costs
-//! `O(dirty-stage size + cone)` instead of `O(nodes)`; a commit costs
-//! `O(dirty stages + #stages)`, the fold rebuild.
+//! arrival, earliest sink arrival and worst slew — kept in a tournament
+//! tree of max/min folds over the preorder stage slots. A candidate
+//! evaluation therefore costs `O(dirty-stage size + cone + log #stages)`
+//! instead of `O(nodes)`; a commit re-folds only the cone's leaves and
+//! their ancestors, `O(dirty stages + cone + log #stages)`.
 //!
-//! The folds are exact: max and min round nothing, so combining the
-//! prefix, the re-timed cone and the suffix gives the same bits as one pass
-//! over every stage, and each re-timed arrival is computed from the same
-//! operands in the same order as a fresh analyzer would use.
+//! The folds are exact: max and min round nothing, so joining the fold of
+//! the stages before the cone, the re-timed cone and the stages after it
+//! gives the same bits as one pass over every stage, and each re-timed
+//! arrival is computed from the same operands in the same order as a fresh
+//! analyzer would use.
+//!
+//! [`IncrementalAnalyzer::probe_edge`] answers a single-edge probe without
+//! leaving it pending and remembers the probe's fold inside its cone. While
+//! no commit's cone overlaps that cone, every input of the remembered fold
+//! is unchanged, so a repeated probe is answered in `O(log #stages)` from
+//! the committed fold outside the cone joined with the remembered one — the
+//! operands a fresh cone pass joins.
 //!
 //! The evaluation protocol is transactional:
 //!
@@ -78,6 +87,102 @@ use snr_tech::{RuleId, Technology};
 
 const LN9: f64 = 2.197_224_577_336_219_6;
 const NO_STAGE: u32 = u32::MAX;
+
+/// Per-stage committed figures folded together: latest sink arrival (max),
+/// earliest sink arrival (min) and worst slew (max).
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    latest: f64,
+    earliest: f64,
+    slew: f64,
+}
+
+impl Fold {
+    /// The identities the full pass starts from.
+    const EMPTY: Fold = Fold {
+        latest: f64::MIN,
+        earliest: f64::MAX,
+        slew: 0.0,
+    };
+
+    fn join(self, other: Fold) -> Fold {
+        Fold {
+            latest: self.latest.max(other.latest),
+            earliest: self.earliest.min(other.earliest),
+            slew: self.slew.max(other.slew),
+        }
+    }
+}
+
+/// A tournament tree of [`Fold`]s over the preorder stage slots: leaf
+/// `size + si` holds stage `si`, each inner node the join of its two
+/// children, padding leaves the identity.
+#[derive(Debug, Clone)]
+struct FoldTree {
+    size: usize,
+    nodes: Vec<Fold>,
+}
+
+impl FoldTree {
+    fn new(slots: usize) -> Self {
+        let size = slots.next_power_of_two();
+        FoldTree {
+            size,
+            nodes: vec![Fold::EMPTY; 2 * size],
+        }
+    }
+
+    /// The join over every slot.
+    fn root(&self) -> Fold {
+        self.nodes[1]
+    }
+
+    fn set_leaf(&mut self, si: usize, fold: Fold) {
+        self.nodes[self.size + si] = fold;
+    }
+
+    /// Re-folds the ancestors of leaves `lo..hi` (non-empty) after they
+    /// changed: `O(hi − lo + log size)`.
+    fn refold(&mut self, lo: usize, hi: usize) {
+        let (mut l, mut r) = (self.size + lo, self.size + hi - 1);
+        while l > 1 {
+            l /= 2;
+            r /= 2;
+            for i in l..=r {
+                self.nodes[i] = self.nodes[2 * i].join(self.nodes[2 * i + 1]);
+            }
+        }
+    }
+
+    /// The join over slots `lo..hi`, starting from the identity:
+    /// `O(log size)`.
+    fn range(&self, lo: usize, hi: usize) -> Fold {
+        let mut acc = Fold::EMPTY;
+        let (mut l, mut r) = (self.size + lo, self.size + hi);
+        while l < r {
+            if l % 2 == 1 {
+                acc = acc.join(self.nodes[l]);
+                l += 1;
+            }
+            if r % 2 == 1 {
+                r -= 1;
+                acc = acc.join(self.nodes[r]);
+            }
+            l /= 2;
+            r /= 2;
+        }
+        acc
+    }
+}
+
+/// A remembered single-edge probe: the rule it tried, the commit count it
+/// was computed at, and its fold inside the probe's cone.
+#[derive(Debug, Clone, Copy)]
+struct ProbeMemo {
+    rule: RuleId,
+    at_commit: u64,
+    inside: Fold,
+}
 
 /// Aggregate timing figures of one (committed or candidate) assignment.
 ///
@@ -153,17 +258,18 @@ pub struct IncrementalAnalyzer {
     /// sinks).
     sink_min_rel: Vec<f64>,
     sink_max_rel: Vec<f64>,
-    /// Preorder folds over stages `0..i` (`pre_*[i]`) and `i..` (`suf_*[i]`)
-    /// of each stage's latest sink arrival (max), earliest sink arrival
-    /// (min) and `max_slew` (max), seeded with the identities the full
-    /// pass starts from.
-    pre_latest: Vec<f64>,
-    suf_latest: Vec<f64>,
-    pre_earliest: Vec<f64>,
-    suf_earliest: Vec<f64>,
-    pre_slew: Vec<f64>,
-    suf_slew: Vec<f64>,
+    /// Each stage's committed sink window and worst slew, folded over the
+    /// preorder stage slots.
+    folds: FoldTree,
     summary: TimingSummary,
+    /// Commits so far.
+    commits: u64,
+    /// Per stage: the last commit whose cone overlapped this stage's cone —
+    /// it contained the stage, or it lay below it.
+    touched: Vec<u64>,
+    /// Per edge: its last [`probe_edge`](Self::probe_edge) (empty until the
+    /// first one).
+    memo: Vec<Option<ProbeMemo>>,
 
     // --- pending (candidate) state, valid iff stamped with `epoch` ---
     epoch: u64,
@@ -188,6 +294,8 @@ pub struct IncrementalAnalyzer {
     p_max_slew: Vec<f64>,
     p_sink_min_rel: Vec<f64>,
     p_sink_max_rel: Vec<f64>,
+    /// The pending candidate's fold over its cone.
+    p_inside: Fold,
     p_summary: TimingSummary,
     dirty: Vec<u32>,
     changed: Vec<NodeId>,
@@ -325,13 +433,11 @@ impl IncrementalAnalyzer {
             max_slew: vec![0.0; s_count],
             sink_min_rel: vec![f64::INFINITY; s_count],
             sink_max_rel: vec![f64::NEG_INFINITY; s_count],
-            pre_latest: vec![f64::MIN; s_count + 1],
-            suf_latest: vec![f64::MIN; s_count + 1],
-            pre_earliest: vec![f64::MAX; s_count + 1],
-            suf_earliest: vec![f64::MAX; s_count + 1],
-            pre_slew: vec![0.0; s_count + 1],
-            suf_slew: vec![0.0; s_count + 1],
+            folds: FoldTree::new(s_count),
             summary: zero_summary,
+            commits: 0,
+            touched: vec![0; s_count],
+            memo: Vec::new(),
             epoch: 1,
             has_pending: false,
             p_rule_ep: vec![0; n],
@@ -351,6 +457,7 @@ impl IncrementalAnalyzer {
             p_max_slew: vec![0.0; s_count],
             p_sink_min_rel: vec![f64::INFINITY; s_count],
             p_sink_max_rel: vec![f64::NEG_INFINITY; s_count],
+            p_inside: Fold::EMPTY,
             p_summary: zero_summary,
             dirty: Vec::new(),
             changed: Vec::new(),
@@ -390,7 +497,9 @@ impl IncrementalAnalyzer {
     /// windows and worst slews by `delta_ps`, as an engine-state bug would.
     /// The drift survives subsequent `try_moves`/`commit` cycles because
     /// the folds and every clean stage read these committed arrays —
-    /// exactly the failure mode the divergence guard exists to catch.
+    /// exactly the failure mode the divergence guard exists to catch. The
+    /// probe memo is cleared, so later probes re-time from the drifted
+    /// state too.
     #[doc(hidden)]
     pub fn debug_perturb(&mut self, delta_ps: f64) {
         for si in 0..self.stages.len() {
@@ -400,6 +509,7 @@ impl IncrementalAnalyzer {
             }
         }
         self.refold(0, self.stages.len());
+        self.memo.clear();
         self.summary.latency_ps += delta_ps;
         self.summary.max_slew_ps += delta_ps;
     }
@@ -573,6 +683,62 @@ impl IncrementalAnalyzer {
         self.p_summary
     }
 
+    /// The summary [`try_edge`](Self::try_edge) would return for changing
+    /// `edge` to `rule`, bit for bit, leaving no candidate pending (any
+    /// pending one is discarded first).
+    ///
+    /// The probe's fold inside its cone is remembered per edge. It reads
+    /// only committed state of the cone and of the stage the cone hangs
+    /// off, so while no commit's cone overlaps the probe's cone the
+    /// remembered fold is what a fresh probe would compute: a repeated
+    /// probe of the same edge and rule then costs `O(log #stages)` — the
+    /// committed fold outside the cone joined with the remembered one.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`IncrementalAnalyzer::try_edge`].
+    pub fn probe_edge(
+        &mut self,
+        tree: &ClockTree,
+        tech: &Technology,
+        edge: NodeId,
+        rule: RuleId,
+    ) -> TimingSummary {
+        assert_eq!(tree.len(), self.n, "analyzer built for a different tree");
+        assert!(
+            tree.node(edge).parent().is_some(),
+            "node {} has no edge",
+            edge.0
+        );
+        if self.has_pending {
+            self.rollback();
+        }
+        let lo = self.owner[edge.0] as usize;
+        let hi = self.cone_end[lo] as usize;
+        if let Some(memo) = self.memo.get(edge.0).copied().flatten() {
+            if memo.rule == rule && self.touched[lo] <= memo.at_commit {
+                let fold = self.outside_fold(lo, hi).join(memo.inside);
+                return self.summary_of(fold, self.src_slew[0]);
+            }
+        }
+        let summary = self.try_moves(tree, tech, &[(edge, rule)]);
+        debug_assert_eq!(
+            self.p_cone,
+            (lo, hi),
+            "a one-edge probe re-times its stage's cone"
+        );
+        if self.memo.is_empty() {
+            self.memo = vec![None; self.n];
+        }
+        self.memo[edge.0] = Some(ProbeMemo {
+            rule,
+            at_commit: self.commits,
+            inside: self.p_inside,
+        });
+        self.rollback();
+        summary
+    }
+
     /// Folds the pending candidate into the committed state.
     ///
     /// # Panics
@@ -614,6 +780,18 @@ impl IncrementalAnalyzer {
         let (lo, hi) = self.p_cone;
         self.out[lo..hi].copy_from_slice(&self.p_out[lo..hi]);
         self.refold(lo, hi);
+        self.commits += 1;
+        if lo < hi {
+            // Memoized probes whose cone overlaps this one are stale: the
+            // cone's own stages, and every stage above its apex, whose cone
+            // contains it.
+            self.touched[lo..hi].fill(self.commits);
+            let mut a = self.stage_parent[lo];
+            while a != NO_STAGE {
+                self.touched[a as usize] = self.commits;
+                a = self.stage_parent[a as usize];
+            }
+        }
         self.summary = self.p_summary;
         self.epoch += 1;
         self.has_pending = false;
@@ -659,7 +837,7 @@ impl IncrementalAnalyzer {
         if !self.has_sinks {
             return None;
         }
-        let latency = self.pre_latest[self.stages.len()];
+        let latency = self.folds.root().latest;
         let mut best: Option<(f64, NodeId)> = None;
         let mut consider = |arrival: f64, v: NodeId| {
             if best.is_none_or(|(a, b)| arrival > a || (arrival == a && v > b)) {
@@ -826,8 +1004,8 @@ impl IncrementalAnalyzer {
 
     /// Re-times the cone of the dirty stages' lowest common ancestor —
     /// candidate source arrivals, with dirty stages using their recomputed
-    /// offsets — and combines it with the committed folds on either side
-    /// into the candidate aggregates.
+    /// offsets — folds it, and joins that with the committed fold outside
+    /// the cone into the candidate aggregates.
     fn cone_pass(&mut self, tree: &ClockTree, tech: &Technology) {
         let ep = self.epoch;
         let cells = tech.buffers().cells();
@@ -848,9 +1026,7 @@ impl IncrementalAnalyzer {
         };
         self.p_cone = (lo, hi);
 
-        let mut latency = self.pre_latest[lo].max(self.suf_latest[hi]);
-        let mut min_arrival = self.pre_earliest[lo].min(self.suf_earliest[hi]);
-        let mut mx_slew = self.pre_slew[lo].max(self.suf_slew[hi]);
+        let mut inside = Fold::EMPTY;
         for si in lo..hi {
             let s = self.stages[si];
             let load_s = if self.p_load_ep[s.0] == ep {
@@ -893,30 +1069,46 @@ impl IncrementalAnalyzer {
                 (self.sink_min_rel[si], self.sink_max_rel[si], self.max_slew[si])
             };
             if smin.is_finite() {
-                latency = latency.max(out + smax);
-                min_arrival = min_arrival.min(out + smin);
+                inside.latest = inside.latest.max(out + smax);
+                inside.earliest = inside.earliest.min(out + smin);
             }
-            mx_slew = mx_slew.max(msl);
+            inside.slew = inside.slew.max(msl);
         }
+        self.p_inside = inside;
+        let root_src_slew = if self.p_stage_ep[0] == ep {
+            self.p_src_slew[0]
+        } else {
+            self.src_slew[0]
+        };
+        self.p_summary = self.summary_of(self.outside_fold(lo, hi).join(inside), root_src_slew);
+    }
 
-        if !self.has_sinks {
-            latency = 0.0;
-            min_arrival = 0.0;
-        }
-        if self.n == 1 {
-            // Single-node tree: the full analyzer reports the root's own
-            // slew as the worst slew.
-            mx_slew = if self.p_stage_ep[0] == ep {
-                self.p_src_slew[0]
-            } else {
-                self.src_slew[0]
-            };
-        }
-        self.p_summary = TimingSummary {
+    /// The committed fold over every stage outside the cone `lo..hi`.
+    fn outside_fold(&self, lo: usize, hi: usize) -> Fold {
+        self.folds
+            .range(0, lo)
+            .join(self.folds.range(hi, self.stages.len()))
+    }
+
+    /// The aggregates a full pass reports when its per-stage fold is
+    /// `fold` and the root stage's source slew is `root_src_slew`.
+    fn summary_of(&self, fold: Fold, root_src_slew: f64) -> TimingSummary {
+        let (latency, min_arrival) = if self.has_sinks {
+            (fold.latest, fold.earliest)
+        } else {
+            (0.0, 0.0)
+        };
+        TimingSummary {
             latency_ps: latency,
             min_arrival_ps: min_arrival,
-            max_slew_ps: mx_slew,
-        };
+            // Single-node tree: the full analyzer reports the root's own
+            // slew as the worst slew.
+            max_slew_ps: if self.n == 1 {
+                root_src_slew
+            } else {
+                fold.slew
+            },
+        }
     }
 
     /// Committed latest and earliest sink arrival of stage `si`:
@@ -933,21 +1125,24 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// Rebuilds the folds after stages `lo..hi` changed: prefixes from
-    /// `lo` on, suffixes up to `hi`.
+    /// Rewrites the fold leaves of stages `lo..hi` from the committed
+    /// arrays and re-folds their ancestors.
     fn refold(&mut self, lo: usize, hi: usize) {
-        for si in lo..self.stages.len() {
-            let (late, early) = self.sink_window(si);
-            self.pre_latest[si + 1] = self.pre_latest[si].max(late);
-            self.pre_earliest[si + 1] = self.pre_earliest[si].min(early);
-            self.pre_slew[si + 1] = self.pre_slew[si].max(self.max_slew[si]);
+        if lo >= hi {
+            return;
         }
-        for si in (0..hi).rev() {
-            let (late, early) = self.sink_window(si);
-            self.suf_latest[si] = self.suf_latest[si + 1].max(late);
-            self.suf_earliest[si] = self.suf_earliest[si + 1].min(early);
-            self.suf_slew[si] = self.suf_slew[si + 1].max(self.max_slew[si]);
+        for si in lo..hi {
+            let (latest, earliest) = self.sink_window(si);
+            self.folds.set_leaf(
+                si,
+                Fold {
+                    latest,
+                    earliest,
+                    slew: self.max_slew[si],
+                },
+            );
         }
+        self.folds.refold(lo, hi);
     }
 }
 

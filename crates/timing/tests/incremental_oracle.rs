@@ -8,8 +8,9 @@
 //! (exact arrival ties) and the single-node degenerate tree, at nominal
 //! parasitics and at the slow and fast corners. The repair queries
 //! (`slew_violators`, `latest_sink`) must match brute-force scans of the
-//! committed [`TimingReport`](snr_timing::TimingReport), and arrivals
-//! outside a probe's `pending_cone()` must be the committed ones.
+//! committed [`TimingReport`](snr_timing::TimingReport), arrivals outside
+//! a probe's `pending_cone()` must be the committed ones, and every
+//! memoized `probe_edge` answer must equal a fresh analyzer's summary.
 
 use proptest::prelude::*;
 use snr_cts::{h_tree, synthesize, Assignment, ClockTree, CtsOptions, NodeId, NodeKind};
@@ -222,6 +223,67 @@ proptest! {
                 inc.rollback();
             }
             prop_assert!(inc.pending_cone().is_empty(), "step {} cone after settling", step);
+        }
+    }
+
+    /// `probe_edge` answers, memoized or not, equal a fresh analyzer on
+    /// the probed assignment bit for bit, through random interleavings
+    /// with `try_moves`, `commit` and `rollback`, and leave nothing
+    /// pending. Probes draw from a small pool of edges, so most repeat an
+    /// earlier probe; moves draw from the pool and from the whole tree, so
+    /// commits land inside, above and below remembered cones.
+    #[test]
+    fn memoized_probes_match_fresh_engine(
+        kind in 0usize..4,
+        n in 2usize..160,
+        seed in 0u64..400,
+        corner in 0usize..3,
+        ops in 0u64..1_000_000,
+    ) {
+        let tech = Technology::n45();
+        let tree = build_tree(kind, n, seed, &tech);
+        let (r, c) = scales(corner);
+        let rules = tech.rules();
+        let edges: Vec<NodeId> = tree.edges().collect();
+        let mut rng = Mix(ops);
+        let mut asg = Assignment::uniform(&tree, RuleId(rng.below(rules.len())));
+        let mut inc = IncrementalAnalyzer::with_scales(&tree, &tech, &asg, r, c);
+        if edges.is_empty() {
+            return Ok(());
+        }
+        let pool: Vec<NodeId> = (0..4).map(|_| edges[rng.below(edges.len())]).collect();
+
+        for step in 0..60 {
+            match rng.below(4) {
+                0 | 1 => {
+                    let e = pool[rng.below(pool.len())];
+                    let rule = RuleId(rng.below(rules.len()));
+                    let committed = bits(inc.summary());
+                    let got = inc.probe_edge(&tree, &tech, e, rule);
+                    let mut trial = asg.clone();
+                    trial.set(e, rule);
+                    let fresh = IncrementalAnalyzer::with_scales(&tree, &tech, &trial, r, c);
+                    prop_assert_eq!(bits(got), bits(fresh.summary()), "step {} probe of edge {}", step, e.0);
+                    prop_assert!(inc.pending_cone().is_empty(), "step {} probe left a candidate", step);
+                    prop_assert_eq!(bits(inc.summary()), committed, "step {} probe moved the committed state", step);
+                }
+                _ => {
+                    let mv = if rng.below(2) == 0 {
+                        vec![(pool[rng.below(pool.len())], RuleId(rng.below(rules.len())))]
+                    } else {
+                        moves(&mut rng, &edges, rules.len())
+                    };
+                    inc.try_moves(&tree, &tech, &mv);
+                    if rng.below(3) < 2 {
+                        inc.commit();
+                        for &(e, rule) in &mv {
+                            asg.set(e, rule);
+                        }
+                    } else {
+                        inc.rollback();
+                    }
+                }
+            }
         }
     }
 

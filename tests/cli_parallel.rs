@@ -199,6 +199,68 @@ fn pareto_jobs_one_stays_single_threaded() {
     assert_eq!(peak, 1, "pareto --jobs 1 ran {peak} threads at once ({samples} samples)");
 }
 
+/// `serve --jobs 1` runs one request at a time on its single worker, and a
+/// `run` or `pareto` request without `"jobs"` samples its Monte Carlo on
+/// that worker too: the daemon never exceeds its reader plus one worker.
+/// Samples the daemon's thread count from `/proc/<pid>/task` until it
+/// exits.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_jobs_one_bounds_the_daemon_threads() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let out_path = tmp("serve-threads.out");
+    let mut child = bin()
+        .args(["serve", "--jobs", "1"])
+        .stdin(Stdio::piped())
+        .stdout(std::fs::File::create(&out_path).expect("output file"))
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    {
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        for line in [
+            r#"{"op": "run", "id": 1, "design": {"generate": {"sinks": 200, "seed": 3}}, "mc": 300}"#,
+            r#"{"op": "pareto", "id": 2, "design": {"generate": {"sinks": 200, "seed": 3}}, "mc": 300}"#,
+        ] {
+            writeln!(stdin, "{line}").expect("request written");
+        }
+    } // EOF: the daemon drains its queue and exits
+    let tasks = PathBuf::from(format!("/proc/{}/task", child.id()));
+    let (mut samples, mut peak) = (0usize, 0usize);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if let Ok(entries) = std::fs::read_dir(&tasks) {
+            let threads = entries.count();
+            if threads > 0 {
+                samples += 1;
+                peak = peak.max(threads);
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    };
+    let out = std::fs::read_to_string(&out_path).expect("daemon output");
+    let _ = std::fs::remove_file(&out_path);
+    assert!(status.success(), "serve failed: {status:?}\n{out}");
+    for id in [1, 2] {
+        assert!(
+            out.lines()
+                .any(|l| l.starts_with(&format!("{{\"id\": {id}, \"ok\": true"))),
+            "request {id} has no result:\n{out}"
+        );
+    }
+    assert!(
+        samples > 0,
+        "the daemon exited before a thread count was sampled"
+    );
+    assert!(
+        peak <= 2,
+        "serve --jobs 1 ran {peak} threads at once ({samples} samples)"
+    );
+}
+
 #[test]
 fn short_jobs_alias_accepted() {
     let out = bin()

@@ -480,6 +480,49 @@ fn store_backed_daemon_replays_across_restarts_and_quarantines_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A stored run is answered by the reader thread: with the only worker
+/// busy on a cold run, a replay sent after it still answers first, with
+/// the cold run's bytes.
+#[test]
+fn stored_run_replays_while_the_only_worker_is_busy() {
+    let dir = std::env::temp_dir().join(format!(
+        "smart-ndr-serve-reader-replay-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_arg = dir.to_str().expect("utf-8 path").to_owned();
+    let mut d = Daemon::spawn(&["--jobs", "1", "--store", &store_arg]);
+    d.send(&run_request(1, 100, 7, ""));
+    let cold = d.finals_for(&[1])[&1].clone();
+    assert!(cold.contains("\"cache\": \"miss\""), "{cold}");
+
+    d.send(&run_request(2, 1500, 3, ""));
+    d.send(&run_request(3, 100, 7, ""));
+    let finals = d.finals_for(&[2, 3]);
+    assert!(finals[&2].contains("\"ok\": true"), "{}", finals[&2]);
+    assert_eq!(
+        finals[&3]
+            .replace("\"id\": 3", "\"id\": 1")
+            .replace("\"cache\": \"store_hit\"", "\"cache\": \"miss\""),
+        cold,
+        "the replay must be the cold run's bytes"
+    );
+    let position = |id: u64| {
+        let head = format!("{{\"id\": {id}, \"ok\"");
+        d.transcript
+            .iter()
+            .position(|l| l.starts_with(&head))
+            .expect("final line")
+    };
+    assert!(
+        position(3) < position(2),
+        "the replay must not wait behind the worker's cold run: {:#?}",
+        d.transcript
+    );
+    assert!(d.eof_and_wait().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `"cache": "off"` per request bypasses the store on an otherwise
 /// store-backed daemon — the CLI's `--no-cache` maps to exactly this.
 #[test]
