@@ -2,9 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the slice of the proptest API its test suites use: the
-//! [`proptest!`] macro, [`Strategy`] with `prop_map`, range and tuple
-//! strategies, [`collection::vec`], [`arbitrary::any`], the
-//! `prop_assert!`/`prop_assert_eq!`/`prop_assume!` macros, and
+//! [`proptest!`] macro, [`Strategy`](strategy::Strategy) with `prop_map`,
+//! range and tuple strategies, [`collection::vec`], [`arbitrary::any`],
+//! the `prop_assert!`/`prop_assert_eq!`/`prop_assume!` macros, and
 //! [`test_runner::ProptestConfig::with_cases`].
 //!
 //! Differences from upstream, deliberately accepted:
@@ -169,7 +169,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     pub struct SizeRange {
         min: usize,
         max_excl: usize,
@@ -196,7 +196,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

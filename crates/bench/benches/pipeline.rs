@@ -10,7 +10,7 @@ use snr_cts::{synthesize, Assignment, CtsOptions};
 use snr_netlist::{BenchmarkSpec, Design};
 use snr_power::{evaluate, PowerModel};
 use snr_tech::Technology;
-use snr_timing::{AnalysisOptions, Analyzer};
+use snr_timing::Analyzer;
 use snr_variation::{MonteCarlo, VariationModel};
 
 fn design(n: usize) -> Design {
@@ -38,7 +38,7 @@ fn bench_timing(c: &mut Criterion) {
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
         let mut analyzer = Analyzer::new();
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, tree| {
-            b.iter(|| analyzer.run(tree, &tech, &asg, &AnalysisOptions::default()));
+            b.iter(|| analyzer.run(tree, &tech, &asg));
         });
     }
     group.finish();

@@ -21,7 +21,7 @@ use snr_cts::{synthesize, Assignment, ClockTree, CtsOptions};
 use snr_netlist::{scaling_specs, BenchmarkSpec};
 use snr_par::splitmix64;
 use snr_tech::{Corner, Technology};
-use snr_timing::{analyze_at_corner, AnalysisOptions, Analyzer, BatchAnalyzer, EdgeNominals};
+use snr_timing::{analyze_at_corner, Analyzer, BatchAnalyzer, EdgeNominals};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -58,7 +58,6 @@ struct Row {
 fn measure(tree: &ClockTree, tech: &Technology, sinks: usize, reps: usize) -> Row {
     let asg = Assignment::uniform(tree, tech.rules().most_conservative_id());
     let n = tree.len();
-    let opts = AnalysisOptions::default();
 
     // Pre-drawn lane-major scales, plus the per-lane extraction the serial
     // path consumes — both built outside every timed region.
@@ -85,7 +84,7 @@ fn measure(tree: &ClockTree, tech: &Technology, sinks: usize, reps: usize) -> Ro
     let lanes = batch.run_scaled_nominal(tree, tech, &nominals, LANES, &r, &c).to_vec();
     for (l, lane) in lanes.iter().enumerate() {
         let (rs, cs) = &serial_scales[l];
-        let rep = serial.run_scaled(tree, tech, &asg, Some((rs, cs)), &opts);
+        let rep = serial.run_scaled(tree, tech, &asg, Some((rs, cs)));
         assert_eq!(lane.latency_ps.to_bits(), rep.latency_ps().to_bits(), "lane {l} latency");
         assert_eq!(
             lane.min_arrival_ps.to_bits(),
@@ -97,7 +96,7 @@ fn measure(tree: &ClockTree, tech: &Technology, sinks: usize, reps: usize) -> Ro
     let corners = [Corner::typical(), Corner::slow(), Corner::fast()];
     let corner_lanes = batch.run_at_corners(tree, tech, &asg, &corners).to_vec();
     for (lane, &corner) in corner_lanes.iter().zip(&corners) {
-        let rep = analyze_at_corner(tree, tech, &asg, corner, &opts);
+        let rep = analyze_at_corner(tree, tech, &asg, corner);
         assert_eq!(lane.latency_ps.to_bits(), rep.latency_ps().to_bits(), "corner latency");
         assert_eq!(lane.max_slew_ps.to_bits(), rep.max_slew_ps().to_bits(), "corner slew");
     }
@@ -111,7 +110,7 @@ fn measure(tree: &ClockTree, tech: &Technology, sinks: usize, reps: usize) -> Ro
         time_once(&mut mc_serial_s, || {
             let mut acc = 0.0;
             for (rs, cs) in &serial_scales {
-                acc += serial.run_scaled(tree, tech, &asg, Some((rs, cs)), &opts).latency_ps();
+                acc += serial.run_scaled(tree, tech, &asg, Some((rs, cs))).latency_ps();
             }
             acc
         });
@@ -125,7 +124,7 @@ fn measure(tree: &ClockTree, tech: &Technology, sinks: usize, reps: usize) -> Ro
         time_once(&mut corner_serial_s, || {
             corners
                 .iter()
-                .map(|&cr| analyze_at_corner(tree, tech, &asg, cr, &opts).latency_ps())
+                .map(|&cr| analyze_at_corner(tree, tech, &asg, cr).latency_ps())
                 .sum::<f64>()
         });
         time_once(&mut corner_batch_s, || {

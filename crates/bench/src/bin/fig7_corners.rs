@@ -13,7 +13,7 @@ use snr_core::{NdrOptimizer, OptContext, SmartNdr};
 use snr_netlist::BenchmarkSpec;
 use snr_power::{evaluate_at_corner, PowerModel};
 use snr_tech::{Corner, Technology};
-use snr_timing::{analyze_at_corner, AnalysisOptions};
+use snr_timing::analyze_at_corner;
 
 fn main() {
     banner(
@@ -39,7 +39,7 @@ fn main() {
     ]);
     for (name, asg) in &cases {
         for corner in [Corner::fast(), Corner::typical(), Corner::slow()] {
-            let rep = analyze_at_corner(&tree, &tech, asg, corner, &AnalysisOptions::default());
+            let rep = analyze_at_corner(&tree, &tech, asg, corner);
             let power = evaluate_at_corner(&tree, &tech, asg, &model, corner);
             table.row(vec![
                 (*name).to_owned(),
@@ -64,10 +64,8 @@ fn main() {
         "flow", "network_uw", "save_vs_2w2s", "ss_skew_ps", "ff_skew_ps",
     ]);
     for (label, out) in [("nominal-only", &smart), ("corner-aware", &smart_corner)] {
-        let ss = analyze_at_corner(
-            &tree, &tech, out.assignment(), Corner::slow(), &AnalysisOptions::default());
-        let ff = analyze_at_corner(
-            &tree, &tech, out.assignment(), Corner::fast(), &AnalysisOptions::default());
+        let ss = analyze_at_corner(&tree, &tech, out.assignment(), Corner::slow());
+        let ff = analyze_at_corner(&tree, &tech, out.assignment(), Corner::fast());
         closure.row(vec![
             label.to_owned(),
             fmt(out.power().network_uw(), 1),
@@ -81,20 +79,8 @@ fn main() {
     // The headline check: at every corner, smart's skew degradation over
     // the 2W2S anchor stays within the nominal budget's proportion.
     for corner in [Corner::fast(), Corner::slow()] {
-        let anchor = analyze_at_corner(
-            &tree,
-            &tech,
-            &ctx.conservative_assignment(),
-            corner,
-            &AnalysisOptions::default(),
-        );
-        let s = analyze_at_corner(
-            &tree,
-            &tech,
-            smart.assignment(),
-            corner,
-            &AnalysisOptions::default(),
-        );
+        let anchor = analyze_at_corner(&tree, &tech, &ctx.conservative_assignment(), corner);
+        let s = analyze_at_corner(&tree, &tech, smart.assignment(), corner);
         println!(
             "{}: smart skew {:.2} ps vs anchor {:.2} ps, smart slew {:.1} vs anchor {:.1}",
             corner.name(),

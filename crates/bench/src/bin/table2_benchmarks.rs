@@ -10,7 +10,7 @@ use snr_cts::Assignment;
 use snr_geom::rmst_length;
 use snr_netlist::ispd_like_suite;
 use snr_tech::Technology;
-use snr_timing::{analyze, AnalysisOptions};
+use snr_timing::analyze;
 
 fn main() {
     banner(
@@ -27,7 +27,7 @@ fn main() {
         let tree = default_tree(&design, &tech);
         let stats = tree.stats();
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         let die_mm2 =
             (design.die().width() as f64 / 1e6) * (design.die().height() as f64 / 1e6);
         // Wirelength quality: routed wire over the sink RMST (balancing

@@ -27,7 +27,7 @@ fn main() {
         Box::new(GreedyUpgradeRepair::default()),
         Box::new(SmartNdr::default()),
         Box::new(Lagrangian::default()),
-        Box::new(StageExhaustive::default()),
+        Box::new(StageExhaustive),
         Box::new(Annealing::new(20_000, 1)),
     ];
     let mut table = Table::new(vec![

@@ -29,10 +29,14 @@ use snr_tech::RuleId;
 pub struct Annealing {
     iterations: usize,
     seed: u64,
-    t0: f64,
-    penalty_uw_per_ps: f64,
     budget: Budget,
 }
+
+/// Starting temperature, µW; geometric cooling takes it to 1 % over the run.
+const T0_UW: f64 = 20.0;
+
+/// Energy weight λ of a constraint violation, µW per ps.
+const PENALTY_UW_PER_PS: f64 = 50.0;
 
 impl Annealing {
     /// Creates an annealer with `iterations` moves.
@@ -45,8 +49,6 @@ impl Annealing {
         Annealing {
             iterations,
             seed,
-            t0: 20.0,
-            penalty_uw_per_ps: 50.0,
             budget: Budget::unlimited(),
         }
     }
@@ -59,28 +61,17 @@ impl Annealing {
         self.budget = budget;
         self
     }
+}
 
-    /// Returns a copy with a different starting temperature (µW scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t0` is not positive.
-    pub fn with_t0(mut self, t0: f64) -> Self {
-        assert!(t0.is_finite() && t0 > 0.0, "temperature {t0} must be positive");
-        self.t0 = t0;
-        self
-    }
-
-    /// Energy and feasibility of a candidate evaluation at network power
-    /// `network_uw`: `power + λ · violation`, feasible iff every constraint
-    /// holds *and* the violation measure is zero.
-    fn energy_of(&self, ctx: &OptContext<'_>, eval: &crate::CandidateEval, network_uw: f64) -> (f64, bool) {
-        let violation = ctx
-            .constraints()
-            .violation_ps_of(eval.worst_slew_ps, eval.skew_ps);
-        let feasible = violation <= 0.0 && eval.feasible;
-        (network_uw + self.penalty_uw_per_ps * violation, feasible)
-    }
+/// Energy and feasibility of a candidate evaluation at network power
+/// `network_uw`: `power + λ · violation`, feasible iff every constraint
+/// holds *and* the violation measure is zero.
+fn energy_of(ctx: &OptContext<'_>, eval: &crate::CandidateEval, network_uw: f64) -> (f64, bool) {
+    let violation = ctx
+        .constraints()
+        .violation_ps_of(eval.worst_slew_ps, eval.skew_ps);
+    let feasible = violation <= 0.0 && eval.feasible;
+    (network_uw + PENALTY_UW_PER_PS * violation, feasible)
 }
 
 impl NdrOptimizer for Annealing {
@@ -108,7 +99,7 @@ impl NdrOptimizer for Annealing {
 
         let mut session = ctx.session();
         let (mut cur_energy, start_feasible) =
-            self.energy_of(ctx, &session.committed_eval(), session.network_uw());
+            energy_of(ctx, &session.committed_eval(), session.network_uw());
         let mut best_feasible = start_feasible.then(|| (cur_energy, session.assignment().clone()));
 
         for i in 0..self.iterations {
@@ -117,7 +108,7 @@ impl NdrOptimizer for Annealing {
             }
             // Geometric cooling to ~1% of T0.
             let progress = i as f64 / self.iterations as f64;
-            let temp = self.t0 * (0.01f64).powf(progress);
+            let temp = T0_UW * (0.01f64).powf(progress);
 
             let e = edges[rng.gen_range(0..edges.len())];
             let old_rule = session.rule(e);
@@ -127,7 +118,7 @@ impl NdrOptimizer for Annealing {
             }
             let eval = session.try_edge(e, new_rule);
             let (new_energy, feasible) =
-                self.energy_of(ctx, &eval, session.network_uw() + eval.power_delta_uw);
+                energy_of(ctx, &eval, session.network_uw() + eval.power_delta_uw);
             let accept = new_energy <= cur_energy
                 || rng.gen_bool(((cur_energy - new_energy) / temp).exp().clamp(0.0, 1.0));
             if accept {

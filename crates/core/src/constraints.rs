@@ -2,7 +2,7 @@
 
 use snr_cts::{Assignment, ClockTree};
 use snr_tech::Technology;
-use snr_timing::{AnalysisOptions, Analyzer, TimingReport};
+use snr_timing::{Analyzer, TimingReport};
 use std::fmt;
 
 /// The slew/skew envelope an assignment must stay inside.
@@ -140,7 +140,7 @@ impl Constraints {
             "slew margin {slew_margin} must be >= 1"
         );
         let base = Assignment::uniform(tree, tech.rules().most_conservative_id());
-        let report = Analyzer::new().run(tree, tech, &base, &AnalysisOptions::default());
+        let report = Analyzer::new().run(tree, tech, &base);
         Constraints::absolute(
             slew_margin * report.max_slew_ps(),
             report.skew_ps() + skew_budget_ps,
@@ -211,7 +211,7 @@ mod tests {
         let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
         let c = Constraints::relative(&tree, &tech, 1.05, 20.0);
         let base = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let report = Analyzer::new().run(&tree, &tech, &base, &AnalysisOptions::default());
+        let report = Analyzer::new().run(&tree, &tech, &base);
         assert!(c.met_by(&report));
         assert_eq!(c.violation_ps(&report), 0.0);
     }
@@ -224,7 +224,7 @@ mod tests {
         // Impossible limits: everything violates.
         let c = Constraints::absolute(1.0, 0.001);
         let base = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let report = Analyzer::new().run(&tree, &tech, &base, &AnalysisOptions::default());
+        let report = Analyzer::new().run(&tree, &tech, &base);
         assert!(!c.met_by(&report));
         assert!(c.violation_ps(&report) > 0.0);
     }

@@ -5,7 +5,7 @@ use snr_cts::{Assignment, ClockTree, NodeId, NodeKind};
 use snr_netlist::TimingArc;
 use snr_power::{evaluate, PowerModel, PowerReport};
 use snr_tech::{Corner, Technology};
-use snr_timing::{AnalysisOptions, Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
+use snr_timing::{Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
 use std::cell::{OnceCell, RefCell};
 use std::time::Duration;
 
@@ -244,7 +244,7 @@ impl<'a> OptContext<'a> {
     /// Runs timing analysis of `assignment` (reusing shared scratch
     /// buffers).
     pub fn analyze(&self, assignment: &Assignment) -> TimingReport {
-        self.analyzer.borrow_mut().run(self.tree, self.tech, assignment, &AnalysisOptions::default())
+        self.analyzer.borrow_mut().run(self.tree, self.tech, assignment)
     }
 
     /// Evaluates the power of `assignment`.

@@ -33,34 +33,24 @@ use snr_cts::{Assignment, NodeId};
 ///
 /// ```
 /// use snr_core::GreedyDowngrade;
-/// let g = GreedyDowngrade::default().with_max_passes(2);
+/// let g = GreedyDowngrade::default();
 /// assert_eq!(snr_core::NdrOptimizer::name(&g), "smart-greedy");
 /// ```
 #[derive(Debug, Clone)]
 pub struct GreedyDowngrade {
-    max_passes: usize,
     budget: Budget,
 }
 
+/// Per-edge refinement passes run at most (each stops early at a fixed
+/// point).
+const MAX_PASSES: usize = 4;
+
 impl GreedyDowngrade {
-    /// Creates the optimizer with the default pass limit (4) under an
-    /// unlimited budget.
+    /// Creates the optimizer under an unlimited budget.
     pub fn new() -> Self {
         GreedyDowngrade {
-            max_passes: 4,
             budget: Budget::unlimited(),
         }
-    }
-
-    /// Returns a copy with a different pass limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_passes` is zero.
-    pub fn with_max_passes(mut self, max_passes: usize) -> Self {
-        assert!(max_passes > 0, "need at least one pass");
-        self.max_passes = max_passes;
-        self
     }
 
     /// Returns a copy bounded by `budget`. Phases: `"greedy-levels"` ticks
@@ -197,7 +187,7 @@ impl GreedyDowngrade {
         }
 
         // Phase 2: per-edge refinement passes.
-        'passes: for _pass in 0..self.max_passes {
+        'passes: for _pass in 0..MAX_PASSES {
             // Order edges by their best possible remaining gain, descending.
             let order = Self::phase2_order(ctx, session);
             let mut accepted = 0usize;
@@ -310,12 +300,7 @@ mod tests {
         // Limits exactly at the conservative baseline: every downgrade
         // raises slew/skew, so nothing can move.
         let base = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = snr_timing::analyze(
-            &tree,
-            &tech,
-            &base,
-            &snr_timing::AnalysisOptions::default(),
-        );
+        let rep = snr_timing::analyze(&tree, &tech, &base);
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0)).with_constraints(
             Constraints::absolute(rep.max_slew_ps() + 1e-9, rep.skew_ps().max(1e-6) + 1e-9),
         );

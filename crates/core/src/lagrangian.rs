@@ -41,17 +41,19 @@ const LN9: f64 = 2.197_224_577_336_219_6;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lagrangian {
-    rounds: usize,
-    step_ff_per_ps: f64,
     budget: Budget,
 }
 
+/// Subgradient rounds per run.
+const ROUNDS: usize = 30;
+
+/// Subgradient step: fF of dual weight per ps of violation.
+const STEP_FF_PER_PS: f64 = 2.0;
+
 impl Lagrangian {
-    /// Creates the optimizer with the default round count (30).
+    /// Creates the optimizer under an unlimited budget.
     pub fn new() -> Self {
         Lagrangian {
-            rounds: 30,
-            step_ff_per_ps: 2.0,
             budget: Budget::unlimited(),
         }
     }
@@ -61,29 +63,6 @@ impl Lagrangian {
     /// final [`GreedyDowngrade`] polish, whose phases report separately.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Returns a copy with a different round count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is zero.
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        assert!(rounds > 0, "need at least one round");
-        self.rounds = rounds;
-        self
-    }
-
-    /// Returns a copy with a different subgradient step (fF of dual weight
-    /// per ps of violation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not positive.
-    pub fn with_step(mut self, step: f64) -> Self {
-        assert!(step.is_finite() && step > 0.0, "step {step} must be positive");
-        self.step_ff_per_ps = step;
         self
     }
 }
@@ -211,7 +190,7 @@ impl NdrOptimizer for Lagrangian {
         let mut sink_dual = vec![0.0f64; n];
         let mut slew_dual = vec![0.0f64; n];
 
-        for _round in 0..self.rounds {
+        for _round in 0..ROUNDS {
             if !meter.tick() {
                 break;
             }
@@ -237,7 +216,7 @@ impl NdrOptimizer for Lagrangian {
             for &s in &sinks {
                 let a = report.arrival_ps(s);
                 let push = (a - hi).max(0.0) - (lo - a).max(0.0);
-                sink_dual[s.0] = (sink_dual[s.0] + self.step_ff_per_ps * push).clamp(-50.0, 50.0);
+                sink_dual[s.0] = (sink_dual[s.0] + STEP_FF_PER_PS * push).clamp(-50.0, 50.0);
             }
             for node in tree.nodes() {
                 let checked = (node.kind().is_sink() || node.kind().is_buffer())
@@ -247,7 +226,7 @@ impl NdrOptimizer for Lagrangian {
                 }
                 let excess = report.slew_ps(node.id()) - constraints.slew_limit_ps();
                 slew_dual[node.id().0] =
-                    (slew_dual[node.id().0] + self.step_ff_per_ps * excess).max(0.0);
+                    (slew_dual[node.id().0] + STEP_FF_PER_PS * excess).max(0.0);
             }
 
             // Separable per-edge re-choice against the frozen environment.
@@ -365,13 +344,5 @@ mod tests {
         let a = Lagrangian::default().assign(&ctx);
         let b = Lagrangian::default().assign(&ctx);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn builder_validation() {
-        assert!(std::panic::catch_unwind(|| Lagrangian::default().with_rounds(0)).is_err());
-        assert!(std::panic::catch_unwind(|| Lagrangian::default().with_step(-1.0)).is_err());
-        let l = Lagrangian::default().with_rounds(5).with_step(1.0);
-        assert_eq!(l.rounds, 5);
     }
 }

@@ -10,7 +10,7 @@ use crate::{Constraints, OptContext};
 use snr_cts::{Assignment, ClockTree, NodeKind};
 use snr_power::{evaluate, PowerModel, PowerReport};
 use snr_tech::Technology;
-use snr_timing::{analyze, AnalysisOptions};
+use snr_timing::analyze;
 
 /// The result of a downsizing pass.
 #[derive(Debug, Clone)]
@@ -65,9 +65,8 @@ pub fn downsize_buffers(
     constraints: Constraints,
     power_model: PowerModel,
 ) -> Option<ResizeOutcome> {
-    let opts = AnalysisOptions::default();
     let mut current = tree.clone();
-    if !constraints.met_by(&analyze(&current, tech, assignment, &opts)) {
+    if !constraints.met_by(&analyze(&current, tech, assignment)) {
         return None; // nothing to preserve — refuse to "improve" a violator
     }
     let buffers = current.buffer_nodes();
@@ -84,7 +83,7 @@ pub fn downsize_buffers(
             }
             let candidate =
                 current.with_remapped_buffers(|id, c| if id == b { cell - 1 } else { c });
-            if constraints.met_by(&analyze(&candidate, tech, assignment, &opts)) {
+            if constraints.met_by(&analyze(&candidate, tech, assignment)) {
                 current = candidate;
                 changed += 1;
             }
@@ -206,7 +205,7 @@ mod tests {
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
         let asg = ctx.conservative_assignment();
         if let Some(out) = downsize_in_context(&ctx, &asg) {
-            let rep = analyze(&out.tree, &tech, &asg, &AnalysisOptions::default());
+            let rep = analyze(&out.tree, &tech, &asg);
             assert!(ctx.constraints().met_by(&rep));
         }
     }

@@ -39,18 +39,6 @@ impl SmartNdr {
         SmartNdr::default()
     }
 
-    /// Returns a copy with a custom downgrade construction.
-    pub fn with_downgrade(mut self, downgrade: GreedyDowngrade) -> Self {
-        self.downgrade = downgrade;
-        self
-    }
-
-    /// Returns a copy with a custom upgrade-repair construction.
-    pub fn with_upgrade(mut self, upgrade: GreedyUpgradeRepair) -> Self {
-        self.upgrade = upgrade;
-        self
-    }
-
     /// Returns a copy with both constructions bounded by `budget`.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.downgrade = self.downgrade.with_budget(budget.clone());

@@ -15,35 +15,14 @@ use snr_cts::{Assignment, NodeId};
 /// block-coordinate solution possible — the ablation compares
 /// [`crate::GreedyDowngrade`] against it to show how little the one-pass
 /// heuristic gives up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageExhaustive {
-    max_stage_edges: usize,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StageExhaustive;
+
+/// Stage-size limit of the enumeration: 4 rules ⇒ ≤ ~10⁶ leaves before
+/// pruning.
+const MAX_STAGE_EDGES: usize = 10;
 
 impl StageExhaustive {
-    /// Creates the optimizer with the default stage-size limit (10 edges;
-    /// 4 rules ⇒ ≤ ~10⁶ leaves before pruning).
-    pub fn new() -> Self {
-        StageExhaustive {
-            max_stage_edges: 10,
-        }
-    }
-
-    /// Returns a copy with a different stage-size limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_stage_edges` is zero or above 14 (4¹⁴ ≈ 2.7·10⁸
-    /// leaves makes full-tree feasibility checks impractical).
-    pub fn with_max_stage_edges(mut self, max_stage_edges: usize) -> Self {
-        assert!(
-            (1..=14).contains(&max_stage_edges),
-            "stage-size limit {max_stage_edges} outside 1..=14"
-        );
-        self.max_stage_edges = max_stage_edges;
-        self
-    }
-
     /// Edge ids of the stage rooted at `source` (edges below `source` down
     /// to and including the edges into buffers/sinks).
     fn stage_edges(ctx: &OptContext<'_>, source: NodeId) -> Vec<NodeId> {
@@ -57,12 +36,6 @@ impl StageExhaustive {
             }
         }
         edges
-    }
-}
-
-impl Default for StageExhaustive {
-    fn default() -> Self {
-        StageExhaustive::new()
     }
 }
 
@@ -91,7 +64,7 @@ impl NdrOptimizer for StageExhaustive {
 
         for source in sources {
             let edges = Self::stage_edges(ctx, source);
-            if edges.is_empty() || edges.len() > self.max_stage_edges {
+            if edges.is_empty() || edges.len() > MAX_STAGE_EDGES {
                 continue; // oversized stages stay conservative
             }
             // Cheapest-possible remaining capacitance per suffix, for the
@@ -213,7 +186,7 @@ mod tests {
     fn feasible_and_never_worse_than_conservative() {
         let (tree, tech) = fixture(60);
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
-        let out = StageExhaustive::default().optimize(&ctx);
+        let out = StageExhaustive.optimize(&ctx);
         let base = ctx.conservative_baseline();
         assert!(out.meets_constraints());
         assert!(out.power().network_uw() <= base.power().network_uw() + 1e-9);
@@ -226,25 +199,12 @@ mod tests {
         // independently; greedy trades slack globally).
         let (tree, tech) = fixture(60);
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
-        let exact = StageExhaustive::default().optimize(&ctx);
+        let exact = StageExhaustive.optimize(&ctx);
         let greedy = GreedyDowngrade::default().optimize(&ctx);
         let ratio = exact.power().network_uw() / greedy.power().network_uw();
         assert!(
             (0.8..=1.25).contains(&ratio),
             "stage-exact / greedy power ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn stage_size_limit_validated() {
-        let _ = StageExhaustive::default().with_max_stage_edges(12);
-        assert!(
-            std::panic::catch_unwind(|| StageExhaustive::default().with_max_stage_edges(0))
-                .is_err()
-        );
-        assert!(
-            std::panic::catch_unwind(|| StageExhaustive::default().with_max_stage_edges(15))
-                .is_err()
         );
     }
 }

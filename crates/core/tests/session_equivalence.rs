@@ -44,9 +44,16 @@ fn arb_design() -> impl Strategy<Value = Design> {
     })
 }
 
+/// Feasibility verdicts of the probes one walk evaluated.
+#[derive(Debug, Default)]
+struct Verdicts {
+    feasible: usize,
+    infeasible: usize,
+}
+
 /// Drives both sessions through the same random move sequence and checks
-/// they agree at every step. Returns the final assignments for a last
-/// end-to-end comparison.
+/// they agree at every step, then compares the final assignments and
+/// reports end to end. Returns how the probes were judged.
 fn drive(
     tree: &ClockTree,
     tech: &Technology,
@@ -54,10 +61,11 @@ fn drive(
     oracle: &mut EvalSession<'_, '_>,
     steps: usize,
     seed: u64,
-) -> Result<(), TestCaseError> {
+) -> Result<Verdicts, TestCaseError> {
+    let mut verdicts = Verdicts::default();
     let edges: Vec<NodeId> = tree.edges().collect();
     if edges.is_empty() {
-        return Ok(());
+        return Ok(verdicts);
     }
     let n_rules = tech.rules().len();
     let mut rng = SplitMix(seed | 1);
@@ -80,6 +88,11 @@ fn drive(
             a,
             b
         );
+        if a.feasible {
+            verdicts.feasible += 1;
+        } else {
+            verdicts.infeasible += 1;
+        }
         prop_assert!(
             (a.worst_slew_ps - b.worst_slew_ps).abs() < TIMING_TOL_PS,
             "slew diverged at step {}: {} vs {}",
@@ -138,7 +151,7 @@ fn drive(
             && (ra.latency_ps() - rb.latency_ps()).abs() < TIMING_TOL_PS
     };
     prop_assert!(reports_match, "final reports diverged");
-    Ok(())
+    Ok(verdicts)
 }
 
 fn random_start(tree: &ClockTree, tech: &Technology, seed: u64) -> Assignment {
@@ -148,6 +161,46 @@ fn random_start(tree: &ClockTree, tech: &Technology, seed: u64) -> Assignment {
         asg.set(e, RuleId(rng.below(tech.rules().len())));
     }
     asg
+}
+
+/// Total routing-track cost of `asg`, as `OptContext::meets` sums it.
+fn track_cost_um(tree: &ClockTree, tech: &Technology, asg: &Assignment) -> f64 {
+    let rules = tech.rules();
+    tree.edges()
+        .map(|e| rules.rule(asg.rule(e)).track_cost() * tree.node(e).edge_len_nm() as f64 / 1_000.0)
+        .sum()
+}
+
+/// Largest EM current density of `asg` over the edges `OptContext::meets`
+/// checks, mA per µm of drawn width.
+fn max_em_ma_per_um(ctx: &OptContext<'_>, asg: &Assignment) -> f64 {
+    let (tree, tech) = (ctx.tree(), ctx.tech());
+    let report = ctx.analyze(asg);
+    let (vdd, f) = (tech.vdd_v(), ctx.power_model().freq_ghz());
+    let width_min_um = tech.clock_layer().width_min_um();
+    tree.edges()
+        .filter(|&e| tree.node(e).edge_len_nm() > 0)
+        .map(|e| {
+            let i_ma = report.stage_load_ff(e) * vdd * f / 1_000.0;
+            i_ma / (tech.rules().rule(asg.rule(e)).width_mult() * width_min_um)
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Midway between the largest aggressor coupling `asg` uses and the next
+/// larger one the rule menu offers, fF/µm: every rule `asg` uses passes,
+/// every noisier one fails.
+fn noise_limit_above(tree: &ClockTree, tech: &Technology, asg: &Assignment) -> f64 {
+    let layer = tech.clock_layer();
+    let coupling = |rid: RuleId| layer.unit_c_aggressor(tech.rules().rule(rid));
+    let used = tree.edges().map(|e| coupling(asg.rule(e))).fold(0.0, f64::max);
+    let next = tech
+        .rules()
+        .iter()
+        .map(|(rid, _)| coupling(rid))
+        .filter(|&c| c > used)
+        .fold(f64::INFINITY, f64::min);
+    (used + next) / 2.0
 }
 
 proptest! {
@@ -255,6 +308,71 @@ proptest! {
         let mut inc = inc_ctx.session();
         let mut full = full_ctx.session();
         drive(&tree, &tech, &mut inc, &mut full, 80, seed)?;
+    }
+
+    /// Track-budget, EM and noise limits, one kind per case: the session
+    /// re-implements these checks of `OptContext::meets`. Each limit is set
+    /// from a feasible start so that some probes pass and others fail:
+    ///
+    /// - track: the budget is a random start's own track cost;
+    /// - EM: the limit is the conservative start's worst current density,
+    ///   so narrowing a loaded edge or loading the worst one fails;
+    /// - noise: the limit lies between the conservative rule's coupling
+    ///   and the next larger one, so the 1S rules fail.
+    ///
+    /// `drive` commits infeasible states, and a committed noise violation
+    /// rarely gets repaired, so each case walks eight short walks from the
+    /// start. The probes across them must include feasible and infeasible
+    /// ones, so the compared verdicts are never all alike.
+    #[test]
+    fn incremental_matches_oracle_with_track_em_and_noise_limits(
+        design in arb_design(),
+        kind in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let tech = Technology::n45();
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+        prop_assume!(tree.edges().filter(|&e| tree.node(e).edge_len_nm() > 0).count() >= 3);
+        let power = PowerModel::new(design.freq_ghz());
+        let timing_free = Constraints::absolute(1e9, 1e9);
+        let conservative = Assignment::uniform(&tree, tech.rules().most_conservative_id());
+        let (constraints, start) = match kind {
+            0 => {
+                let start = random_start(&tree, &tech, seed);
+                (timing_free.with_track_budget_um(track_cost_um(&tree, &tech, &start)), start)
+            }
+            1 => {
+                let ctx = OptContext::new(&tree, &tech, power);
+                let limit = max_em_ma_per_um(&ctx, &conservative);
+                (timing_free.with_em_limit(limit), conservative)
+            }
+            _ => {
+                let limit = noise_limit_above(&tree, &tech, &conservative);
+                (timing_free.with_noise_limit(limit), conservative)
+            }
+        };
+        let inc_ctx = OptContext::new(&tree, &tech, power)
+            .with_constraints(constraints)
+            .with_eval_mode(EvalMode::Incremental);
+        let full_ctx = OptContext::new(&tree, &tech, power)
+            .with_constraints(constraints)
+            .with_eval_mode(EvalMode::FullReanalysis);
+        let mut seen = Verdicts::default();
+        for walk in 1..=8u64 {
+            let mut inc = inc_ctx.session_from(start.clone());
+            let mut full = full_ctx.session_from(start.clone());
+            prop_assert!(inc.feasible() && full.feasible(), "the start must be feasible");
+            let walk_seed = seed ^ walk.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let v = drive(&tree, &tech, &mut inc, &mut full, 20, walk_seed)?;
+            seen.feasible += v.feasible;
+            seen.infeasible += v.infeasible;
+        }
+        prop_assert!(
+            seen.feasible > 0 && seen.infeasible > 0,
+            "limit kind {} judged every probe alike: {:?}",
+            kind,
+            seen
+        );
     }
 
     /// Optimizers produce identical results in both modes — the API

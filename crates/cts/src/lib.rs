@@ -4,11 +4,11 @@
 //! the commercial CTS flow used in the DAC-2013 study:
 //!
 //! 1. **Topology**: recursive nearest-neighbour pairing of sinks
-//!    ([`topology`]).
+//!    ([`nearest_neighbor_topology`]).
 //! 2. **Embedding**: Deferred-Merge Embedding with exact Elmore balancing —
-//!    the classic zero-skew-tree algorithm ([`dme`]).
+//!    the classic zero-skew-tree algorithm ([`build_buffered_tree`]).
 //! 3. **Buffering**: level-synchronized buffer insertion driven by a
-//!    stage-capacitance limit ([`buffering`]).
+//!    stage-capacitance limit ([`insert_buffers`]).
 //!
 //! The output is a [`ClockTree`], the structure every downstream crate
 //! (timing, power, variation, the NDR optimizer) consumes, together with an

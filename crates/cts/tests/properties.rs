@@ -8,7 +8,7 @@ use snr_cts::{
 use snr_geom::{Point, Rect};
 use snr_netlist::{BenchmarkSpec, Design};
 use snr_tech::Technology;
-use snr_timing::{analyze, AnalysisOptions};
+use snr_timing::analyze;
 
 fn arb_design() -> impl Strategy<Value = Design> {
     (2usize..100, 0u64..500, 1usize..5, 0.0f64..=1.0).prop_map(|(n, seed, clusters, bg)| {
@@ -38,7 +38,7 @@ proptest! {
             prop_assert!(tree.node(tree.root()).kind().is_buffer());
         }
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         prop_assert!(rep.skew_ps() < 1.0, "skew {} ps", rep.skew_ps());
     }
 
@@ -55,7 +55,7 @@ proptest! {
         };
         let tree = build_unbuffered_tree(&design, &tech, &opts, &plan).unwrap();
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         prop_assert!(rep.skew_ps() < 0.5, "skew {} ps", rep.skew_ps());
     }
 

@@ -80,12 +80,6 @@ impl Trr {
         self.vhi
     }
 
-    /// Whether the region is a single point (up to `eps`).
-    pub fn is_point(&self) -> bool {
-        const EPS: f64 = 1e-9;
-        (self.uhi - self.ulo) <= EPS && (self.vhi - self.vlo) <= EPS
-    }
-
     /// Whether the region is degenerate in at least one rotated axis, i.e.
     /// a ±1-slope segment (or a point) in design coordinates.
     pub fn is_segment(&self) -> bool {

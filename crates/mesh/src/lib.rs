@@ -108,10 +108,6 @@ impl MeshSpec {
 pub struct ClockMesh {
     spec: MeshSpec,
     grid: ResistiveGrid,
-    /// Node x coordinates (nm), by column.
-    xs: Vec<i64>,
-    /// Node y coordinates (nm), by row.
-    ys: Vec<i64>,
     /// Total mesh wirelength, µm.
     mesh_wire_um: f64,
     /// Total stub wirelength, µm.
@@ -193,8 +189,6 @@ impl ClockMesh {
         ClockMesh {
             spec,
             grid,
-            xs,
-            ys,
             mesh_wire_um,
             stub_wire_um,
             taps,
@@ -215,11 +209,6 @@ impl ClockMesh {
     /// Total stub wirelength in µm.
     pub fn stub_wire_um(&self) -> f64 {
         self.stub_wire_um
-    }
-
-    /// Grid node coordinates (for rendering/tests).
-    pub fn node_location(&self, r: usize, c: usize) -> Point {
-        Point::new(self.xs[c], self.ys[r])
     }
 
     /// First-order electrical analysis of the mesh.

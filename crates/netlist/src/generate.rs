@@ -5,7 +5,7 @@
 //! dimensions, pin-capacitance range and the *clustered* placement produced
 //! by register banks — while remaining exactly reproducible from a seed.
 
-use crate::{Design, NetlistError, Sink, SinkId};
+use crate::{Design, ImportLimits, NetlistError, Sink, SinkId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snr_geom::{Point, Rect};
@@ -118,10 +118,15 @@ impl BenchmarkSpec {
     /// # Errors
     ///
     /// Returns [`NetlistError`] when the spec is inconsistent (zero sinks,
-    /// inverted capacitance range, non-positive die).
+    /// more sinks than the importer's [`ImportLimits::max_records`], which
+    /// bounds what is allocated, inverted capacitance range, non-positive die).
     pub fn build(&self) -> Result<Design, NetlistError> {
         if self.sink_count == 0 {
             return Err(NetlistError::new("benchmark needs at least one sink"));
+        }
+        let max = ImportLimits::default().max_records;
+        if self.sink_count > max {
+            return Err(NetlistError::new(format!("benchmark needs at most {max} sinks")));
         }
         if !(self.cap_lo_ff > 0.0 && self.cap_hi_ff >= self.cap_lo_ff) {
             return Err(NetlistError::new(format!(
@@ -259,6 +264,14 @@ mod tests {
         let a = BenchmarkSpec::new("t", 100).seed(9).build().unwrap();
         let b = BenchmarkSpec::new("t", 100).seed(10).build().unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn sink_count_above_the_record_ceiling_is_rejected() {
+        let max = ImportLimits::default().max_records;
+        let err = BenchmarkSpec::new("t", max + 1).build().unwrap_err();
+        assert!(err.to_string().contains("at most 1000000 sinks"), "{err}");
+        assert!(BenchmarkSpec::new("t", usize::MAX).build().is_err());
     }
 
     #[test]

@@ -466,14 +466,6 @@ impl RawDesign {
         diags
     }
 
-    /// Whether [`RawDesign::validate`] yields no `Error`-severity findings.
-    pub fn is_loadable(&self, bounds: &Bounds) -> bool {
-        !self
-            .validate(bounds)
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
-
     fn die_rect(&self) -> Option<Rect> {
         let (x0, y0, x1, y1) = self.die;
         if !(x0.is_finite() && y0.is_finite() && x1.is_finite() && y1.is_finite()) {

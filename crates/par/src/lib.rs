@@ -23,18 +23,18 @@
 //!
 //! * [`Parallelism`] — a `n_jobs` knob; `1` selects an exact serial path
 //!   that never spawns a thread.
-//! * [`par_map`] / [`par_map_with`] / [`par_map_n`] / [`par_for_each`] —
-//!   chunk-free dynamic fan-out over a slice (or index range) with
-//!   results reassembled in input order. `par_map_with` gives each worker
-//!   its own mutable state (an analyzer, scratch buffers) built once per
-//!   worker.
+//! * [`par_map`] — chunk-free dynamic fan-out over a slice with results
+//!   reassembled in input order.
+//! * [`try_par_map_n`] — the same over an index range, with per-worker
+//!   mutable state (an analyzer, scratch buffers) built once per worker
+//!   and cooperative cancellation.
 //! * [`CancelToken`] / [`Deadline`] — cooperative cancellation: a shared
 //!   flag (optionally armed with a wall-clock deadline) that
-//!   [`try_par_map`] / [`try_par_map_n`] check at every work-claim
-//!   boundary, so a fired token *drains* workers deterministically
-//!   (everyone joins, partial work is discarded, the call returns
-//!   [`Cancelled`]) instead of abandoning threads mid-flight. Long
-//!   worker bodies can poll [`CancelToken::check`] themselves.
+//!   [`try_par_map_n`] checks at every work-claim boundary, so a fired
+//!   token *drains* workers deterministically (everyone joins, partial
+//!   work is discarded, the call returns [`Cancelled`]) instead of
+//!   abandoning threads mid-flight. Long worker bodies can poll
+//!   [`CancelToken::check`] themselves.
 //! * [`splitmix64`] — the stateless seed-derivation hash behind
 //!   per-sample RNG streams (`seed ^ splitmix64(index)`), which is what
 //!   makes Monte-Carlo sampling order-independent.
@@ -144,7 +144,7 @@ pub fn splitmix64(x: u64) -> u64 {
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
 
-/// Error returned by the `try_*` primitives when their [`CancelToken`]
+/// Error returned by [`try_par_map_n`] when its [`CancelToken`]
 /// fired before all items completed. Partial work is discarded; workers
 /// were drained (joined), never abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,8 +196,8 @@ struct CancelInner {
 /// a wall-clock [`Deadline`].
 ///
 /// All clones share one flag: [`cancel`](Self::cancel) on any clone is
-/// observed by every holder. The `try_*` map primitives poll the token at
-/// each work-claim boundary; long-running worker bodies can additionally
+/// observed by every holder. [`try_par_map_n`] polls the token at each
+/// work-claim boundary; long-running worker bodies can additionally
 /// poll [`check`](Self::check) at their own safe points.
 ///
 /// The default token never fires.
@@ -279,19 +279,9 @@ where
     par_map_with(par, items, |_| (), |(), i, item| f(i, item))
 }
 
-/// Like [`par_map`] but with per-worker mutable state.
-///
-/// `init(worker_index)` runs once on each worker (worker 0 is the calling
-/// thread on the serial path) to build scratch state — an analyzer, cloned
-/// engines, reusable buffers; `f(&mut state, index, &item)` then runs for
-/// each item the worker pulls. The determinism contract requires `f`'s
-/// result to be a function of `(index, item)` alone: state must be
-/// scratch, not an accumulator.
-///
-/// # Panics
-///
-/// Same panic propagation as [`par_map`].
-pub fn par_map_with<S, T, U, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<U>
+/// [`par_map`] with per-worker state built by `init` (see
+/// [`try_par_map_n`]).
+fn par_map_with<S, T, U, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -304,12 +294,21 @@ where
     }
 }
 
-/// Cancellable [`par_map`]: the token is polled at every work-claim
-/// boundary (and between items on the serial path). Once it fires, no new
-/// item is started, every worker drains and joins, the partial results are
-/// discarded and the call returns `Err(Cancelled)`.
+/// Maps `f` over the index range `0..n` with per-worker state, returning
+/// results in index order, and polls `token` at every work-claim boundary.
 ///
-/// A token that never fires makes this identical to [`par_map`].
+/// `init(worker_index)` runs once on each worker (worker 0 is the calling
+/// thread on the serial path) to build scratch state — an analyzer, cloned
+/// engines, reusable buffers; `f(&mut state, index)` then runs for each
+/// index the worker pulls. The determinism contract requires `f`'s result
+/// to be a function of `index` alone: state must be scratch, not an
+/// accumulator.
+///
+/// The token is polled at every work-claim boundary (and between items on
+/// the serial path). Once it fires, no new item is started, every worker
+/// drains and joins, the partial results are discarded and the call
+/// returns `Err(Cancelled)`. A token that never fires makes the result
+/// identical to a serial map.
 ///
 /// # Errors
 ///
@@ -322,31 +321,6 @@ where
 ///
 /// Same panic propagation as [`par_map`]; a panic takes precedence over
 /// cancellation.
-pub fn try_par_map<T, U, F>(
-    par: Parallelism,
-    items: &[T],
-    token: &CancelToken,
-    f: F,
-) -> Result<Vec<U>, Cancelled>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_core(par, items, Some(token), |_| (), |(), i, item| f(i, item))
-}
-
-/// Cancellable [`par_map_n`]: maps `f` over `0..n` with per-worker state,
-/// polling `token` at every work-claim boundary.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fired before all items completed
-/// (see [`try_par_map`]).
-///
-/// # Panics
-///
-/// Same panic propagation as [`par_map`].
 pub fn try_par_map_n<S, U, I, F>(
     par: Parallelism,
     n: usize,
@@ -471,32 +445,6 @@ struct WorkerOutcome<U> {
     panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
 }
 
-/// Maps `f` over the index range `0..n` with per-worker state — the
-/// slice-free form of [`par_map_with`] for sample-count workloads.
-///
-/// # Panics
-///
-/// Same panic propagation as [`par_map`].
-pub fn par_map_n<S, U, I, F>(par: Parallelism, n: usize, init: I, f: F) -> Vec<U>
-where
-    U: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> U + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map_with(par, &indices, init, |state, _, &i| f(state, i))
-}
-
-/// Runs `f` for every item, discarding results. Same scheduling and panic
-/// behaviour as [`par_map`].
-pub fn par_for_each<T, F>(par: Parallelism, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    par_map(par, items, |i, item| f(i, item));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,40 +492,24 @@ mod tests {
     #[test]
     fn map_with_state_initializes_per_worker() {
         let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..100).collect();
-        let got = par_map_with(
+        let got = try_par_map_n(
             Parallelism::new(4),
-            &items,
+            100,
+            &CancelToken::new(),
             |_w| {
                 inits.fetch_add(1, Ordering::Relaxed);
                 Vec::<u8>::with_capacity(16) // scratch
             },
-            |scratch, i, &x| {
+            |scratch, i| {
                 scratch.clear();
-                scratch.extend_from_slice(&(x as u64).to_le_bytes());
-                i + x
+                scratch.extend_from_slice(&(i as u64).to_le_bytes());
+                2 * i
             },
-        );
-        assert_eq!(got, items.iter().map(|&x| 2 * x).collect::<Vec<_>>());
+        )
+        .expect("token never fired");
+        assert_eq!(got, (0..100).map(|i| 2 * i).collect::<Vec<_>>());
         let n = inits.load(Ordering::Relaxed);
         assert!((1..=4).contains(&n), "init ran {n} times");
-    }
-
-    #[test]
-    fn map_n_covers_range_in_order() {
-        let got = par_map_n(Parallelism::new(3), 10, |_| (), |(), i| i * i);
-        assert_eq!(got, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
-        assert!(par_map_n(Parallelism::new(3), 0, |_| (), |(), i| i).is_empty());
-    }
-
-    #[test]
-    fn for_each_visits_everything() {
-        let count = AtomicUsize::new(0);
-        let items = [1u32; 97];
-        par_for_each(Parallelism::new(5), &items, |_, &x| {
-            count.fetch_add(x as usize, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 97);
     }
 
     #[test]
@@ -630,39 +562,57 @@ mod tests {
     #[test]
     fn try_map_matches_map_when_token_never_fires() {
         let items: Vec<u64> = (0..123).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| splitmix64(x)).collect();
+        let expect = par_map(Parallelism::serial(), &items, |_, &x| splitmix64(x));
         let token = CancelToken::new();
         for jobs in [1, 4] {
-            let got = try_par_map(Parallelism::new(jobs), &items, &token, |_, &x| splitmix64(x))
-                .expect("token never fired");
+            let got = try_par_map_n(
+                Parallelism::new(jobs),
+                items.len(),
+                &token,
+                |_| (),
+                |(), i| splitmix64(i as u64),
+            )
+            .expect("token never fired");
             assert_eq!(got, expect, "jobs={jobs}");
         }
     }
 
     #[test]
     fn fired_token_drains_and_returns_cancelled() {
-        let items: Vec<u64> = (0..64).collect();
+        let n = 64;
         for jobs in [1usize, 4] {
             // Pre-cancelled: not a single item runs.
             let ran = AtomicUsize::new(0);
             let token = CancelToken::new();
             token.cancel();
-            let res = try_par_map(Parallelism::new(jobs), &items, &token, |_, &x| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                x
-            });
+            let res = try_par_map_n(
+                Parallelism::new(jobs),
+                n,
+                &token,
+                |_| (),
+                |(), i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            );
             assert_eq!(res, Err(Cancelled), "jobs={jobs}");
             assert_eq!(ran.load(Ordering::Relaxed), 0, "jobs={jobs}");
 
             // Fired mid-run: the call still returns (drains, no hang).
             let token = CancelToken::new();
-            let res = try_par_map(Parallelism::new(jobs), &items, &token, |i, &x| {
-                if i == 3 {
-                    token.cancel();
-                }
-                x
-            });
-            assert!(res.is_err() || res.as_ref().map(Vec::len) == Ok(items.len()));
+            let res = try_par_map_n(
+                Parallelism::new(jobs),
+                n,
+                &token,
+                |_| (),
+                |(), i| {
+                    if i == 3 {
+                        token.cancel();
+                    }
+                    i
+                },
+            );
+            assert!(res.is_err() || res.as_ref().map(Vec::len) == Ok(n));
         }
     }
 
@@ -672,6 +622,8 @@ mod tests {
         let got = try_par_map_n(Parallelism::new(3), 10, &token, |_| (), |(), i| i * i)
             .expect("token never fired");
         assert_eq!(got, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
+        let empty = try_par_map_n(Parallelism::new(3), 0, &token, |_| (), |(), i| i);
+        assert_eq!(empty, Ok(Vec::new()));
         token.cancel();
         assert_eq!(
             try_par_map_n(Parallelism::new(3), 10, &token, |_| (), |(), i| i),
@@ -681,16 +633,21 @@ mod tests {
 
     #[test]
     fn panic_beats_cancellation() {
-        let items: Vec<usize> = (0..16).collect();
         let token = CancelToken::new();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            try_par_map(Parallelism::new(2), &items, &token, |_, &x| {
-                if x == 0 {
-                    token.cancel();
-                    panic!("worker exploded");
-                }
-                x
-            })
+            try_par_map_n(
+                Parallelism::new(2),
+                16,
+                &token,
+                |_| (),
+                |(), i| {
+                    if i == 0 {
+                        token.cancel();
+                        panic!("worker exploded");
+                    }
+                    i
+                },
+            )
         }))
         .expect_err("panic must propagate");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();

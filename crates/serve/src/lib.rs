@@ -6,7 +6,7 @@
 //! 1. **Request** ([`request`]) — a typed, validated description of what
 //!    the caller wants ([`Request`]), parsed either from CLI flags or
 //!    from a line-delimited JSON envelope ([`Envelope`]).
-//! 2. **Plan** ([`plan`]) — a fully resolved work order ([`Plan`]): design
+//! 2. **Plan** ([`plan()`]) — a fully resolved work order ([`Plan`]): design
 //!    bytes located, technology chosen, budgets and parallelism pinned,
 //!    plus the content-hash [`CacheKey`] that names the warm parse+CTS
 //!    artifact this work depends on.

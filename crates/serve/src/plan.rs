@@ -21,7 +21,7 @@ use crate::cache::{CacheKey, ContentHasher};
 use crate::error::ApiError;
 use crate::request::{
     CacheMode, DesignSource, ExportNdrRequest, ImportRequest, LintRequest, Method,
-    ParetoRequest, Request, RunRequest, SuiteRequest, SuiteSource, TechId,
+    ParetoRequest, Request, RunRequest, SuiteRequest, SuiteSource,
 };
 
 /// Fingerprint of the CTS options a plan bakes in. There is exactly one
@@ -476,18 +476,10 @@ pub fn plan(req: &Request) -> Result<Plan, ApiError> {
     }
 }
 
-/// The `TechId` spelled in a plan's technology. Convenience for renderers.
-pub fn tech_id_of(tech: &Technology) -> TechId {
-    if tech.name() == Technology::n32().name() {
-        TechId::N32
-    } else {
-        TechId::N45
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::TechId;
 
     fn gen_req(sinks: usize, seed: u64) -> RunRequest {
         RunRequest::new(DesignSource::Generate { sinks, seed, freq_ghz: 1.0 })

@@ -19,7 +19,7 @@ use snr_pareto::{SkewAxis, SweepPoint};
 use crate::error::ApiError;
 use crate::exec::{
     Event, ExportNdrResponse, ImportResponse, LintResponse, ParetoResponse, Response,
-    RunResponse, SuiteResponse, SuiteRow,
+    RunResponse, SuiteResponse,
 };
 use crate::json::json_escape;
 
@@ -519,9 +519,4 @@ pub fn supervision_event_line(id: u64, resp: &RunResponse) -> String {
 /// store-replayed run carries.
 pub fn supervision_event_line_raw(id: u64, supervision: &str) -> String {
     format!("{{\"id\": {id}, \"event\": \"supervision\", \"supervision\": {supervision}}}")
-}
-
-/// Renders `row` exactly as `smart-ndr suite` prints it on stdout.
-pub fn suite_stdout_line(row: &SuiteRow) -> String {
-    row.stdout_line()
 }

@@ -7,7 +7,7 @@
 //! * `fF · V² = fJ` (switched capacitance is energy),
 //! * `fJ · GHz = µW` (energy per cycle at clock rate is power).
 //!
-//! Geometry is stored in integer nanometres ([`snr_geom::Point`]); electrical
+//! Geometry is stored in integer nanometres (`snr_geom::Point`); electrical
 //! models work in micrometres. The helpers here perform that conversion so
 //! that magic constants never appear at call sites.
 

@@ -5,26 +5,6 @@ use snr_cts::{Assignment, ClockTree, NodeId, TreeArena};
 use snr_tech::Technology;
 
 const LN9: f64 = 2.197_224_577_336_219_6;
-const LN2: f64 = std::f64::consts::LN_2;
-
-/// Which wire-delay metric arrival times use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DelayMetric {
-    /// First-moment (Elmore) delay: pessimistic but monotone in every edge
-    /// parasitic — the metric the optimizer constrains.
-    #[default]
-    Elmore,
-    /// Two-moment D2M metric (`ln2 · m1² / √m2`): closer to SPICE for far
-    /// sinks, used for reporting.
-    D2m,
-}
-
-/// Analysis configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AnalysisOptions {
-    /// Wire-delay metric for arrival times.
-    pub metric: DelayMetric,
-}
 
 /// A reusable analyzer holding scratch buffers.
 ///
@@ -38,23 +18,21 @@ pub struct AnalysisOptions {
 /// use snr_netlist::BenchmarkSpec;
 /// use snr_tech::Technology;
 /// use snr_cts::{synthesize, Assignment, CtsOptions};
-/// use snr_timing::{Analyzer, AnalysisOptions};
+/// use snr_timing::Analyzer;
 ///
 /// let design = BenchmarkSpec::new("demo", 32).seed(1).build()?;
 /// let tech = Technology::n45();
 /// let tree = synthesize(&design, &tech, &CtsOptions::default())?;
 /// let asg = Assignment::uniform(&tree, tech.rules().default_id());
 /// let mut analyzer = Analyzer::new();
-/// let report = analyzer.run(&tree, &tech, &asg, &AnalysisOptions::default());
+/// let report = analyzer.run(&tree, &tech, &asg);
 /// assert!(report.max_slew_ps() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct Analyzer {
     load: Vec<f64>,
-    m2b: Vec<f64>,
     wire_m1: Vec<f64>,
-    wire_m2: Vec<f64>,
     arrival: Vec<f64>,
     slew: Vec<f64>,
     src_slew: Vec<f64>,
@@ -79,9 +57,8 @@ impl Analyzer {
         tree: &ClockTree,
         tech: &Technology,
         assignment: &Assignment,
-        opts: &AnalysisOptions,
     ) -> TimingReport {
-        self.run_scaled(tree, tech, assignment, None, opts)
+        self.run_scaled(tree, tech, assignment, None)
     }
 
     /// Analyzes `tree` with per-edge parasitic scale factors — the entry
@@ -102,7 +79,6 @@ impl Analyzer {
         tech: &Technology,
         assignment: &Assignment,
         scales: Option<(&[f64], &[f64])>,
-        opts: &AnalysisOptions,
     ) -> TimingReport {
         assert_eq!(
             assignment.len(),
@@ -117,9 +93,7 @@ impl Analyzer {
 
         for v in [
             &mut self.load,
-            &mut self.m2b,
             &mut self.wire_m1,
-            &mut self.wire_m2,
             &mut self.arrival,
             &mut self.slew,
             &mut self.src_slew,
@@ -209,12 +183,6 @@ impl Analyzer {
             }
         }
 
-        // Optional D2M refinement: recompute arrivals with two-moment wire
-        // delays per stage.
-        if opts.metric == DelayMetric::D2m {
-            self.refine_d2m(arena, cells);
-        }
-
         // Aggregate.
         let sink_nodes = tree.sink_nodes();
         let mut latency = f64::MIN;
@@ -257,111 +225,6 @@ impl Analyzer {
             None => self.load[v],
         }
     }
-
-    /// Replaces within-stage Elmore wire delays in `arrival` with D2M
-    /// (`ln2 · m1² / √m2`) delays.
-    ///
-    /// The second moment of an RC tree node is
-    /// `m2(v) = Σᵢ R_shared(v,i) · Cᵢ · m1(i)`, computed exactly like Elmore
-    /// with the capacitances weighted by their own first moments.
-    fn refine_d2m(&mut self, arena: &TreeArena, cells: &[snr_tech::BufferCell]) {
-        // Pass A (postorder): B[v] = Σ_subtree-within-stage C_i · m1(i),
-        // with edge caps split half/half between endpoints.
-        for v in &mut self.m2b {
-            *v = 0.0;
-        }
-        let n = arena.len();
-        let parents = arena.parents();
-        for v in (0..n).rev() {
-            let is_buf = arena.is_buffer(v);
-            let has_parent = parents[v] != snr_cts::NO_PARENT;
-            // Node-lumped capacitance within the *parent's* stage: terminal
-            // cap, the far half of the node's own edge, and (for non-buffer
-            // nodes) the near halves of the children edges. A buffer's
-            // children edges belong to the next stage.
-            let mut lump = if arena.is_sink(v) {
-                arena.sink_cap_ff(v)
-            } else {
-                match arena.buffer_cell(v) {
-                    Some(cell) if has_parent => cells[cell].input_cap_ff(),
-                    _ => 0.0,
-                }
-            };
-            if has_parent {
-                lump += self.edge_c[v] / 2.0;
-            }
-            if !is_buf {
-                for &ch in arena.children(v) {
-                    lump += self.edge_c[ch as usize] / 2.0;
-                }
-            }
-            let mut b = lump * self.wire_m1[v];
-            if !is_buf {
-                for &ch in arena.children(v) {
-                    b += self.m2b[ch as usize];
-                }
-            }
-            self.m2b[v] = b;
-        }
-        // Pass B (topo): m2 accumulates like Elmore with B as the load.
-        for v in 0..n {
-            let p = parents[v];
-            if p == snr_cts::NO_PARENT {
-                continue;
-            }
-            let p = p as usize;
-            let parent_is_source = arena.is_buffer(p) || parents[p] == snr_cts::NO_PARENT;
-            let step = self.edge_r[v] * self.m2b[v];
-            self.wire_m2[v] = if parent_is_source {
-                step
-            } else {
-                self.wire_m2[p] + step
-            };
-        }
-        // Rebuild arrivals with D2M per stage.
-        for v in 0..n {
-            let p = parents[v];
-            if p == snr_cts::NO_PARENT {
-                continue;
-            }
-            let p = p as usize;
-            let m1 = self.wire_m1[v];
-            let m2 = self.wire_m2[v];
-            let wire_delay = if m2 > 0.0 && m1 > 0.0 {
-                (LN2 * m1 * m1 / m2.sqrt()).min(m1)
-            } else {
-                m1
-            };
-            let parent_is_source = arena.is_buffer(p) || parents[p] == snr_cts::NO_PARENT;
-            let base = if parent_is_source {
-                self.arrival[p]
-            } else {
-                // Parent arrival minus the parent's own wire delay gives the
-                // stage-source arrival.
-                self.arrival[p] - self.stage_wire_delay(arena, p)
-            };
-            let mut a = base + wire_delay;
-            if let Some(cell) = arena.buffer_cell(v) {
-                a += cells[cell].delay_ps(self.load[v]);
-            }
-            self.arrival[v] = a;
-        }
-    }
-
-    /// D2M wire delay already folded into `arrival[node]` (0 at stage
-    /// sources).
-    fn stage_wire_delay(&self, arena: &TreeArena, v: usize) -> f64 {
-        let m1 = self.wire_m1[v];
-        let m2 = self.wire_m2[v];
-        if arena.is_buffer(v) {
-            return 0.0;
-        }
-        if m2 > 0.0 && m1 > 0.0 {
-            (LN2 * m1 * m1 / m2.sqrt()).min(m1)
-        } else {
-            m1
-        }
-    }
 }
 
 /// Analyzes `tree` under `assignment` with fresh scratch buffers.
@@ -371,9 +234,8 @@ pub fn analyze(
     tree: &ClockTree,
     tech: &Technology,
     assignment: &Assignment,
-    opts: &AnalysisOptions,
 ) -> TimingReport {
-    Analyzer::new().run(tree, tech, assignment, opts)
+    Analyzer::new().run(tree, tech, assignment)
 }
 
 /// Analyzes `tree` at a process corner: every edge's R and C are scaled by
@@ -389,12 +251,11 @@ pub fn analyze_at_corner(
     tech: &Technology,
     assignment: &Assignment,
     corner: snr_tech::Corner,
-    opts: &AnalysisOptions,
 ) -> TimingReport {
     let n = tree.len();
     let r = vec![corner.r_scale(); n];
     let c = vec![corner.c_scale(); n];
-    Analyzer::new().run_scaled(tree, tech, assignment, Some((&r, &c)), opts)
+    Analyzer::new().run_scaled(tree, tech, assignment, Some((&r, &c)))
 }
 
 #[cfg(test)]
@@ -414,7 +275,7 @@ mod tests {
     fn near_zero_skew_under_construction_rule() {
         let (tree, tech) = setup(200);
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         // Buffered DME balances wire, buffer and repeater delays exactly;
         // only nanometre snapping remains.
         assert!(
@@ -435,15 +296,14 @@ mod tests {
         // amplified past 2W2S's halved coupling).
         let spaced = Assignment::uniform(&tree, snr_tech::RuleId(1));
         assert_eq!(tech.rules().rule(snr_tech::RuleId(1)).to_string(), "1W2S");
-        let o = AnalysisOptions::default();
-        let rc = analyze(&tree, &tech, &conservative, &o);
-        let rs = analyze(&tree, &tech, &spaced, &o);
+        let rc = analyze(&tree, &tech, &conservative);
+        let rs = analyze(&tree, &tech, &spaced);
         let root = tree.root();
         assert!(rs.stage_load_ff(root) < rc.stage_load_ff(root));
 
         // And the Miller inversion itself, explicitly:
         let default = Assignment::uniform(&tree, tech.rules().default_id());
-        let rd = analyze(&tree, &tech, &default, &o);
+        let rd = analyze(&tree, &tech, &default);
         assert!(
             rd.stage_load_ff(root) > rc.stage_load_ff(root),
             "unshielded min-spacing coupling is Miller-amplified"
@@ -453,38 +313,18 @@ mod tests {
     #[test]
     fn default_rule_has_worse_slew() {
         let (tree, tech) = setup(300);
-        let o = AnalysisOptions::default();
         let conservative = analyze(
             &tree,
             &tech,
             &Assignment::uniform(&tree, tech.rules().most_conservative_id()),
-            &o,
         );
         let cheap = analyze(
             &tree,
             &tech,
             &Assignment::uniform(&tree, tech.rules().default_id()),
-            &o,
         );
         // Narrow wire has 2x the resistance: slews degrade.
         assert!(cheap.max_slew_ps() > conservative.max_slew_ps());
-    }
-
-    #[test]
-    fn d2m_never_exceeds_elmore() {
-        let (tree, tech) = setup(120);
-        let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let elmore = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
-        let d2m = analyze(
-            &tree,
-            &tech,
-            &asg,
-            &AnalysisOptions {
-                metric: DelayMetric::D2m,
-            },
-        );
-        assert!(d2m.latency_ps() <= elmore.latency_ps() + 1e-9);
-        assert!(d2m.latency_ps() > 0.3 * elmore.latency_ps());
     }
 
     #[test]
@@ -492,12 +332,11 @@ mod tests {
         let (tree, tech) = setup(90);
         let asg1 = Assignment::uniform(&tree, tech.rules().default_id());
         let asg2 = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let o = AnalysisOptions::default();
         let mut an = Analyzer::new();
-        let a1 = an.run(&tree, &tech, &asg1, &o);
-        let a2 = an.run(&tree, &tech, &asg2, &o);
-        assert_eq!(a1, analyze(&tree, &tech, &asg1, &o));
-        assert_eq!(a2, analyze(&tree, &tech, &asg2, &o));
+        let a1 = an.run(&tree, &tech, &asg1);
+        let a2 = an.run(&tree, &tech, &asg2);
+        assert_eq!(a1, analyze(&tree, &tech, &asg1));
+        assert_eq!(a2, analyze(&tree, &tech, &asg2));
     }
 
     #[test]
@@ -505,8 +344,7 @@ mod tests {
         let (tree, tech) = setup(80);
         let rules = tech.rules();
         let mut asg = Assignment::uniform(&tree, rules.most_conservative_id());
-        let o = AnalysisOptions::default();
-        let before = analyze(&tree, &tech, &asg, &o);
+        let before = analyze(&tree, &tech, &asg);
         // Pick some mid-tree edge whose node is a plain wire joint, so the
         // edge's wire cap belongs to its parent's stage.
         let edge = tree
@@ -514,7 +352,7 @@ mod tests {
             .find(|e| !tree.node(*e).is_leaf() && !tree.node(*e).kind().is_buffer())
             .unwrap();
         asg.set(edge, rules.default_id());
-        let after = analyze(&tree, &tech, &asg, &o);
+        let after = analyze(&tree, &tech, &asg);
 
         // Downgrading 2W2S -> 1W1S doubles the edge's resistance and
         // (tighter spacing, more Miller coupling) raises its effective cap,
@@ -570,7 +408,7 @@ mod tests {
         let (tree, tech) = setup(10);
         let (other, _) = setup(20);
         let asg = Assignment::uniform(&other, tech.rules().default_id());
-        let _ = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let _ = analyze(&tree, &tech, &asg);
     }
 
     #[test]
@@ -581,7 +419,7 @@ mod tests {
         let tree = h_tree(area, 2, 8.0);
         let tech = Technology::n45();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         // Perfect H-tree: zero skew.
         assert!(rep.skew_ps() < 1e-6);
         assert!(rep.latency_ps() > 0.0);

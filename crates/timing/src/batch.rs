@@ -1,52 +1,4 @@
-//! Multi-lane batched timing kernel.
-//!
-//! Monte-Carlo variation sampling and process-corner sweeps evaluate the
-//! *same tree and assignment* under many different per-edge parasitic
-//! scalings. Running [`Analyzer::run_scaled`] once per scaling re-reads the
-//! tree structure, geometry, and rule tables every time — at 100k+ sinks
-//! that redundant traversal dominates the runtime.
-//!
-//! [`BatchAnalyzer`] evaluates K *lanes* (one scaling each) in **one**
-//! topological traversal. State is lane-major structure-of-arrays
-//! (`value[node * K + lane]`), so the per-node work is a short contiguous
-//! inner loop over lanes while the tree walk, the CSR arena reads, and the
-//! per-edge rule lookups happen once per K lanes.
-//!
-//! Every lane reproduces the serial analyzer **bit for bit**: the kernel
-//! performs the identical floating-point operations in the identical order
-//! per lane (nominal parasitics are factored as `(unit · len) · scale`,
-//! exactly the serial association), and the aggregate folds (`max`/`min`)
-//! are order-independent. The Monte-Carlo engine and the robustness corner
-//! sweeps rely on this to keep their determinism contracts unchanged.
-//!
-//! The kernel computes Elmore arrivals and PERI slews — the constraint
-//! metrics. D2M reporting refinement stays on the serial path.
-//!
-//! # Examples
-//!
-//! ```
-//! use snr_netlist::BenchmarkSpec;
-//! use snr_tech::Technology;
-//! use snr_cts::{synthesize, Assignment, CtsOptions};
-//! use snr_timing::{analyze_at_corner, AnalysisOptions, BatchAnalyzer};
-//!
-//! let design = BenchmarkSpec::new("demo", 48).seed(1).build()?;
-//! let tech = Technology::n45();
-//! let tree = synthesize(&design, &tech, &CtsOptions::default())?;
-//! let asg = Assignment::uniform(&tree, tech.rules().default_id());
-//!
-//! let corners = [snr_tech::Corner::typical(), snr_tech::Corner::slow()];
-//! let mut batch = BatchAnalyzer::new();
-//! let lanes = batch.run_at_corners(&tree, &tech, &asg, &corners).to_vec();
-//! for (lane, &corner) in lanes.iter().zip(&corners) {
-//!     let serial = analyze_at_corner(&tree, &tech, &asg, corner, &AnalysisOptions::default());
-//!     assert_eq!(lane.latency_ps, serial.latency_ps());
-//!     assert_eq!(lane.max_slew_ps, serial.max_slew_ps());
-//! }
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! [`Analyzer::run_scaled`]: crate::Analyzer::run_scaled
+//! Multi-lane batched timing kernel: [`BatchAnalyzer`].
 
 use crate::TimingSummary;
 use snr_cts::{Assignment, ClockTree, NodeId, TreeArena};
@@ -142,9 +94,54 @@ fn fill_nominals(
 
 /// A reusable K-lane batched Elmore/PERI analyzer.
 ///
-/// Scratch buffers persist across runs (like [`crate::Analyzer`]); the lane
-/// count adapts to each call. See the [module documentation](self) for the
-/// layout and the bit-identity contract.
+/// Monte-Carlo variation sampling and process-corner sweeps evaluate the
+/// *same tree and assignment* under many different per-edge parasitic
+/// scalings. Running [`Analyzer::run_scaled`] once per scaling re-reads the
+/// tree structure, geometry, and rule tables every time — at 100k+ sinks
+/// that redundant traversal dominates the runtime.
+///
+/// `BatchAnalyzer` evaluates K *lanes* (one scaling each) in **one**
+/// topological traversal. State is lane-major structure-of-arrays
+/// (`value[node * K + lane]`), so the per-node work is a short contiguous
+/// inner loop over lanes while the tree walk, the CSR arena reads, and the
+/// per-edge rule lookups happen once per K lanes.
+///
+/// Every lane reproduces the serial analyzer **bit for bit**: the kernel
+/// performs the identical floating-point operations in the identical order
+/// per lane (nominal parasitics are factored as `(unit · len) · scale`,
+/// exactly the serial association), and the aggregate folds (`max`/`min`)
+/// are order-independent. The Monte-Carlo engine and the robustness corner
+/// sweeps rely on this to keep their determinism contracts unchanged.
+///
+/// Scratch buffers persist across runs (like [`Analyzer`]); the lane
+/// count adapts to each call.
+///
+/// # Examples
+///
+/// ```
+/// use snr_netlist::BenchmarkSpec;
+/// use snr_tech::Technology;
+/// use snr_cts::{synthesize, Assignment, CtsOptions};
+/// use snr_timing::{analyze_at_corner, BatchAnalyzer};
+///
+/// let design = BenchmarkSpec::new("demo", 48).seed(1).build()?;
+/// let tech = Technology::n45();
+/// let tree = synthesize(&design, &tech, &CtsOptions::default())?;
+/// let asg = Assignment::uniform(&tree, tech.rules().default_id());
+///
+/// let corners = [snr_tech::Corner::typical(), snr_tech::Corner::slow()];
+/// let mut batch = BatchAnalyzer::new();
+/// let lanes = batch.run_at_corners(&tree, &tech, &asg, &corners).to_vec();
+/// for (lane, &corner) in lanes.iter().zip(&corners) {
+///     let serial = analyze_at_corner(&tree, &tech, &asg, corner);
+///     assert_eq!(lane.latency_ps, serial.latency_ps());
+///     assert_eq!(lane.max_slew_ps, serial.max_slew_ps());
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// [`Analyzer`]: crate::Analyzer
+/// [`Analyzer::run_scaled`]: crate::Analyzer::run_scaled
 #[derive(Debug, Default)]
 pub struct BatchAnalyzer {
     /// Nominal per-edge resistance `unit_r(rule) · len_um`, kΩ.
@@ -188,8 +185,7 @@ impl BatchAnalyzer {
     /// `r_scale`/`c_scale` are lane-major: edge `v` (indexed by child node
     /// id, like [`crate::Analyzer::run_scaled`]'s scale vectors), lane `l`
     /// uses `r_scale[v * k + l]`. Lane `l`'s summary is bit-identical to
-    /// running the serial analyzer with that lane's scale vectors under the
-    /// Elmore metric.
+    /// running the serial analyzer with that lane's scale vectors.
     ///
     /// Returns one [`TimingSummary`] per lane, in lane order.
     ///
@@ -251,8 +247,8 @@ impl BatchAnalyzer {
     /// Evaluates one lane per process corner in one traversal.
     ///
     /// Lane `l` applies `corners[l]`'s global R/C factors to every edge and
-    /// is bit-identical to [`crate::analyze_at_corner`] under the Elmore
-    /// metric (buffer parameters stay nominal, as there).
+    /// is bit-identical to [`crate::analyze_at_corner`] (buffer parameters
+    /// stay nominal, as there).
     ///
     /// # Panics
     ///
@@ -668,7 +664,7 @@ fn kernel<const PER_EDGE: bool, const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, analyze_at_corner, AnalysisOptions, Analyzer};
+    use crate::{analyze, analyze_at_corner, Analyzer};
     use snr_cts::{synthesize, CtsOptions};
     use snr_netlist::BenchmarkSpec;
 
@@ -688,8 +684,7 @@ mod tests {
         let lanes = batch.run_at_corners(&tree, &tech, &asg, &corners).to_vec();
         assert_eq!(lanes.len(), corners.len());
         for (lane, &corner) in lanes.iter().zip(&corners) {
-            let serial =
-                analyze_at_corner(&tree, &tech, &asg, corner, &AnalysisOptions::default());
+            let serial = analyze_at_corner(&tree, &tech, &asg, corner);
             assert_eq!(lane.latency_ps, serial.latency_ps());
             assert_eq!(lane.min_arrival_ps, serial.min_arrival_ps());
             assert_eq!(lane.max_slew_ps, serial.max_slew_ps());
@@ -717,13 +712,7 @@ mod tests {
         for (l, lane) in lanes.iter().enumerate() {
             let rs: Vec<f64> = (0..n).map(|v| r[v * k + l]).collect();
             let cs: Vec<f64> = (0..n).map(|v| c[v * k + l]).collect();
-            let rep = serial.run_scaled(
-                &tree,
-                &tech,
-                &asg,
-                Some((&rs, &cs)),
-                &AnalysisOptions::default(),
-            );
+            let rep = serial.run_scaled(&tree, &tech, &asg, Some((&rs, &cs)));
             assert_eq!(lane.latency_ps, rep.latency_ps(), "lane {l}");
             assert_eq!(lane.min_arrival_ps, rep.min_arrival_ps(), "lane {l}");
             assert_eq!(lane.max_slew_ps, rep.max_slew_ps(), "lane {l}");
@@ -738,7 +727,7 @@ mod tests {
         let ones = vec![1.0; n];
         let mut batch = BatchAnalyzer::new();
         let lane = batch.run_scaled(&tree, &tech, &asg, 1, &ones, &ones)[0];
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         assert_eq!(lane.latency_ps, rep.latency_ps());
         assert_eq!(lane.skew_ps(), rep.skew_ps());
         assert_eq!(lane.max_slew_ps, rep.max_slew_ps());
@@ -769,8 +758,7 @@ mod tests {
         let lanes = batch
             .run_at_corners(&tree, &tech, &asg, &[Corner::typical(), Corner::slow()])
             .to_vec();
-        let serial =
-            analyze_at_corner(&tree, &tech, &asg, Corner::slow(), &AnalysisOptions::default());
+        let serial = analyze_at_corner(&tree, &tech, &asg, Corner::slow());
         assert_eq!(lanes[1].latency_ps, serial.latency_ps());
         assert_eq!(lanes[1].max_slew_ps, serial.max_slew_ps());
     }

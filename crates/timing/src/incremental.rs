@@ -1,85 +1,4 @@
-//! Incremental (stage-dirty) Elmore timing.
-//!
-//! Buffers partition the RC tree into *stages*: each buffer's input pin
-//! hides its whole subtree from the parent stage, so an edge's parasitics
-//! influence only (a) the interior of the stage that contains the edge —
-//! loads, wire delays, slews — and (b) the *arrival offsets* of everything
-//! downstream of that stage's source. [`IncrementalAnalyzer`] exploits
-//! this: it caches per-stage results, marks the stage containing a changed
-//! edge dirty, re-solves only dirty stages, and re-times only the stages
-//! downstream of them.
-//!
-//! Stages are laid out in depth-first preorder of the stage tree, so every
-//! stage's downstream *cone* is one contiguous index range. A probe
-//! re-times the cone of the dirty stages' lowest common ancestor and reads
-//! everything outside it from committed per-stage figures — latest sink
-//! arrival, earliest sink arrival and worst slew — kept in a tournament
-//! tree of max/min folds over the preorder stage slots. A candidate
-//! evaluation therefore costs `O(dirty-stage size + cone + log #stages)`
-//! instead of `O(nodes)`; a commit re-folds only the cone's leaves and
-//! their ancestors, `O(dirty stages + cone + log #stages)`.
-//!
-//! The folds are exact: max and min round nothing, so joining the fold of
-//! the stages before the cone, the re-timed cone and the stages after it
-//! gives the same bits as one pass over every stage, and each re-timed
-//! arrival is computed from the same operands in the same order as a fresh
-//! analyzer would use.
-//!
-//! [`IncrementalAnalyzer::probe_edge`] answers a single-edge probe without
-//! leaving it pending and remembers the probe's fold inside its cone. While
-//! no commit's cone overlaps that cone, every input of the remembered fold
-//! is unchanged, so a repeated probe is answered in `O(log #stages)` from
-//! the committed fold outside the cone joined with the remembered one — the
-//! operands a fresh cone pass joins.
-//!
-//! The evaluation protocol is transactional:
-//!
-//! * [`IncrementalAnalyzer::try_edge`] / [`IncrementalAnalyzer::try_moves`]
-//!   evaluate a candidate rule change without disturbing committed state;
-//! * [`IncrementalAnalyzer::commit`] folds the candidate in;
-//! * [`IncrementalAnalyzer::rollback`] discards it (O(1) — an epoch bump).
-//!
-//! Two committed-state queries serve repair-style optimizers without a full
-//! [`TimingReport`]: [`IncrementalAnalyzer::slew_violators`] visits only
-//! stages whose worst slew exceeds the limit, and
-//! [`IncrementalAnalyzer::latest_sink`] only stages whose latest arrival is
-//! the global latency.
-//!
-//! Within dirty stages the arithmetic mirrors [`Analyzer`] operation for
-//! operation, so loads and slews agree *bitwise* with a full re-analysis;
-//! arrivals are assembled as `stage-source arrival + within-stage offset`
-//! instead of one running sum, which reorders the floating-point additions
-//! and bounds the disagreement at well under 1e-9 ps on realistic trees.
-//!
-//! Only the Elmore metric is supported — it is the metric the optimizer
-//! constrains (monotone in every edge parasitic); D2M reporting still goes
-//! through the full [`Analyzer`].
-//!
-//! [`Analyzer`]: crate::Analyzer
-//!
-//! # Examples
-//!
-//! ```
-//! use snr_netlist::BenchmarkSpec;
-//! use snr_tech::Technology;
-//! use snr_cts::{synthesize, Assignment, CtsOptions};
-//! use snr_timing::IncrementalAnalyzer;
-//!
-//! let design = BenchmarkSpec::new("demo", 64).seed(1).build()?;
-//! let tech = Technology::n45();
-//! let tree = synthesize(&design, &tech, &CtsOptions::default())?;
-//! let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-//! let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
-//!
-//! let edge = tree.edges().next().unwrap();
-//! let cand = inc.try_edge(&tree, &tech, edge, tech.rules().default_id());
-//! if cand.skew_ps() <= inc.summary().skew_ps() + 5.0 {
-//!     inc.commit();
-//! } else {
-//!     inc.rollback();
-//! }
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! Incremental (stage-dirty) Elmore timing: [`IncrementalAnalyzer`].
 
 use crate::TimingReport;
 use snr_cts::{Assignment, ClockTree, NodeId, NodeKind};
@@ -208,10 +127,85 @@ impl TimingSummary {
 
 /// Incremental Elmore analyzer with `try`/`commit`/`rollback` semantics.
 ///
+/// Buffers partition the RC tree into *stages*: each buffer's input pin
+/// hides its whole subtree from the parent stage, so an edge's parasitics
+/// influence only (a) the interior of the stage that contains the edge —
+/// loads, wire delays, slews — and (b) the *arrival offsets* of everything
+/// downstream of that stage's source. `IncrementalAnalyzer` exploits
+/// this: it caches per-stage results, marks the stage containing a changed
+/// edge dirty, re-solves only dirty stages, and re-times only the stages
+/// downstream of them.
+///
+/// Stages are laid out in depth-first preorder of the stage tree, so every
+/// stage's downstream *cone* is one contiguous index range. A probe
+/// re-times the cone of the dirty stages' lowest common ancestor and reads
+/// everything outside it from committed per-stage figures — latest sink
+/// arrival, earliest sink arrival and worst slew — kept in a tournament
+/// tree of max/min folds over the preorder stage slots. A candidate
+/// evaluation therefore costs `O(dirty-stage size + cone + log #stages)`
+/// instead of `O(nodes)`; a commit re-folds only the cone's leaves and
+/// their ancestors, `O(dirty stages + cone + log #stages)`.
+///
+/// The folds are exact: max and min round nothing, so joining the fold of
+/// the stages before the cone, the re-timed cone and the stages after it
+/// gives the same bits as one pass over every stage, and each re-timed
+/// arrival is computed from the same operands in the same order as a fresh
+/// analyzer would use.
+///
+/// [`IncrementalAnalyzer::probe_edge`] answers a single-edge probe without
+/// leaving it pending and remembers the probe's fold inside its cone. While
+/// no commit's cone overlaps that cone, every input of the remembered fold
+/// is unchanged, so a repeated probe is answered in `O(log #stages)` from
+/// the committed fold outside the cone joined with the remembered one — the
+/// operands a fresh cone pass joins.
+///
+/// The evaluation protocol is transactional:
+///
+/// * [`IncrementalAnalyzer::try_edge`] / [`IncrementalAnalyzer::try_moves`]
+///   evaluate a candidate rule change without disturbing committed state;
+/// * [`IncrementalAnalyzer::commit`] folds the candidate in;
+/// * [`IncrementalAnalyzer::rollback`] discards it (O(1) — an epoch bump).
+///
+/// Two committed-state queries serve repair-style optimizers without a full
+/// [`TimingReport`]: [`IncrementalAnalyzer::slew_violators`] visits only
+/// stages whose worst slew exceeds the limit, and
+/// [`IncrementalAnalyzer::latest_sink`] only stages whose latest arrival is
+/// the global latency.
+///
+/// Within dirty stages the arithmetic mirrors [`Analyzer`] operation for
+/// operation, so loads and slews agree *bitwise* with a full re-analysis;
+/// arrivals are assembled as `stage-source arrival + within-stage offset`
+/// instead of one running sum, which reorders the floating-point additions
+/// and bounds the disagreement at well under 1e-9 ps on realistic trees.
+///
 /// `Clone` copies the full committed state bit for bit, so a clone answers
 /// every `try_moves` exactly as the original would.
 ///
-/// See the [module documentation](self) for the model and an example.
+/// # Examples
+///
+/// ```
+/// use snr_netlist::BenchmarkSpec;
+/// use snr_tech::Technology;
+/// use snr_cts::{synthesize, Assignment, CtsOptions};
+/// use snr_timing::IncrementalAnalyzer;
+///
+/// let design = BenchmarkSpec::new("demo", 64).seed(1).build()?;
+/// let tech = Technology::n45();
+/// let tree = synthesize(&design, &tech, &CtsOptions::default())?;
+/// let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
+/// let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
+///
+/// let edge = tree.edges().next().unwrap();
+/// let cand = inc.try_edge(&tree, &tech, edge, tech.rules().default_id());
+/// if cand.skew_ps() <= inc.summary().skew_ps() + 5.0 {
+///     inc.commit();
+/// } else {
+///     inc.rollback();
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// [`Analyzer`]: crate::Analyzer
 #[derive(Debug, Clone)]
 pub struct IncrementalAnalyzer {
     n: usize,
@@ -512,16 +506,6 @@ impl IncrementalAnalyzer {
         self.memo.clear();
         self.summary.latency_ps += delta_ps;
         self.summary.max_slew_ps += delta_ps;
-    }
-
-    /// Aggregates of the pending candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no candidate is pending.
-    pub fn candidate_summary(&self) -> TimingSummary {
-        assert!(self.has_pending, "no pending candidate");
-        self.p_summary
     }
 
     /// Committed arrival at `node` (buffer nodes: at the buffer output).
@@ -1149,7 +1133,7 @@ impl IncrementalAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, analyze_at_corner, AnalysisOptions};
+    use crate::{analyze, analyze_at_corner};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use snr_cts::{synthesize, CtsOptions};
@@ -1188,7 +1172,7 @@ mod tests {
         let (tree, tech) = setup(200, 11);
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
         let inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full);
         for id in tree.topo_order() {
             assert!((inc.arrival_ps(id) - full.arrival_ps(id)).abs() < 1e-9);
@@ -1214,7 +1198,7 @@ mod tests {
         let cand = inc.try_edge(&tree, &tech, edge, rules.default_id());
         let mut modified = asg.clone();
         modified.set(edge, rules.default_id());
-        let full = analyze(&tree, &tech, &modified, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &modified);
         assert_summary_close(cand, &full);
         // Candidate per-node views match too.
         for id in tree.topo_order() {
@@ -1225,8 +1209,7 @@ mod tests {
         inc.rollback();
         assert_eq!(inc.summary(), before);
         assert_eq!(inc.rule(edge), rules.most_conservative_id());
-        let full_before =
-            analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full_before = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full_before);
     }
 
@@ -1244,7 +1227,7 @@ mod tests {
         assert_eq!(inc.rule(edge), RuleId(1));
 
         asg.set(edge, RuleId(1));
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full);
         for id in tree.topo_order() {
             assert!((inc.arrival_ps(id) - full.arrival_ps(id)).abs() < 1e-9);
@@ -1262,7 +1245,6 @@ mod tests {
         let mut asg = Assignment::uniform(&tree, rules.most_conservative_id());
         let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
         let mut rng = StdRng::seed_from_u64(99);
-        let o = AnalysisOptions::default();
 
         for step in 0..200 {
             let e = edges[rng.gen_range(0..edges.len())];
@@ -1270,7 +1252,7 @@ mod tests {
             let cand = inc.try_edge(&tree, &tech, e, r);
             let mut trial = asg.clone();
             trial.set(e, r);
-            let full = analyze(&tree, &tech, &trial, &o);
+            let full = analyze(&tree, &tech, &trial);
             assert_summary_close(cand, &full);
             // Alternate commit/rollback to exercise both paths.
             if step % 3 == 0 {
@@ -1279,7 +1261,7 @@ mod tests {
             } else {
                 inc.rollback();
             }
-            assert_summary_close(inc.summary(), &analyze(&tree, &tech, &asg, &o));
+            assert_summary_close(inc.summary(), &analyze(&tree, &tech, &asg));
         }
     }
 
@@ -1299,7 +1281,7 @@ mod tests {
         for &(e, r) in &moves {
             asg.set(e, r);
         }
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(cand, &full);
         inc.commit();
         assert_summary_close(inc.summary(), &full);
@@ -1318,15 +1300,11 @@ mod tests {
             corner.r_scale(),
             corner.c_scale(),
         );
-        let o = AnalysisOptions::default();
-        assert_summary_close(
-            inc.summary(),
-            &analyze_at_corner(&tree, &tech, &asg, corner, &o),
-        );
+        assert_summary_close(inc.summary(), &analyze_at_corner(&tree, &tech, &asg, corner));
         let edge = tree.edges().nth(3).unwrap();
         let cand = inc.try_edge(&tree, &tech, edge, rules.default_id());
         asg.set(edge, rules.default_id());
-        assert_summary_close(cand, &analyze_at_corner(&tree, &tech, &asg, corner, &o));
+        assert_summary_close(cand, &analyze_at_corner(&tree, &tech, &asg, corner));
     }
 
     #[test]
@@ -1338,13 +1316,13 @@ mod tests {
         let tech = Technology::n45();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
         let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full);
         let edge = tree.edges().last().unwrap();
         let cand = inc.try_edge(&tree, &tech, edge, tech.rules().most_conservative_id());
         let mut m = asg.clone();
         m.set(edge, tech.rules().most_conservative_id());
-        assert_summary_close(cand, &analyze(&tree, &tech, &m, &AnalysisOptions::default()));
+        assert_summary_close(cand, &analyze(&tree, &tech, &m));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! * **Elmore** delay (first moment) — the constraint metric, monotone in
 //!   every edge R and C, which guarantees the NDR optimizer's moves have
 //!   predictable sign;
-//! * **D2M** delay (`ln2 · m1² / √m2`) — the less-pessimistic two-moment
-//!   metric, reported alongside;
 //! * **PERI**-style slew propagation: buffer output slew from the cell
 //!   model, degraded quadratically along wires, regenerated at buffer
 //!   inputs.
@@ -23,13 +21,13 @@
 //! use snr_netlist::BenchmarkSpec;
 //! use snr_tech::Technology;
 //! use snr_cts::{synthesize, Assignment, CtsOptions};
-//! use snr_timing::{analyze, AnalysisOptions};
+//! use snr_timing::analyze;
 //!
 //! let design = BenchmarkSpec::new("demo", 64).seed(3).build()?;
 //! let tech = Technology::n45();
 //! let tree = synthesize(&design, &tech, &CtsOptions::default())?;
 //! let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-//! let report = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+//! let report = analyze(&tree, &tech, &asg);
 //! assert!(report.latency_ps() > 0.0);
 //! assert!(report.skew_ps() >= 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -45,7 +43,7 @@ mod batch;
 mod incremental;
 mod report;
 
-pub use analysis::{analyze, analyze_at_corner, Analyzer, AnalysisOptions, DelayMetric};
+pub use analysis::{analyze, analyze_at_corner, Analyzer};
 pub use batch::{BatchAnalyzer, EdgeNominals};
 pub use incremental::{IncrementalAnalyzer, TimingSummary};
 pub use report::TimingReport;

@@ -14,9 +14,7 @@ use rand::{Rng, SeedableRng};
 use snr_cts::{synthesize, Assignment, ClockTree, CtsOptions};
 use snr_netlist::BenchmarkSpec;
 use snr_tech::{Corner, Technology};
-use snr_timing::{
-    analyze_at_corner, AnalysisOptions, Analyzer, BatchAnalyzer, EdgeNominals, TimingSummary,
-};
+use snr_timing::{analyze_at_corner, Analyzer, BatchAnalyzer, EdgeNominals, TimingSummary};
 
 fn arb_tree() -> impl Strategy<Value = ClockTree> {
     (2usize..80, 0u64..300).prop_map(|(n, seed)| {
@@ -51,7 +49,7 @@ fn serial_lane(
     let n = tree.len();
     let rs: Vec<f64> = (0..n).map(|v| r[v * k + l]).collect();
     let cs: Vec<f64> = (0..n).map(|v| c[v * k + l]).collect();
-    let rep = Analyzer::new().run_scaled(tree, tech, asg, Some((&rs, &cs)), &AnalysisOptions::default());
+    let rep = Analyzer::new().run_scaled(tree, tech, asg, Some((&rs, &cs)));
     (rep.latency_ps(), rep.min_arrival_ps(), rep.max_slew_ps())
 }
 
@@ -126,7 +124,7 @@ proptest! {
         let lanes = BatchAnalyzer::new().run_at_corners(&tree, &tech, &asg, &corners).to_vec();
         prop_assert_eq!(lanes.len(), corners.len());
         for (lane, &corner) in lanes.iter().zip(&corners) {
-            let rep = analyze_at_corner(&tree, &tech, &asg, corner, &AnalysisOptions::default());
+            let rep = analyze_at_corner(&tree, &tech, &asg, corner);
             assert_lane_matches(lane, (rep.latency_ps(), rep.min_arrival_ps(), rep.max_slew_ps()), "corner lane");
         }
     }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use snr_cts::{synthesize, Assignment, ClockTree, CtsOptions, NodeKind};
 use snr_netlist::BenchmarkSpec;
 use snr_tech::Technology;
-use snr_timing::{analyze, AnalysisOptions, Analyzer, DelayMetric};
+use snr_timing::{analyze, Analyzer};
 
 fn arb_tree() -> impl Strategy<Value = ClockTree> {
     (2usize..80, 0u64..300).prop_map(|(n, seed)| {
@@ -26,8 +26,7 @@ proptest! {
     fn single_edge_monotonicity(tree in arb_tree(), pick in 0usize..1_000, scale in 1.0f64..3.0) {
         let tech = Technology::n45();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
-        let opts = AnalysisOptions::default();
-        let nominal = analyze(&tree, &tech, &asg, &opts);
+        let nominal = analyze(&tree, &tech, &asg);
 
         let edges: Vec<_> = tree.edges().collect();
         prop_assume!(!edges.is_empty());
@@ -36,7 +35,7 @@ proptest! {
         let mut c = vec![1.0; tree.len()];
         r[e.0] = scale;
         c[e.0] = scale;
-        let perturbed = Analyzer::new().run_scaled(&tree, &tech, &asg, Some((&r, &c)), &opts);
+        let perturbed = Analyzer::new().run_scaled(&tree, &tech, &asg, Some((&r, &c)));
 
         for node in tree.nodes() {
             let id = node.id();
@@ -52,25 +51,12 @@ proptest! {
         prop_assert!(perturbed.latency_ps() >= nominal.latency_ps() - 1e-9);
     }
 
-    /// D2M arrivals never exceed Elmore arrivals, at any sink.
-    #[test]
-    fn d2m_bounded_by_elmore(tree in arb_tree()) {
-        let tech = Technology::n45();
-        let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let elmore = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
-        let d2m = analyze(&tree, &tech, &asg, &AnalysisOptions { metric: DelayMetric::D2m });
-        for s in tree.sink_nodes() {
-            prop_assert!(d2m.arrival_ps(s) <= elmore.arrival_ps(s) + 1e-9);
-            prop_assert!(d2m.arrival_ps(s) >= 0.0);
-        }
-    }
-
     /// Within a stage, slew degrades monotonically away from the driver.
     #[test]
     fn slew_monotone_within_stages(tree in arb_tree()) {
         let tech = Technology::n45();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         for node in tree.nodes() {
             let Some(p) = node.parent() else { continue };
             let parent = tree.node(p);
@@ -92,12 +78,11 @@ proptest! {
     fn analyzer_purity(tree in arb_tree(), seq in proptest::collection::vec(0usize..4, 1..6)) {
         let tech = Technology::n45();
         let rules = tech.rules();
-        let opts = AnalysisOptions::default();
         let mut shared = Analyzer::new();
         for &r in &seq {
             let asg = Assignment::uniform(&tree, snr_tech::RuleId(r % rules.len()));
-            let a = shared.run(&tree, &tech, &asg, &opts);
-            let b = analyze(&tree, &tech, &asg, &opts);
+            let a = shared.run(&tree, &tech, &asg);
+            let b = analyze(&tree, &tech, &asg);
             prop_assert_eq!(a, b);
         }
     }
@@ -109,7 +94,7 @@ proptest! {
         let tech = Technology::n45();
         let rules = tech.rules();
         let asg = Assignment::uniform(&tree, rules.most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         let cells = tech.buffers().cells();
         let layer = tech.clock_layer();
         let rule = rules.rule(rules.most_conservative_id());

@@ -17,7 +17,7 @@ use snr_geom::Rect;
 use snr_netlist::BenchmarkSpec;
 use snr_par::{splitmix64, Parallelism};
 use snr_tech::Technology;
-use snr_timing::{AnalysisOptions, Analyzer};
+use snr_timing::Analyzer;
 use snr_variation::{MonteCarlo, VariationModel, LANES};
 
 /// One standard-normal draw, exactly as the engine draws it (first half of a
@@ -70,7 +70,6 @@ fn reference_samples(
     let (w_die, w_sp, w_rnd) =
         (model.frac_die().sqrt(), model.frac_spatial().sqrt(), model.frac_random().sqrt());
 
-    let opts = AnalysisOptions::default();
     let mut analyzer = Analyzer::new();
     let mut r_scale = vec![1.0; n];
     let mut c_scale = vec![1.0; n];
@@ -86,7 +85,7 @@ fn reference_samples(
                 r_scale[e.0] = layer.unit_r_varied(rule, dw) / layer.unit_r(rule);
                 c_scale[e.0] = layer.unit_c_delay_varied(rule, dw) / layer.unit_c_delay(rule);
             }
-            let rep = analyzer.run_scaled(tree, tech, asg, Some((&r_scale, &c_scale)), &opts);
+            let rep = analyzer.run_scaled(tree, tech, asg, Some((&r_scale, &c_scale)));
             (rep.skew_ps(), rep.latency_ps())
         })
         .collect()

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Output locks: optimizer digests (tests/optimizer_lock.rs), suite
-# artifacts (tests/suite_lock.rs) and Pareto fronts (tests/pareto_lock.rs).
+# artifacts (tests/suite_lock.rs), Pareto fronts (tests/pareto_lock.rs)
+# and interop outputs (tests/interop_lock.rs).
 #
 #   scripts/golden.sh           check: run the lock tests, fail on any drift
 #   scripts/golden.sh --bless   regenerate tests/golden/optimizer_digests.txt,
-#                               the suite_*.txt artifacts and the
-#                               pareto_*.txt fronts and print every entry
-#                               or line that changed
+#                               the suite_*.txt artifacts, the
+#                               pareto_*.txt fronts and the interop
+#                               outputs and print every entry or line
+#                               that changed
 #
 # Bless only when a change is meant to alter results; an engine or
 # refactoring change must leave every file untouched.
@@ -15,8 +17,8 @@ cd "$(dirname "$0")/.."
 
 GOLDEN=tests/golden/optimizer_digests.txt
 ACTUAL=target/tmp/optimizer_digests.actual.txt
-ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid"
-LOCKS=(--test optimizer_lock --test suite_lock --test pareto_lock)
+ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid export_ndr_examples import_dirty12"
+LOCKS=(--test optimizer_lock --test suite_lock --test pareto_lock --test interop_lock)
 
 case "${1:-}" in
     "")

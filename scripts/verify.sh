@@ -27,6 +27,11 @@ cargo test -q --workspace
 step "cargo clippy --all-targets -D warnings"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+step "cargo doc -D warnings"
+# Broken intra-doc links and ambiguous paths fail the gate, so the public
+# API docs keep resolving.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 step "smart-ndr lint smoke"
 BIN=target/release/smart-ndr
 T="$(mktemp -d)"

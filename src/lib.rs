@@ -49,33 +49,25 @@ use snr_tech::Technology;
 
 /// The end-to-end smart-NDR flow: CTS → baseline → smart assignment.
 ///
-/// Configure the technology, CTS options and constraint margins once, then
-/// [`Flow::run`] any number of designs. See the crate-level example.
+/// Configure the technology and constraint margins once, then
+/// [`Flow::run`] any number of designs. CTS runs with
+/// [`CtsOptions::default`]. See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct Flow {
     tech: Technology,
-    cts: CtsOptions,
     slew_margin: f64,
     skew_budget_ps: f64,
 }
 
 impl Flow {
-    /// Creates a flow with the experiment defaults: default CTS options,
-    /// 10 % slew margin and 30 ps skew budget over the uniform-conservative
-    /// baseline.
+    /// Creates a flow with the experiment defaults: 10 % slew margin and
+    /// 30 ps skew budget over the uniform-conservative baseline.
     pub fn new(tech: Technology) -> Self {
         Flow {
             tech,
-            cts: CtsOptions::default(),
             slew_margin: 1.10,
             skew_budget_ps: 30.0,
         }
-    }
-
-    /// Returns a copy with different CTS options.
-    pub fn with_cts_options(mut self, cts: CtsOptions) -> Self {
-        self.cts = cts;
-        self
     }
 
     /// Returns a copy with a different slew margin (≥ 1) over the baseline.
@@ -112,7 +104,7 @@ impl Flow {
     /// Returns [`CtsError`] when clock-tree synthesis fails (see
     /// [`snr_cts::synthesize`]).
     pub fn run(&self, design: &Design) -> Result<FlowReport, CtsError> {
-        let tree = synthesize(design, &self.tech, &self.cts)?;
+        let tree = synthesize(design, &self.tech, &CtsOptions::default())?;
         let ctx = OptContext::new(&tree, &self.tech, PowerModel::new(design.freq_ghz()))
             .with_constraints(Constraints::relative(
                 &tree,

@@ -167,6 +167,14 @@ fn run_without_design_or_sinks_fails() {
 }
 
 #[test]
+fn run_with_oversized_sink_count_is_invalid_input() {
+    let out = bin().args(["run", "--sinks", "100000000000"]).output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "invalid input exits 3: {err}");
+    assert!(err.contains("at most 1000000 sinks"), "{err}");
+}
+
+#[test]
 fn bad_flag_value_fails_cleanly() {
     let out = bin()
         .args(["run", "--sinks", "not-a-number"])

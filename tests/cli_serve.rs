@@ -175,6 +175,25 @@ fn poisoned_request_fails_alone_and_daemon_survives() {
     assert!(d.eof_and_wait().success());
 }
 
+/// A generated design above the sink-count ceiling is a typed error raised
+/// before anything is allocated, not an allocation abort that would end
+/// every client's session; the same daemon answers the next request.
+#[test]
+fn oversized_generate_request_fails_typed_and_daemon_keeps_serving() {
+    let mut d = Daemon::spawn(&["--jobs", "1"]);
+    d.send(&run_request(1, 100_000_000_000, 7, ""));
+    d.send(&run_request(2, 100, 7, ""));
+    let finals = d.finals_for(&[1, 2]);
+    assert!(
+        finals[&1].contains("\"error\": {\"code\": \"invalid_input\"")
+            && finals[&1].contains("at most 1000000 sinks"),
+        "oversized request must fail typed: {}",
+        finals[&1]
+    );
+    assert!(finals[&2].contains("\"ok\": true"), "{}", finals[&2]);
+    assert!(d.eof_and_wait().success());
+}
+
 /// A request whose iteration budget expires mid-optimization still returns
 /// a best-so-far result (ok, with the exhaustion receipt in supervision),
 /// not an error.

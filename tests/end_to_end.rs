@@ -9,7 +9,7 @@ use smart_ndr::cts::{h_tree, insert_buffers, synthesize, Assignment, CtsOptions}
 use smart_ndr::netlist::{ispd_like_suite, BenchmarkSpec};
 use smart_ndr::power::{evaluate, PowerModel};
 use smart_ndr::tech::Technology;
-use smart_ndr::timing::{analyze, AnalysisOptions};
+use smart_ndr::timing::analyze;
 use smart_ndr::variation::{MonteCarlo, VariationModel};
 use smart_ndr::Flow;
 
@@ -58,7 +58,7 @@ fn conservative_baseline_has_near_zero_skew_across_suite() {
         let tech = Technology::n45();
         let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         assert!(
             rep.skew_ps() < 1.0,
             "{}: baseline skew {} ps",
@@ -78,7 +78,7 @@ fn htree_path_through_all_crates() {
     tree.check().unwrap();
 
     let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-    let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+    let rep = analyze(&tree, &tech, &asg);
     // A perfect H-tree with level-synchronized buffers stays symmetric.
     assert!(rep.skew_ps() < 1e-6, "H-tree skew {}", rep.skew_ps());
 

@@ -6,7 +6,7 @@ use smart_ndr::cts::{synthesize, Assignment, CtsOptions, NodeKind};
 use smart_ndr::netlist::BenchmarkSpec;
 use smart_ndr::power::{evaluate, PowerModel};
 use smart_ndr::tech::{Rule, Technology};
-use smart_ndr::timing::{analyze, AnalysisOptions};
+use smart_ndr::timing::analyze;
 
 fn arb_design() -> impl Strategy<Value = smart_ndr::netlist::Design> {
     (2usize..80, 0u64..1_000, 1usize..6).prop_map(|(n, seed, clusters)| {
@@ -30,7 +30,7 @@ proptest! {
         prop_assert!(tree.check().is_ok());
         prop_assert_eq!(tree.sink_nodes().len(), design.sinks().len());
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         prop_assert!(rep.skew_ps() < 1.0, "skew {}", rep.skew_ps());
         // Every sink of the design appears exactly once in the tree.
         let mut seen = vec![false; design.sinks().len()];
@@ -96,14 +96,13 @@ proptest! {
         let tech = Technology::n45();
         let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
-        let opts = AnalysisOptions::default();
-        let nominal = analyze(&tree, &tech, &asg, &opts);
+        let nominal = analyze(&tree, &tech, &asg);
 
         let n = tree.len();
         let r_up = vec![scale; n];
         let c_up = vec![scale; n];
         let slower = smart_ndr::timing::Analyzer::new()
-            .run_scaled(&tree, &tech, &asg, Some((&r_up, &c_up)), &opts);
+            .run_scaled(&tree, &tech, &asg, Some((&r_up, &c_up)));
         prop_assert!(slower.latency_ps() >= nominal.latency_ps() - 1e-9);
         prop_assert!(slower.max_slew_ps() >= nominal.max_slew_ps() - 1e-9);
     }
