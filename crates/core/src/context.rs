@@ -4,7 +4,7 @@ use crate::{Constraints, CoreError, EvalMode, EvalSession, Outcome};
 use snr_cts::{Assignment, ClockTree, NodeId, NodeKind};
 use snr_netlist::TimingArc;
 use snr_power::{evaluate, PowerModel, PowerReport};
-use snr_tech::{Corner, Technology};
+use snr_tech::{Corner, RuleId, Technology};
 use snr_timing::{Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
 use std::cell::{OnceCell, RefCell};
 use std::time::Duration;
@@ -259,108 +259,121 @@ impl<'a> OptContext<'a> {
 
     /// Whether `report` (a nominal analysis of `assignment`) plus the
     /// corner re-analyses satisfy the constraints — the single feasibility
-    /// predicate every optimizer uses.
-    ///
-    /// Corner limits scale with the corner's own severity: the slew limit
-    /// scales by the corner's R·C product (wire transitions stretch by that
-    /// factor to first order) and the skew limit gains the baseline's own
-    /// corner-induced skew (even a perfectly balanced-at-nominal tree
-    /// de-balances when wire delays scale but buffer delays do not).
+    /// predicate every optimizer uses. [`EvalSession`]s feed the same two
+    /// checks from their incremental engines' candidate state.
     pub fn meets(&self, assignment: &Assignment, report: &TimingReport) -> bool {
-        if !self.constraints.met_by(report) {
+        let arcs_met = || {
+            self.arcs.iter().all(|(arc, from, to)| {
+                arc.satisfied_by(report.arrival_ps(*from), report.arrival_ps(*to))
+            })
+        };
+        if !self.meets_nominal(
+            report.max_slew_ps(),
+            report.skew_ps(),
+            arcs_met,
+            |e| assignment.rule(e),
+            |e| report.stage_load_ff(e),
+        ) {
             return false;
         }
-        for (arc, from, to) in &self.arcs {
-            if !arc.satisfied_by(report.arrival_ps(*from), report.arrival_ps(*to)) {
-                return false;
-            }
+        if self.corners.is_empty() {
+            return true;
         }
-        if let Some(budget) = self.constraints.track_budget_um() {
-            let rules = self.tech.rules();
+        let mut batch = self.batch.borrow_mut();
+        self.meets_corners(batch.run_at_corners(self.tree, self.tech, assignment, &self.corners))
+    }
+
+    /// Every nominal check, in order: slew and skew, the timing arcs
+    /// (`arcs_met`, called only when slew and skew pass), the track budget,
+    /// EM and noise. `rule_of` and `stage_load_ff` give each edge's rule and
+    /// stage-local downstream load; edges are visited in `tree.edges()`
+    /// order, so the track-cost sum is the same float whoever calls.
+    pub(crate) fn meets_nominal(
+        &self,
+        max_slew_ps: f64,
+        skew_ps: f64,
+        arcs_met: impl FnOnce() -> bool,
+        rule_of: impl Fn(NodeId) -> RuleId,
+        stage_load_ff: impl Fn(NodeId) -> f64,
+    ) -> bool {
+        let c = &self.constraints;
+        if !(max_slew_ps <= c.slew_limit_ps() && skew_ps <= c.skew_limit_ps() && arcs_met()) {
+            return false;
+        }
+        let tree = self.tree;
+        let rules = self.tech.rules();
+        let rule = |e| rules.get(rule_of(e)).expect("rule ids come from the technology");
+        if let Some(budget) = c.track_budget_um() {
             let mut cost = 0.0;
-            for (e, rid) in assignment.iter_edges(self.tree) {
-                let rule = rules.get(rid).expect("assignment validated by analyze");
-                cost += rule.track_cost() * self.tree.node(e).edge_len_nm() as f64 / 1_000.0;
+            for e in tree.edges() {
+                cost += rule(e).track_cost() * tree.node(e).edge_len_nm() as f64 / 1_000.0;
             }
             if cost > budget * (1.0 + 1e-12) {
                 return false;
             }
         }
-        if let Some(limit) = self.constraints.em_limit_ma_per_um() {
+        // Zero-length edges carry no current density and no aggressor
+        // charge.
+        let wires = || tree.edges().filter(|&e| tree.node(e).edge_len_nm() > 0);
+        if let Some(limit) = c.em_limit_ma_per_um() {
             // Effective RMS current through an edge: the stage-local
             // downstream switched capacitance it charges, at VDD and f.
             // fF · V · GHz = µA; /1000 = mA.
             let layer = self.tech.clock_layer();
-            let rules = self.tech.rules();
             let vdd = self.tech.vdd_v();
             let f = self.power_model.freq_ghz();
-            for (e, rid) in assignment.iter_edges(self.tree) {
-                if self.tree.node(e).edge_len_nm() == 0 {
-                    continue;
-                }
-                let rule = rules.get(rid).expect("assignment validated by analyze");
-                let i_ma = report.stage_load_ff(e) * vdd * f / 1_000.0;
-                let width_um = rule.width_mult() * layer.width_min_um();
+            for e in wires() {
+                let i_ma = stage_load_ff(e) * vdd * f / 1_000.0;
+                let width_um = rule(e).width_mult() * layer.width_min_um();
                 if i_ma > limit * width_um * (1.0 + 1e-12) {
                     return false;
                 }
             }
         }
-        if let Some(limit) = self.constraints.noise_limit_ff_per_um() {
+        if let Some(limit) = c.noise_limit_ff_per_um() {
             let layer = self.tech.clock_layer();
-            let rules = self.tech.rules();
-            for (e, rid) in assignment.iter_edges(self.tree) {
-                if self.tree.node(e).edge_len_nm() == 0 {
-                    continue; // zero-length edges carry no aggressor charge
-                }
-                let rule = rules.get(rid).expect("assignment validated by analyze");
-                if layer.unit_c_aggressor(rule) > limit + 1e-12 {
-                    return false;
-                }
-            }
-        }
-        if self.corners.is_empty() {
-            return true;
-        }
-        let base_skews = self.corner_base_skews();
-        let summaries = self.corner_summaries(assignment);
-        for (i, (&corner, at)) in self.corners.iter().zip(&summaries).enumerate() {
-            let scale = corner.r_scale() * corner.c_scale();
-            let slew_ok = at.max_slew_ps <= self.constraints.slew_limit_ps() * scale.max(1.0);
-            let skew_ok = at.skew_ps() <= self.constraints.skew_limit_ps() + base_skews[i];
-            if !(slew_ok && skew_ok) {
+            if wires().any(|e| layer.unit_c_aggressor(rule(e)) > limit + 1e-12) {
                 return false;
             }
         }
         true
     }
 
-    /// Evaluates `assignment` at every configured corner in one multi-lane
-    /// tree traversal through the [`BatchAnalyzer`] — the summaries are bit
-    /// for bit what per-corner [`snr_timing::analyze_at_corner`] calls would
-    /// produce.
-    fn corner_summaries(&self, assignment: &Assignment) -> Vec<TimingSummary> {
-        self.batch
-            .borrow_mut()
-            .run_at_corners(self.tree, self.tech, assignment, &self.corners)
-            .to_vec()
+    /// The corner checks, from one summary per configured corner.
+    ///
+    /// Corner limits scale with the corner's own severity: the slew limit
+    /// scales by the corner's R·C product (wire transitions stretch by that
+    /// factor to first order) and the skew limit gains the baseline's own
+    /// corner-induced skew (even a perfectly balanced-at-nominal tree
+    /// de-balances when wire delays scale but buffer delays do not).
+    // Inlined: every session probe calls it, and most contexts have no
+    // corners.
+    #[inline]
+    pub(crate) fn meets_corners(&self, summaries: &[TimingSummary]) -> bool {
+        if self.corners.is_empty() {
+            return true;
+        }
+        let c = &self.constraints;
+        let base_skews = self.corner_base_skews();
+        self.corners.iter().zip(summaries).zip(base_skews).all(|((corner, at), base_skew)| {
+            let scale = corner.r_scale() * corner.c_scale();
+            at.max_slew_ps <= c.slew_limit_ps() * scale.max(1.0)
+                && at.skew_ps() <= c.skew_limit_ps() + base_skew
+        })
     }
 
     /// Conservative-baseline skew at each corner — assignment-independent,
-    /// cached on first use and shared with [`EvalSession`]s.
-    pub(crate) fn corner_base_skews(&self) -> Vec<f64> {
-        if self.corners.is_empty() {
-            return Vec::new();
-        }
-        self.corner_base_skew
-            .get_or_init(|| {
-                let base = self.conservative_assignment();
-                self.corner_summaries(&base)
-                    .iter()
-                    .map(|s| s.skew_ps())
-                    .collect()
-            })
-            .clone()
+    /// computed on first use by an analyzer of its own (a caller may hold
+    /// the shared one) and cached.
+    fn corner_base_skews(&self) -> &[f64] {
+        self.corner_base_skew.get_or_init(|| {
+            let base = self.conservative_assignment();
+            BatchAnalyzer::new()
+                .run_at_corners(self.tree, self.tech, &base, &self.corners)
+                .iter()
+                .map(|s| s.skew_ps())
+                .collect()
+        })
     }
 
     /// Whether `assignment` meets the constraints (including any corners).

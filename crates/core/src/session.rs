@@ -151,7 +151,6 @@ pub struct EvalSession<'c, 'a> {
     /// [`EvalMode::Incremental`] when the context has arcs.
     arc_index: Option<ArcIndex>,
     corner_engines: Vec<IncrementalAnalyzer>,
-    corner_base_skews: Vec<f64>,
     committed_slew_ps: f64,
     committed_skew_ps: f64,
     committed_feasible: bool,
@@ -181,7 +180,6 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                     engine: None,
                     arc_index: None,
                     corner_engines: Vec::new(),
-                    corner_base_skews: Vec::new(),
                     committed_slew_ps: report.max_slew_ps(),
                     committed_skew_ps: report.skew_ps(),
                     committed_feasible: feasible,
@@ -206,7 +204,6 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                         IncrementalAnalyzer::with_scales(tree, tech, &asg, c.r_scale(), c.c_scale())
                     })
                     .collect();
-                let corner_base_skews = ctx.corner_base_skews();
                 let summary = engine.summary();
                 let corner_summaries: Vec<TimingSummary> =
                     corner_engines.iter().map(|e| e.summary()).collect();
@@ -217,7 +214,6 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                     engine: Some(engine),
                     arc_index,
                     corner_engines,
-                    corner_base_skews,
                     committed_slew_ps: summary.max_slew_ps,
                     committed_skew_ps: summary.skew_ps(),
                     committed_feasible: false,
@@ -311,106 +307,30 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         (eval, network_uw)
     }
 
-    /// Replicates [`OptContext::meets`] from the candidate state of the
-    /// incremental engines: same checks, same order, iterating edges in the
-    /// same order so every floating-point sum is reproduced exactly. Timing
-    /// arcs are re-checked only inside the probe's cone ([`ArcIndex`]);
-    /// the verdict is the one a scan of every arc gives.
+    /// [`OptContext::meets`]'s checks, fed from the candidate state of the
+    /// incremental engines. Timing arcs are re-checked only inside the
+    /// probe's cone ([`ArcIndex`]); the verdict is the one a scan of every
+    /// arc gives.
     fn incremental_feasible(
         &self,
         nominal: TimingSummary,
         corner_summaries: &[TimingSummary],
     ) -> bool {
-        let ctx = self.ctx;
         let engine = self
             .engine
             .as_ref()
             .expect("incremental mode has an engine");
-        let constraints = ctx.constraints();
-        if !(nominal.max_slew_ps <= constraints.slew_limit_ps()
-            && nominal.skew_ps() <= constraints.skew_limit_ps())
-        {
-            return false;
-        }
-        if let Some(index) = &self.arc_index {
-            // Outside the probe's cone every arrival is the committed one,
-            // so only arcs with an endpoint inside can change verdict; the
-            // rest pass exactly when they pass now.
-            let arcs = ctx.resolved_arcs();
-            let mut violated_in_cone = 0;
-            for i in index.in_cone(engine.pending_cone()) {
-                let (arc, from, to) = &arcs[i];
-                if !arc.satisfied_by(
-                    engine.candidate_arrival_ps(*from),
-                    engine.candidate_arrival_ps(*to),
-                ) {
-                    return false;
-                }
-                violated_in_cone += usize::from(!index.ok[i]);
-            }
-            if violated_in_cone != index.violated {
-                return false;
-            }
-        }
-        let tree = ctx.tree();
-        let tech = ctx.tech();
-        if let Some(budget) = constraints.track_budget_um() {
-            let rules = tech.rules();
-            let mut cost = 0.0;
-            for e in tree.edges() {
-                let rule = rules
-                    .get(engine.candidate_rule(e))
-                    .expect("rule id validated by the engine");
-                cost += rule.track_cost() * tree.node(e).edge_len_nm() as f64 / 1_000.0;
-            }
-            if cost > budget * (1.0 + 1e-12) {
-                return false;
-            }
-        }
-        if let Some(limit) = constraints.em_limit_ma_per_um() {
-            let layer = tech.clock_layer();
-            let rules = tech.rules();
-            let vdd = tech.vdd_v();
-            let f = ctx.power_model().freq_ghz();
-            for e in tree.edges() {
-                if tree.node(e).edge_len_nm() == 0 {
-                    continue;
-                }
-                let rule = rules
-                    .get(engine.candidate_rule(e))
-                    .expect("rule id validated by the engine");
-                let i_ma = engine.candidate_stage_load_ff(e) * vdd * f / 1_000.0;
-                let width_um = rule.width_mult() * layer.width_min_um();
-                if i_ma > limit * width_um * (1.0 + 1e-12) {
-                    return false;
-                }
-            }
-        }
-        if let Some(limit) = constraints.noise_limit_ff_per_um() {
-            let layer = tech.clock_layer();
-            let rules = tech.rules();
-            for e in tree.edges() {
-                if tree.node(e).edge_len_nm() == 0 {
-                    continue;
-                }
-                let rule = rules
-                    .get(engine.candidate_rule(e))
-                    .expect("rule id validated by the engine");
-                if layer.unit_c_aggressor(rule) > limit + 1e-12 {
-                    return false;
-                }
-            }
-        }
-        for (i, &corner) in ctx.corners().iter().enumerate() {
-            let scale = corner.r_scale() * corner.c_scale();
-            let at = corner_summaries[i];
-            let slew_ok = at.max_slew_ps <= constraints.slew_limit_ps() * scale.max(1.0);
-            let skew_ok = at.skew_ps() <= constraints.skew_limit_ps() + self.corner_base_skews[i];
-            if !(slew_ok && skew_ok) {
-                return false;
-            }
-        }
-        true
+        let arcs_met = || match &self.arc_index {
+            Some(index) => index.candidate_met(engine, self.ctx.resolved_arcs()),
+            None => true,
+        };
+        self.ctx.meets_nominal(
+            nominal.max_slew_ps,
+            nominal.skew_ps(),
+            arcs_met,
+            |e| engine.candidate_rule(e),
+            |e| engine.candidate_stage_load_ff(e),
+        ) && self.ctx.meets_corners(corner_summaries)
     }
 
     /// The nominal violation ([`Constraints::violation_ps_of`]) of
@@ -513,7 +433,6 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         self.engine = None;
         self.arc_index = None;
         self.corner_engines.clear();
-        self.corner_base_skews.clear();
         // Re-seed the committed scalars from the oracle so everything the
         // session reports from here on is trustworthy.
         self.committed_slew_ps = report.max_slew_ps();
@@ -720,6 +639,28 @@ impl ArcIndex {
             let seen = e % 2 == 1 && cone.contains(&(self.from_slot[arc] as usize));
             (!seen).then_some(arc)
         })
+    }
+
+    /// Whether `engine`'s pending candidate satisfies every arc. Outside
+    /// the probe's cone every arrival is the committed one, so only arcs
+    /// with an endpoint inside can change verdict; the rest pass exactly
+    /// when they pass now.
+    fn candidate_met(
+        &self,
+        engine: &IncrementalAnalyzer,
+        arcs: &[(TimingArc, NodeId, NodeId)],
+    ) -> bool {
+        let mut violated_in_cone = 0;
+        for i in self.in_cone(engine.pending_cone()) {
+            let (arc, from, to) = &arcs[i];
+            let (at_from, at_to) =
+                (engine.candidate_arrival_ps(*from), engine.candidate_arrival_ps(*to));
+            if !arc.satisfied_by(at_from, at_to) {
+                return false;
+            }
+            violated_in_cone += usize::from(!self.ok[i]);
+        }
+        violated_in_cone == self.violated
     }
 
     /// Re-evaluates the arcs with an endpoint in `cone` — the cone of the

@@ -201,6 +201,27 @@ pub struct SweepSpec {
     pub track_fracs: Vec<f64>,
 }
 
+/// Checks a slew margin over the conservative baseline: finite and at
+/// least 1, or the baseline itself would violate it.
+pub fn check_slew_margin(margin: f64) -> Result<(), String> {
+    if margin.is_finite() && margin >= 1.0 {
+        Ok(())
+    } else {
+        Err(format!("slew margin {margin} must be finite and >= 1"))
+    }
+}
+
+/// Checks a global skew budget: finite and positive, so the skew limit it
+/// adds to the baseline's skew is positive even on a tree whose baseline
+/// skew is 0.
+pub fn check_skew_budget(budget_ps: f64) -> Result<(), String> {
+    if budget_ps.is_finite() && budget_ps > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("skew budget {budget_ps} ps must be finite and > 0"))
+    }
+}
+
 impl SweepSpec {
     /// The default sweep: the table-5 / fig-9 slices generalized — three
     /// slew margins × three skew budgets plus two useful-skew windows.
@@ -227,14 +248,10 @@ impl SweepSpec {
             return Err("sweep needs at least one skew budget or window".to_owned());
         }
         for &m in &self.slew_margins {
-            if !m.is_finite() || m < 1.0 {
-                return Err(format!("slew margin {m} must be finite and >= 1"));
-            }
+            check_slew_margin(m)?;
         }
         for &b in &self.skew_budgets_ps {
-            if !b.is_finite() || b < 0.0 {
-                return Err(format!("skew budget {b} ps must be finite and >= 0"));
-            }
+            check_skew_budget(b)?;
         }
         for &w in &self.windows_ps {
             if !w.is_finite() || w <= 0.0 {

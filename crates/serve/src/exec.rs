@@ -407,52 +407,62 @@ fn save_eligible(plan: &RunPlan, resp: &RunResponse) -> bool {
     plan.timeout_s == 0.0 && !resp.mc_cancelled && resp.result.degradations().is_empty()
 }
 
-/// A run's result-store lookup, split from its recompute so the daemon's
-/// reader can answer stored results without a worker (§3.9).
-pub(crate) enum RunLookup {
-    /// The verified stored result.
-    Replay(Box<ReplayedRun>),
+/// A result-store lookup through [`load_stored`].
+pub(crate) enum Stored<T> {
+    /// The verified, decoded entry.
+    Hit(T),
     /// Nothing usable is stored: recompute. `Some` describes an entry
-    /// that failed verification and was quarantined.
+    /// that was quarantined; reporting it is the caller's.
     Recompute(Option<String>),
 }
 
-/// Looks `plan`'s result up in `store`, quarantining an entry that fails
-/// verification or lacks a required section.
-pub(crate) fn lookup_run(plan: &RunPlan, store: &ResultStore) -> RunLookup {
-    match store.load(StoreKind::Run, plan.result_key) {
-        Lookup::Hit(sections) => match ReplayedRun::from_sections(sections) {
-            Some(replay) => RunLookup::Replay(Box::new(replay)),
+/// Loads the `kind` entry under `key` and decodes it. An entry that fails
+/// verification is quarantined by the store; checksum-valid bytes `decode`
+/// cannot use (an incompatible writer's sections) get the same treatment.
+pub(crate) fn load_stored<T>(
+    store: &ResultStore,
+    kind: StoreKind,
+    key: CacheKey,
+    decode: impl FnOnce(snr_store::Sections) -> Option<T>,
+) -> Stored<T> {
+    let entry = match kind {
+        StoreKind::Run => "result-store",
+        StoreKind::SuiteRow | StoreKind::ParetoPoint => kind.as_str(),
+    };
+    match store.load(kind, key) {
+        Lookup::Hit(sections) => match decode(sections) {
+            Some(value) => Stored::Hit(value),
             None => {
-                // Checksum-valid bytes this reader cannot use (an
-                // incompatible writer's sections): same treatment as
-                // corruption — quarantine and recompute.
-                store.quarantine(
-                    StoreKind::Run,
-                    plan.result_key,
-                    QuarantineReason::BadFraming,
-                );
-                RunLookup::Recompute(Some(format!(
-                    "result-store entry {:016x} missing required sections",
-                    plan.result_key.0
+                store.quarantine(kind, key, QuarantineReason::BadFraming);
+                Stored::Recompute(Some(format!(
+                    "{entry} entry {:016x} missing required sections",
+                    key.0
                 )))
             }
         },
-        Lookup::Quarantined(reason) => RunLookup::Recompute(Some(format!(
-            "result-store entry {:016x} failed verification ({})",
-            plan.result_key.0,
+        Lookup::Quarantined(reason) => Stored::Recompute(Some(format!(
+            "{entry} entry {:016x} failed verification ({})",
+            key.0,
             reason.as_str()
         ))),
-        Lookup::Miss => RunLookup::Recompute(None),
+        Lookup::Miss => Stored::Recompute(None),
     }
+}
+
+/// Looks `plan`'s result up in `store` — split from its recompute so the
+/// daemon's reader can answer stored results without a worker (§3.9).
+pub(crate) fn lookup_run(plan: &RunPlan, store: &ResultStore) -> Stored<Box<ReplayedRun>> {
+    load_stored(store, StoreKind::Run, plan.result_key, |sections| {
+        ReplayedRun::from_sections(sections).map(Box::new)
+    })
 }
 
 /// The store-aware run path: consult the durable store, replay on a
 /// verified hit, otherwise recompute ([`recompute_run`]).
 fn execute_run_stored(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Response, ApiError> {
     let quarantine_detail = match active_store(plan.cache, ctx).map(|s| lookup_run(plan, s)) {
-        Some(RunLookup::Replay(replay)) => return Ok(Response::Replayed(replay)),
-        Some(RunLookup::Recompute(detail)) => detail,
+        Some(Stored::Hit(replay)) => return Ok(Response::Replayed(replay)),
+        Some(Stored::Recompute(detail)) => detail,
         None => None,
     };
     recompute_run(plan, ctx, quarantine_detail)
@@ -718,6 +728,12 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
             .conservative_baseline()
             .power()
             .track_cost_um();
+    if !plan.spec.track_fracs.is_empty() && baseline_track_um <= 0.0 {
+        return Err(ApiError::invalid(format!(
+            "{}: track fractions need a clock tree with wire, and its baseline track cost is 0",
+            design.name()
+        )));
+    }
 
     let token = if plan.timeout_s > 0.0 {
         Some(CancelToken::with_deadline(Deadline::after(Duration::from_secs_f64(
@@ -750,42 +766,15 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
         par_map(par, active, |_, point| {
             let key = store.map(|_| plan.point_key(point));
             if let (Some(store), Some(key)) = (store, key) {
-                match store.load(StoreKind::ParetoPoint, key) {
-                    Lookup::Hit(sections) => match pareto_eval_from_sections(sections) {
-                        Some(eval) => {
-                            ctx.emit(&Event::FrontPoint {
-                                index: point.index,
-                                eval,
-                                replayed: true,
-                            });
-                            return Some((eval, true));
-                        }
-                        None => {
-                            store.quarantine(
-                                StoreKind::ParetoPoint,
-                                key,
-                                QuarantineReason::BadFraming,
-                            );
-                            ctx.emit(&Event::StoreQuarantined {
-                                scope: "pareto",
-                                detail: format!(
-                                    "pareto-point entry {:016x} missing required sections",
-                                    key.0
-                                ),
-                            });
-                        }
-                    },
-                    Lookup::Quarantined(reason) => {
-                        ctx.emit(&Event::StoreQuarantined {
-                            scope: "pareto",
-                            detail: format!(
-                                "pareto-point entry {:016x} failed verification ({})",
-                                key.0,
-                                reason.as_str()
-                            ),
-                        });
+                match load_stored(store, StoreKind::ParetoPoint, key, pareto_eval_from_sections) {
+                    Stored::Hit(eval) => {
+                        ctx.emit(&Event::FrontPoint { index: point.index, eval, replayed: true });
+                        return Some((eval, true));
                     }
-                    Lookup::Miss => {}
+                    Stored::Recompute(Some(detail)) => {
+                        ctx.emit(&Event::StoreQuarantined { scope: "pareto", detail });
+                    }
+                    Stored::Recompute(None) => {}
                 }
             }
             let eval = snr_pareto::evaluate_point(
@@ -1141,23 +1130,13 @@ fn execute_suite(plan: &SuitePlan, ctx: &ExecCtx<'_>) -> Result<SuiteResponse, A
             _ => None,
         };
         if let (Some(store), Some(key)) = (store, key) {
-            match store.load(StoreKind::SuiteRow, key) {
-                Lookup::Hit(sections) => match suite_row_from_sections(sections) {
-                    // Replayed rows are not re-announced (no SuiteRow event).
-                    Some(row) => return row,
-                    None => store.quarantine(StoreKind::SuiteRow, key, QuarantineReason::BadFraming),
-                },
-                Lookup::Quarantined(reason) => {
-                    ctx.emit(&Event::StoreQuarantined {
-                        scope: "suite",
-                        detail: format!(
-                            "suite-row entry {:016x} failed verification ({})",
-                            key.0,
-                            reason.as_str()
-                        ),
-                    });
+            match load_stored(store, StoreKind::SuiteRow, key, suite_row_from_sections) {
+                // Replayed rows are not re-announced (no SuiteRow event).
+                Stored::Hit(row) => return row,
+                Stored::Recompute(Some(detail)) => {
+                    ctx.emit(&Event::StoreQuarantined { scope: "suite", detail });
                 }
-                Lookup::Miss => {}
+                Stored::Recompute(None) => {}
             }
         }
         let row = suite_row(entry, &plan.tech);

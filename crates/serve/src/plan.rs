@@ -15,7 +15,9 @@ use snr_netlist::{ispd_like_suite, load_design, Design};
 use snr_par::Parallelism;
 use snr_tech::Technology;
 
-use snr_pareto::{EvalConfig, SkewAxis, SweepPoint, SweepSpec};
+use snr_pareto::{
+    check_skew_budget, check_slew_margin, EvalConfig, SkewAxis, SweepPoint, SweepSpec,
+};
 
 use crate::cache::{CacheKey, ContentHasher};
 use crate::error::ApiError;
@@ -303,6 +305,14 @@ fn design_input(source: &DesignSource) -> Result<DesignInput, ApiError> {
     })
 }
 
+/// Checks a `run` or `export_ndr` request's constraints by the rules a
+/// sweep's axes follow, so `Constraints::relative` gets limits it accepts.
+fn check_constraints(slew_margin: f64, skew_budget_ps: f64) -> Result<(), ApiError> {
+    check_slew_margin(slew_margin)
+        .and_then(|()| check_skew_budget(skew_budget_ps))
+        .map_err(ApiError::usage)
+}
+
 fn plan_run(req: &RunRequest) -> Result<RunPlan, ApiError> {
     if !req.timeout_s.is_finite() || req.timeout_s < 0.0 {
         return Err(ApiError::usage(format!(
@@ -310,6 +320,7 @@ fn plan_run(req: &RunRequest) -> Result<RunPlan, ApiError> {
             req.timeout_s
         )));
     }
+    check_constraints(req.slew_margin, req.skew_budget_ps)?;
     let input = design_input(&req.design)?;
     let tech = req.tech.resolve();
     let key = run_key(&input, &tech);
@@ -389,6 +400,7 @@ fn plan_import(req: &ImportRequest) -> Result<ImportPlan, ApiError> {
 }
 
 fn plan_export_ndr(req: &ExportNdrRequest) -> Result<ExportNdrPlan, ApiError> {
+    check_constraints(req.slew_margin, req.skew_budget_ps)?;
     let input = design_input(&req.design)?;
     let tech = req.tech.resolve();
     let key = run_key(&input, &tech);

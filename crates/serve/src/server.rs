@@ -42,7 +42,9 @@ use snr_par::{CancelToken, Parallelism};
 
 use crate::cache::WarmCache;
 use crate::error::ApiError;
-use crate::exec::{execute, lookup_run, recompute_run, Event, ExecCtx, Response, RunLookup};
+use crate::exec::{
+    execute, lookup_run, recompute_run, Event, ExecCtx, ReplayedRun, Response, Stored,
+};
 use crate::json::Json;
 use crate::plan::{plan, Plan, RunPlan};
 use crate::queue::BoundedQueue;
@@ -222,7 +224,10 @@ enum Work {
 /// the request does not qualify (other ops, no store, `"cache": "off"`,
 /// a design file the plan would read) or does not plan: the worker then
 /// plans it and reports any error.
-fn reader_lookup(state: &ServerState, req: &Request) -> Option<(RunPlan, RunLookup)> {
+fn reader_lookup(
+    state: &ServerState,
+    req: &Request,
+) -> Option<(RunPlan, Stored<Box<ReplayedRun>>)> {
     let Request::Run(run) = req else { return None };
     let store = state.store.as_ref()?;
     if run.cache != CacheMode::On || matches!(run.design, DesignSource::Path(_)) {
@@ -463,14 +468,14 @@ pub fn serve_io<R: BufRead, W: Write + Send>(
                     // isolates it.
                     let lookup = catch_unwind(AssertUnwindSafe(|| reader_lookup(state, &req)));
                     let work = match lookup.ok().flatten() {
-                        Some((_, RunLookup::Replay(replay))) => {
+                        Some((_, Stored::Hit(replay))) => {
                             lock(&state.cancels).remove(&id);
                             lock(&state.counters).completed += 1;
                             send(&out, &supervision_event_line_raw(id, &replay.supervision));
                             send(&out, &response_line(id, &Response::Replayed(replay)));
                             continue;
                         }
-                        Some((planned, RunLookup::Recompute(quarantined))) => {
+                        Some((planned, Stored::Recompute(quarantined))) => {
                             Work::Run(Box::new(planned), quarantined)
                         }
                         None => Work::Request(req),

@@ -17,11 +17,13 @@
 //! ```
 //!
 //! Every command is a thin adapter over the typed request→plan→execute API
-//! in [`snr_serve`]: the CLI builds a [`snr_serve::Request`] from flags,
-//! plans and executes it, and renders the response with the same shared
-//! serializers the resident daemon uses — one code path for one-shot and
-//! resident execution, so `run --json` output and `serve` responses cannot
-//! drift.
+//! in [`snr_serve`]: a request command turns its flags into the daemon's
+//! JSON request and parses it with the daemon's own parser
+//! ([`Envelope::from_json`]), plans and executes it, and renders the
+//! response with the same shared serializers the resident daemon uses — one
+//! code path for one-shot and resident execution, so the two front ends
+//! share their defaults and error messages, and `run --json` output and
+//! `serve` responses cannot drift.
 //!
 //! # Exit codes
 //!
@@ -81,10 +83,10 @@ use snr_serve::render::{
     error_json, export_ndr_json, import_json, lint_json, pareto_human, pareto_json, run_human,
     run_json, suite_det_header, suite_header,
 };
+use snr_serve::json::Json;
 use snr_serve::{
-    execute, plan, ApiCode, ApiError, CacheMode, DesignSource, Event, ExecCtx, ExportNdrRequest,
-    ImportRequest, LintRequest, Method, ParetoRequest, Request, Response, ResultStore,
-    RunRequest, ServeConfig, SuiteRequest, SuiteSource, TechId,
+    execute, plan, ApiCode, ApiError, CacheMode, Envelope, Event, ExecCtx, Op, Request, Response,
+    ResultStore, ServeConfig, TechId,
 };
 use std::collections::HashMap;
 use std::fs;
@@ -283,6 +285,11 @@ impl Flags {
     fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
+
+    /// The flags given, in the order of the command's flag list.
+    fn given(&self) -> impl Iterator<Item = (&'static str, &String)> + '_ {
+        self.reads.iter().filter_map(|&key| Some((key, self.values.get(key)?)))
+    }
 }
 
 fn cmd_help(_: &Flags) -> Result<(), ApiError> {
@@ -328,8 +335,8 @@ fn get_parsed<T: std::str::FromStr>(
     }
 }
 
-/// `--jobs <N>` / `-j <N>`, or `None` when absent so each command keeps its
-/// own default (Monte Carlo auto-detects cores, the suite stays serial).
+/// `serve --jobs <N>` / `-j <N>`, or `None` when absent so the daemon keeps
+/// its default worker count.
 fn jobs_of(flags: &Flags) -> Result<Option<usize>, ApiError> {
     match flags.get("jobs") {
         None => Ok(None),
@@ -349,16 +356,6 @@ fn tech_of(flags: &Flags) -> Result<TechId, ApiError> {
     match flags.get("tech") {
         None => Ok(TechId::default()),
         Some(v) => TechId::parse(v),
-    }
-}
-
-/// `--no-cache` maps to the API's `"cache": "off"`: skip warm caches and
-/// the durable store for this invocation.
-fn cache_of(flags: &Flags) -> CacheMode {
-    if flags.contains_key("no-cache") {
-        CacheMode::Off
-    } else {
-        CacheMode::On
     }
 }
 
@@ -396,19 +393,63 @@ fn store_note(store: Option<&ResultStore>) {
     );
 }
 
-/// The design a `run` request names: a file path, or a generator spec from
-/// `--sinks`/`--seed`/`--freq`.
-fn design_source_of(flags: &Flags) -> Result<DesignSource, ApiError> {
-    if let Some(path) = flags.get("design") {
-        return Ok(DesignSource::Path(path.clone()));
+/// The job request a command's flags describe, as the daemon's op `op`:
+/// the flags become the daemon's JSON request and [`Envelope::from_json`]
+/// parses it, so the CLI and the daemon share one set of defaults, rules
+/// and messages. Flags only the CLI reads are not sent. The flags are
+/// walked in the command's list order, so an invocation with several bad
+/// flags always reports the same one.
+fn request_of(flags: &Flags, op: &str) -> Result<Request, ApiError> {
+    let field = |key: &str, value| (key.to_owned(), value);
+    let mut fields = vec![field("id", Json::Num(0.0)), field("op", Json::Str(op.to_owned()))];
+    let (mut design, mut generate) = (Vec::new(), Vec::new());
+    for (key, raw) in flags.given() {
+        let value = match key {
+            "out" | "svg" | "save-asg" | "store" | "resume" => continue,
+            "design" | "tech" | "method" | "designs" | "from-tcl" => Json::Str(raw.clone()),
+            "slew-margins" | "skew-budgets" | "windows" | "track-fracs" => number_list(key, raw)?,
+            "no-cache" => Json::Str("off".to_owned()),
+            _ if BOOL_FLAGS.contains(&key) => Json::Bool(true),
+            _ => Json::Num(
+                raw.parse()
+                    .map_err(|_| ApiError::usage(format!("invalid --{key} {raw:?}")))?,
+            ),
+        };
+        match key {
+            "design" => design.push(field("path", value)),
+            "sinks" | "seed" => generate.push(field(key, value)),
+            "freq" => generate.push(field("freq_ghz", value)),
+            "no-cache" => fields.push(field("cache", value)),
+            _ => fields.push(field(&key.replace('-', "_"), value)),
+        }
     }
-    let sinks: usize = get_parsed(flags, "sinks", 0)?;
-    if sinks == 0 {
-        return Err(ApiError::usage("need --design <FILE> or --sinks <N>"));
+    if !generate.is_empty() {
+        design.push(field("generate", Json::Obj(generate)));
     }
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let freq_ghz: f64 = get_parsed(flags, "freq", 1.0)?;
-    Ok(DesignSource::Generate { sinks, seed, freq_ghz })
+    if !design.is_empty() {
+        fields.push(field("design", Json::Obj(design)));
+    }
+    match Envelope::from_json(&Json::Obj(fields))?.op {
+        Op::Job(request) => Ok(request),
+        Op::Control(_) => unreachable!("{op} is a job op"),
+    }
+}
+
+/// A comma-separated `--<key> a,b,c` list of numbers as a JSON array; an
+/// empty string is the empty list, which clears a sweep axis.
+fn number_list(key: &str, raw: &str) -> Result<Json, ApiError> {
+    if raw.trim().is_empty() {
+        return Ok(Json::Arr(Vec::new()));
+    }
+    raw.split(',')
+        .map(|item| {
+            item.trim()
+                .parse()
+                .map(Json::Num)
+                .map_err(|_| ApiError::usage(format!("invalid --{key} value {item:?}")))
+        })
+        .collect::<Result<_, _>>()
+        .map(Json::Arr)
 }
 
 /// Loads or generates a design eagerly — for `gen` and `mesh`, which need
@@ -449,18 +490,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), ApiError> {
 /// presentation here is CLI-specific.
 fn cmd_run(flags: &Flags) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
-    let mut req = RunRequest::new(design_source_of(flags)?);
-    req.tech = tech_of(flags)?;
-    if let Some(m) = flags.get("method") {
-        req.method = Method::parse(m)?;
-    }
-    req.slew_margin = get_parsed(flags, "slew-margin", req.slew_margin)?;
-    req.skew_budget_ps = get_parsed(flags, "skew-budget", req.skew_budget_ps)?;
-    req.mc_samples = get_parsed(flags, "mc", 0)?;
-    req.jobs = jobs_of(flags)?;
-    req.timeout_s = get_parsed(flags, "timeout", 0.0)?;
-    req.max_iters = get_parsed(flags, "max-iters", 0)?;
-    req.cache = cache_of(flags);
+    let req = request_of(flags, "run")?;
 
     // A replayed run carries rendered text only — no live tree or
     // assignment — so artifact-producing flags keep the store detached
@@ -475,7 +505,7 @@ fn cmd_run(flags: &Flags) -> Result<(), ApiError> {
         store_of(flags)
     };
 
-    let plan = plan(&Request::Run(req))?;
+    let plan = plan(&req)?;
     let resp = match execute(&plan, &cli_ctx(store.as_ref()))? {
         Response::Run(resp) => resp,
         Response::Replayed(r) => {
@@ -527,55 +557,14 @@ fn cmd_run(flags: &Flags) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// A comma-separated `--<key> a,b,c` list of numbers; `None` when the
-/// flag is absent (keep the request default), `Some(vec![])` for an
-/// explicit empty string (clear the axis).
-fn f64_list_of(
-    flags: &Flags,
-    key: &str,
-) -> Result<Option<Vec<f64>>, ApiError> {
-    let Some(raw) = flags.get(key) else { return Ok(None) };
-    if raw.trim().is_empty() {
-        return Ok(Some(Vec::new()));
-    }
-    raw.split(',')
-        .map(|item| {
-            item.trim()
-                .parse::<f64>()
-                .map_err(|_| ApiError::usage(format!("invalid --{key} value {item:?}")))
-        })
-        .collect::<Result<Vec<f64>, ApiError>>()
-        .map(Some)
-}
-
 /// `smart-ndr pareto`: sweep the constraint space and print the
 /// non-dominated front. Same engine as the daemon's `pareto` op; the
 /// CLI only adds flag parsing and the table rendering.
 fn cmd_pareto(flags: &Flags) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
-    let mut req = ParetoRequest::new(design_source_of(flags)?);
-    req.tech = tech_of(flags)?;
-    if let Some(v) = f64_list_of(flags, "slew-margins")? {
-        req.slew_margins = v;
-    }
-    if let Some(v) = f64_list_of(flags, "skew-budgets")? {
-        req.skew_budgets_ps = v;
-    }
-    if let Some(v) = f64_list_of(flags, "windows")? {
-        req.windows_ps = v;
-    }
-    if let Some(v) = f64_list_of(flags, "track-fracs")? {
-        req.track_fracs = v;
-    }
-    req.corners = flags.contains_key("corners");
-    req.mc_samples = get_parsed(flags, "mc", req.mc_samples)?;
-    req.jobs = jobs_of(flags)?;
-    req.timeout_s = get_parsed(flags, "timeout", 0.0)?;
-    req.max_points = get_parsed(flags, "max-points", 0)?;
-    req.cache = cache_of(flags);
-
+    let req = request_of(flags, "pareto")?;
     let store = store_of(flags);
-    let plan = plan(&Request::Pareto(req))?;
+    let plan = plan(&req)?;
     let resp = match execute(&plan, &cli_ctx(store.as_ref()))? {
         Response::Pareto(resp) => resp,
         _ => unreachable!("pareto plans produce pareto responses"),
@@ -595,17 +584,8 @@ fn cmd_pareto(flags: &Flags) -> Result<(), ApiError> {
 /// printed; a feasibility smoke-check (can the default CTS flow synthesize
 /// the design at all?) separates "invalid input" from "infeasible".
 fn cmd_lint(flags: &Flags) -> Result<(), ApiError> {
-    let path = flags
-        .get("design")
-        .ok_or_else(|| ApiError::usage("lint needs --design <FILE>"))?;
     let json = flags.contains_key("json");
-    let req = Request::Lint(LintRequest {
-        design: DesignSource::Path(path.clone()),
-        tech: tech_of(flags)?,
-        repair: flags.contains_key("repair"),
-    });
-
-    let plan = plan(&req)?;
+    let plan = plan(&request_of(flags, "lint")?)?;
     let resp = match execute(&plan, &ExecCtx::oneshot()) {
         Ok(Response::Lint(resp)) => resp,
         Ok(_) => unreachable!("lint plans produce lint responses"),
@@ -657,17 +637,8 @@ fn cmd_lint(flags: &Flags) -> Result<(), ApiError> {
 /// so imported designs feed straight into run/suite/pareto (and get
 /// content-byte store keys like any other design).
 fn cmd_import(flags: &Flags) -> Result<(), ApiError> {
-    let path = flags
-        .get("design")
-        .ok_or_else(|| ApiError::usage("import needs --design <FILE>"))?;
     let json = flags.contains_key("json");
-    let req = Request::Import(ImportRequest {
-        design: DesignSource::Path(path.clone()),
-        tech: tech_of(flags)?,
-        repair: flags.contains_key("repair"),
-    });
-
-    let plan = plan(&req)?;
+    let plan = plan(&request_of(flags, "import")?)?;
     let resp = match execute(&plan, &ExecCtx::oneshot()) {
         Ok(Response::Import(resp)) => resp,
         Ok(_) => unreachable!("import plans produce import responses"),
@@ -723,16 +694,7 @@ fn cmd_import(flags: &Flags) -> Result<(), ApiError> {
 /// the assignment in the native `.asg` format.
 fn cmd_export_ndr(flags: &Flags) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
-    let mut req = ExportNdrRequest::new(design_source_of(flags)?);
-    req.tech = tech_of(flags)?;
-    if let Some(m) = flags.get("method") {
-        req.method = Method::parse(m)?;
-    }
-    req.slew_margin = get_parsed(flags, "slew-margin", req.slew_margin)?;
-    req.skew_budget_ps = get_parsed(flags, "skew-budget", req.skew_budget_ps)?;
-    req.from_tcl = flags.get("from-tcl").cloned();
-
-    let plan = plan(&Request::ExportNdr(req))?;
+    let plan = plan(&request_of(flags, "export_ndr")?)?;
     let resp = match execute(&plan, &ExecCtx::oneshot())? {
         Response::ExportNdr(resp) => resp,
         _ => unreachable!("export-ndr plans produce export-ndr responses"),
@@ -844,9 +806,11 @@ fn open_rows(dir: &Path, resume: bool) -> Option<ResultStore> {
 /// so an interrupted run replays its stored rows instead of re-evaluating
 /// them and still produces the byte-identical `FILE`.
 fn cmd_suite(flags: &Flags) -> Result<(), ApiError> {
+    let req = request_of(flags, "suite")?;
+    let Request::Suite(suite) = &req else { unreachable!("suite flags make a suite request") };
+    let cache = suite.cache;
     let out_path = flags.get("out").map(PathBuf::from);
     let resume = flags.contains_key("resume");
-    let cache = cache_of(flags);
     if resume && out_path.is_none() {
         return Err(ApiError::usage(
             "suite --resume needs --out <FILE> (its rows are stored next to it)",
@@ -857,15 +821,6 @@ fn cmd_suite(flags: &Flags) -> Result<(), ApiError> {
             "suite --resume conflicts with --no-cache (it detaches the row store)",
         ));
     }
-    let req = Request::Suite(SuiteRequest {
-        source: match flags.get("designs") {
-            None => SuiteSource::Builtin,
-            Some(dir) => SuiteSource::Dir(dir.clone()),
-        },
-        tech: tech_of(flags)?,
-        jobs: jobs_of(flags)?,
-        cache,
-    });
     let plan = plan(&req)?;
     let rows_dir = match &out_path {
         Some(out) if cache == CacheMode::On && !flags.contains_key("store") => {

@@ -184,6 +184,46 @@ fn bad_flag_value_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --sinks"));
 }
 
+/// The request commands hand their flags to the daemon's request parser,
+/// so the daemon's rules hold on the command line too.
+#[test]
+fn request_flags_follow_the_daemon_rules() {
+    let path = tmp("translate.sndr");
+    let out = bin()
+        .args(["gen", "--sinks", "30", "--seed", "5", "--out"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // A design file and generator flags name two designs.
+    let out = bin()
+        .args(["run", "--sinks", "40", "--json", "--design"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("unknown field \\\"design.generate\\\""), "{text}");
+
+    // JSON numbers are exact integers only up to 2^53.
+    let out = bin()
+        .args(["run", "--sinks", "40", "--seed", "18446744073709551615", "--json"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("field \\\"seed\\\" must be a non-negative integer"), "{text}");
+
+    // A count may be written as any JSON number with an integer value.
+    let args = ["run", "--sinks", "4e1", "--mc", "1e1", "--json"];
+    let out = bin().args(args).output().expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("\"sinks\": 40") && text.contains("\"samples\": 10"), "{text}");
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn misspelt_flag_is_a_usage_error() {
     // A typo must not silently run at the default 1.10 margin.

@@ -131,10 +131,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Rewrites the one suite-row entry in `<out>.rows/` to hold `line`,
-/// keeping its key and resealing the payload length and checksum, so the
-/// entry still verifies.
-fn reseal_only_row(out_file: &Path, name: &str, line: &str) {
+/// Rewrites the one suite-row entry in `<out>.rows/` to hold `sections`
+/// (`(section, body)` pairs), keeping its key and resealing the payload
+/// length and checksum, so the entry still verifies.
+fn reseal_only_row(out_file: &Path, sections: &[(&str, &str)]) {
     let suite = rows_of(out_file).join("entries").join("suite");
     let entries: Vec<PathBuf> = std::fs::read_dir(&suite)
         .expect("suite entries dir")
@@ -144,7 +144,7 @@ fn reseal_only_row(out_file: &Path, name: &str, line: &str) {
     let text = std::fs::read_to_string(&entries[0]).expect("read entry");
     let header: Vec<&str> = text.lines().take(3).collect();
     let mut payload = String::new();
-    for (section, body) in [("name", name), ("line", line)] {
+    for (section, body) in sections {
         payload.push_str(&format!("section {section} {}\n{body}\n", body.len()));
     }
     let entry = format!(
@@ -163,7 +163,7 @@ fn resume_trusts_the_journal_instead_of_reevaluating() {
     // A sentinel row no real evaluation could ever produce: if it appears
     // in the output, the design was *not* re-run.
     store_rows(&dir, &["m.sndr"], &out_g);
-    reseal_only_row(&out_g, "cli-s28", "SENTINEL-ROW cli-s28");
+    reseal_only_row(&out_g, &[("name", "cli-s28"), ("line", "SENTINEL-ROW cli-s28")]);
 
     let out = run_suite(&dir, &out_g, true);
     assert!(
@@ -176,6 +176,35 @@ fn resume_trusts_the_journal_instead_of_reevaluating() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&out_g);
+}
+
+/// A stored row that verifies but lacks a section its reader needs is
+/// quarantined with a warning, as a run entry is, and recomputed.
+#[test]
+fn row_missing_a_section_is_quarantined_with_a_warning_and_recomputed() {
+    let dir = pool("pool-q", &DISTINCT);
+    let (out_a, out_q) = (tmp("qa.txt"), tmp("q.txt"));
+    run_suite(&dir, &out_a, false);
+    let reference = std::fs::read(&out_a).expect("artifact written");
+
+    store_rows(&dir, &["m.sndr"], &out_q);
+    reseal_only_row(&out_q, &[("name", "cli-s28")]);
+    let out = run_suite(&dir, &out_q, true);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("warning: suite-row entry ")
+            && err.contains(" missing required sections; recomputing from scratch"),
+        "{err}"
+    );
+    assert!(err.contains(", 1 quarantined, "), "{err}");
+    assert!(runtimes(&out).iter().all(|rt| rt != "-"), "no row was replayed: {out:?}");
+    let recomputed = std::fs::read(&out_q).expect("artifact written");
+    assert_eq!(recomputed, reference, "the recomputed row must be byte-identical");
+    assert_cleaned_up(&out_q);
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&out_a);
+    let _ = std::fs::remove_file(&out_q);
 }
 
 #[test]

@@ -328,6 +328,39 @@ fn hostile_pareto_import_export_requests_answer_typed_errors() {
     assert!(d.eof_and_wait().success());
 }
 
+/// Limits `Constraints` would reject, and track fractions of a tree with
+/// no wire, answer typed errors instead of `panicked`, and the daemon
+/// keeps serving.
+#[test]
+fn out_of_range_limits_answer_typed_errors_and_daemon_keeps_serving() {
+    // One sink on the root: zero skew and zero wirelength.
+    let one = "{\"inline\": \"sndr 1\\ndesign one freq_ghz 1.0\\ndie 0 0 100000 100000\\n\
+               root 50000 50000\\nsink 0 a 50000 50000 5.0\\nend\\n\"}";
+    let generated = "{\"generate\": {\"sinks\": 40}}";
+    let cases = [
+        (30, "run", generated, "\"slew_margin\": 0.5", "usage"),
+        (31, "export_ndr", generated, "\"skew_budget\": -3", "usage"),
+        (32, "run", one, "\"skew_budget\": 0", "usage"),
+        (33, "pareto", one, "\"skew_budgets\": [0], \"windows\": []", "usage"),
+        (34, "pareto", one, "\"track_fracs\": [0.9]", "invalid_input"),
+    ];
+    let mut d = Daemon::spawn(&["--jobs", "1"]);
+    for (id, op, design, extra, _) in cases {
+        d.send(&format!("{{\"op\": \"{op}\", \"id\": {id}, \"design\": {design}, {extra}}}"));
+    }
+    d.send(&run_request(1, 40, 1, ""));
+    let finals = d.finals_for(&[30, 31, 32, 33, 34, 1]);
+    for (id, _, _, _, code) in cases {
+        assert!(
+            finals[&id].contains(&format!("\"error\": {{\"code\": \"{code}\"")),
+            "id {id}: {}",
+            finals[&id]
+        );
+    }
+    assert!(finals[&1].contains("\"ok\": true"), "{}", finals[&1]);
+    assert!(d.eof_and_wait().success());
+}
+
 /// The drift pin: the daemon's `result` object and the one-shot CLI's
 /// `run --json` line are byte-identical (runtime fields normalized) —
 /// both are rendered by the same serializer, and this test keeps it that

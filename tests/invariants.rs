@@ -1,9 +1,11 @@
 //! Property-based cross-crate invariants on randomized designs.
 
 use proptest::prelude::*;
-use smart_ndr::core::{GreedyDowngrade, NdrOptimizer, OptContext};
+use smart_ndr::core::{GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext, SmartNdr};
 use smart_ndr::cts::{synthesize, Assignment, CtsOptions, NodeKind};
-use smart_ndr::netlist::BenchmarkSpec;
+use smart_ndr::geom::{Point, Rect};
+use smart_ndr::netlist::validate::Bounds;
+use smart_ndr::netlist::{BenchmarkSpec, Design, Sink};
 use smart_ndr::power::{evaluate, PowerModel};
 use smart_ndr::tech::{Rule, Technology};
 use smart_ndr::timing::analyze;
@@ -16,6 +18,25 @@ fn arb_design() -> impl Strategy<Value = smart_ndr::netlist::Design> {
             .build()
             .expect("spec is valid")
     })
+}
+
+/// An offset that keeps every coordinate of an `arb_design` die (well
+/// under 1 mm a side, at the origin) inside [`Bounds`].
+fn arb_offset() -> impl Strategy<Value = i64> {
+    let reach = Bounds::default().max_coord_nm as i64 - 1_000_000;
+    -reach..reach
+}
+
+/// `design` with its die, clock root and every sink moved by `by`.
+fn translated(design: &Design, by: Point) -> Design {
+    let die = Rect::new(design.die().lo() + by, design.die().hi() + by);
+    let sinks = design
+        .sinks()
+        .iter()
+        .map(|s| Sink::new(s.id(), s.name(), s.location() + by, s.cap_ff()))
+        .collect();
+    Design::new(design.name(), die, design.clock_root() + by, design.freq_ghz(), sinks)
+        .expect("a translated design stays valid")
 }
 
 proptest! {
@@ -105,5 +126,40 @@ proptest! {
             .run_scaled(&tree, &tech, &asg, Some((&r_up, &c_up)));
         prop_assert!(slower.latency_ps() >= nominal.latency_ps() - 1e-9);
         prop_assert!(slower.max_slew_ps() >= nominal.max_slew_ps() - 1e-9);
+    }
+
+    /// Moving the die changes nothing: the same assignment, and power,
+    /// skew and slew bit for bit, for smart, greedy and upgrade on both
+    /// technologies. (Mirroring is not invariant: CTS depends on the tree's
+    /// orientation.)
+    #[test]
+    fn translating_the_die_changes_nothing(
+        design in arb_design(),
+        dx in arb_offset(),
+        dy in arb_offset(),
+    ) {
+        let moved = translated(&design, Point::new(dx, dy));
+        let methods: [&dyn NdrOptimizer; 3] =
+            [&SmartNdr::default(), &GreedyDowngrade::default(), &GreedyUpgradeRepair::default()];
+        for tech in [Technology::n45(), Technology::n32()] {
+            let trees = [&design, &moved]
+                .map(|d| synthesize(d, &tech, &CtsOptions::default()).expect("it synthesizes"));
+            let ctxs = trees
+                .each_ref()
+                .map(|t| OptContext::new(t, &tech, PowerModel::new(design.freq_ghz())));
+            for method in methods {
+                let [a, b] = ctxs.each_ref().map(|ctx| method.optimize(ctx));
+                let bits = |o: &smart_ndr::core::Outcome| {
+                    [
+                        o.power().total_uw().to_bits(),
+                        o.power().network_uw().to_bits(),
+                        o.timing().skew_ps().to_bits(),
+                        o.timing().max_slew_ps().to_bits(),
+                    ]
+                };
+                prop_assert_eq!(a.assignment(), b.assignment(), "{} on {}", a.name(), tech.name());
+                prop_assert_eq!(bits(&a), bits(&b), "{} on {}", a.name(), tech.name());
+            }
+        }
     }
 }
