@@ -1,11 +1,13 @@
 //! Property-based cross-crate invariants on randomized designs.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use smart_ndr::core::{GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext, SmartNdr};
 use smart_ndr::cts::{synthesize, Assignment, CtsOptions, NodeKind};
 use smart_ndr::geom::{Point, Rect};
 use smart_ndr::netlist::validate::Bounds;
-use smart_ndr::netlist::{BenchmarkSpec, Design, Sink};
+use smart_ndr::netlist::{BenchmarkSpec, Design, Sink, SinkId};
 use smart_ndr::power::{evaluate, PowerModel};
 use smart_ndr::tech::{Rule, Technology};
 use smart_ndr::timing::analyze;
@@ -37,6 +39,47 @@ fn translated(design: &Design, by: Point) -> Design {
         .collect();
     Design::new(design.name(), die, design.clock_root() + by, design.freq_ghz(), sinks)
         .expect("a translated design stays valid")
+}
+
+/// `design` with its sinks shuffled by `seed` and renumbered 0..n in their
+/// new order.
+fn reordered(design: &Design, seed: u64) -> Design {
+    let mut sinks = design.sinks().to_vec();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..sinks.len()).rev() {
+        sinks.swap(i, rng.gen_range(0..i + 1));
+    }
+    let sinks = sinks
+        .iter()
+        .enumerate()
+        .map(|(i, s)| Sink::new(SinkId(i), s.name(), s.location(), s.cap_ff()))
+        .collect();
+    Design::new(design.name(), design.die(), design.clock_root(), design.freq_ghz(), sinks)
+        .expect("a reordered design stays valid")
+}
+
+/// Smart, greedy and upgrade on `design` under each technology's default
+/// constraints: per run, its label, its assignment and the bits of total
+/// and network power, skew and max slew.
+fn outcomes(design: &Design) -> Vec<(String, Assignment, [u64; 4])> {
+    let methods: [&dyn NdrOptimizer; 3] =
+        [&SmartNdr::default(), &GreedyDowngrade::default(), &GreedyUpgradeRepair::default()];
+    let mut runs = Vec::new();
+    for tech in [Technology::n45(), Technology::n32()] {
+        let tree = synthesize(design, &tech, &CtsOptions::default()).expect("it synthesizes");
+        let ctx = OptContext::new(&tree, &tech, PowerModel::new(design.freq_ghz()));
+        for method in methods {
+            let o = method.optimize(&ctx);
+            let bits = [
+                o.power().total_uw().to_bits(),
+                o.power().network_uw().to_bits(),
+                o.timing().skew_ps().to_bits(),
+                o.timing().max_slew_ps().to_bits(),
+            ];
+            runs.push((format!("{} on {}", o.name(), tech.name()), o.assignment().clone(), bits));
+        }
+    }
+    runs
 }
 
 proptest! {
@@ -139,27 +182,20 @@ proptest! {
         dy in arb_offset(),
     ) {
         let moved = translated(&design, Point::new(dx, dy));
-        let methods: [&dyn NdrOptimizer; 3] =
-            [&SmartNdr::default(), &GreedyDowngrade::default(), &GreedyUpgradeRepair::default()];
-        for tech in [Technology::n45(), Technology::n32()] {
-            let trees = [&design, &moved]
-                .map(|d| synthesize(d, &tech, &CtsOptions::default()).expect("it synthesizes"));
-            let ctxs = trees
-                .each_ref()
-                .map(|t| OptContext::new(t, &tech, PowerModel::new(design.freq_ghz())));
-            for method in methods {
-                let [a, b] = ctxs.each_ref().map(|ctx| method.optimize(ctx));
-                let bits = |o: &smart_ndr::core::Outcome| {
-                    [
-                        o.power().total_uw().to_bits(),
-                        o.power().network_uw().to_bits(),
-                        o.timing().skew_ps().to_bits(),
-                        o.timing().max_slew_ps().to_bits(),
-                    ]
-                };
-                prop_assert_eq!(a.assignment(), b.assignment(), "{} on {}", a.name(), tech.name());
-                prop_assert_eq!(bits(&a), bits(&b), "{} on {}", a.name(), tech.name());
-            }
+        for (a, b) in outcomes(&design).into_iter().zip(outcomes(&moved)) {
+            prop_assert_eq!(a.clone(), b, "{}", a.0);
+        }
+    }
+
+    /// Reordering the sinks changes nothing: with the sinks shuffled and
+    /// their ids renumbered, power, skew and slew stay bit for bit the same
+    /// for smart, greedy and upgrade on both technologies. (Tree nodes may
+    /// be numbered differently, so assignments are not compared.)
+    #[test]
+    fn reordering_the_sinks_changes_nothing(design in arb_design(), shuffle in any::<u64>()) {
+        let reordered = reordered(&design, shuffle);
+        for (a, b) in outcomes(&design).into_iter().zip(outcomes(&reordered)) {
+            prop_assert_eq!(a.2, b.2, "{}", a.0);
         }
     }
 }

@@ -14,18 +14,17 @@
 //! The last test pins why the repair branch stays: under tight constraints
 //! on N32 it beats a feasible downgrade result.
 
+mod common;
+
+use common::{context, SETS};
 use smart_ndr::core::{
     Budget, Constraints, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext,
     SmartNdr, SupervisedRun,
 };
 use smart_ndr::cts::{synthesize, ClockTree, CtsOptions};
-use smart_ndr::netlist::{random_timing_arcs, BenchmarkSpec, Design};
+use smart_ndr::netlist::{BenchmarkSpec, Design};
 use smart_ndr::power::PowerModel;
-use smart_ndr::tech::{Corner, Technology};
-
-/// The constraint sets of the grid.
-const SETS: [&str; 9] =
-    ["default", "tight", "loose", "window15", "window40", "corners", "track", "em", "noise"];
+use smart_ndr::tech::Technology;
 
 fn design(tech: &Technology, sinks: usize, seed: u64) -> (Design, ClockTree) {
     let design = BenchmarkSpec::new(format!("oracle{sinks}"), sinks)
@@ -34,40 +33,6 @@ fn design(tech: &Technology, sinks: usize, seed: u64) -> (Design, ClockTree) {
         .expect("grid spec is valid");
     let tree = synthesize(&design, tech, &CtsOptions::default()).expect("grid design synthesizes");
     (design, tree)
-}
-
-fn context<'a>(
-    set: &str,
-    design: &Design,
-    tree: &'a ClockTree,
-    tech: &'a Technology,
-) -> OptContext<'a> {
-    let ctx = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()));
-    // A useful-skew point as the Pareto sweep builds it: ±`w` ps windows on
-    // `sinks/2` nearby sink pairs under a relaxed 150 ps global budget.
-    let windows = |ctx: OptContext<'a>, w: f64| {
-        let count = (design.sinks().len() / 2).clamp(1, 400);
-        let arcs = random_timing_arcs(design, count, (w, w), (w, w), 77);
-        ctx.with_constraints(Constraints::relative(tree, tech, 1.1, 150.0))
-            .with_timing_arcs(arcs)
-            .expect("synthetic arcs reference the design's own sinks")
-    };
-    let defaults = ctx.constraints();
-    match set {
-        "default" => ctx,
-        "tight" => ctx.with_constraints(Constraints::relative(tree, tech, 1.02, 8.0)),
-        "loose" => ctx.with_constraints(Constraints::relative(tree, tech, 1.4, 80.0)),
-        "window15" => windows(ctx, 15.0),
-        "window40" => windows(ctx, 40.0),
-        "corners" => ctx.with_corners(vec![Corner::slow(), Corner::fast()]),
-        "track" => {
-            let base_um = ctx.conservative_baseline().power().track_cost_um();
-            ctx.with_constraints(defaults.with_track_budget_um(0.8 * base_um))
-        }
-        "em" => ctx.with_constraints(defaults.with_em_limit(2.5)),
-        "noise" => ctx.with_constraints(defaults.with_noise_limit(0.05)),
-        other => unreachable!("unknown constraint set {other}"),
-    }
 }
 
 /// The flow without the reuse: downgrade, upgrade-repair, downgrade polish
