@@ -21,9 +21,7 @@
 //! | [`GreedyDowngrade`] | sensitivity-ordered downgrades from the conservative start | the "smart" downgrade construction |
 //! | [`SmartNdr`] | best of the two greedy constructions | **the headline flow** |
 //! | [`GreedyUpgradeRepair`] | upgrades from the all-default start until feasible | dual construction |
-//! | [`Lagrangian`] | dualized constraints, separable per-edge re-choice | classic wire-sizing formulation |
 //! | [`Annealing`] | simulated annealing over assignments | global-search reference |
-//! | [`StageExhaustive`] | exact enumeration within small stages | optimality yardstick |
 //!
 //! All optimizers implement [`NdrOptimizer`] and are compared by the
 //! experiment harness in `snr-bench`.
@@ -62,14 +60,12 @@ mod error;
 #[cfg(feature = "fault-inject")]
 mod execfault;
 mod greedy;
-mod lagrangian;
 mod level;
 mod outcome;
 mod resize;
 mod robustness;
 mod session;
 mod smart;
-mod stage_exhaustive;
 mod supervise;
 mod uniform;
 mod upgrade;
@@ -81,14 +77,12 @@ pub use error::CoreError;
 #[cfg(feature = "fault-inject")]
 pub use execfault::ExecFault;
 pub use greedy::GreedyDowngrade;
-pub use lagrangian::Lagrangian;
 pub use level::LevelBased;
 pub use outcome::Outcome;
 pub use resize::{buffer_size_histogram, downsize_buffers, downsize_in_context, ResizeOutcome};
 pub use robustness::{enforce_robustness, RobustnessSpec};
 pub use session::{CandidateEval, Degradation, EvalMode, EvalSession};
 pub use smart::SmartNdr;
-pub use stage_exhaustive::StageExhaustive;
 pub use supervise::{panic_message, Budget, BudgetReport, DegradationEvent, SupervisedRun};
 pub use uniform::Uniform;
 pub use upgrade::GreedyUpgradeRepair;

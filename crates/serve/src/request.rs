@@ -82,8 +82,6 @@ pub enum Method {
     Uniform,
     /// Simulated annealing.
     Anneal,
-    /// Lagrangian relaxation.
-    Lagrangian,
 }
 
 impl Method {
@@ -96,7 +94,6 @@ impl Method {
             "level" => Ok(Method::Level),
             "uniform" => Ok(Method::Uniform),
             "anneal" => Ok(Method::Anneal),
-            "lagrangian" => Ok(Method::Lagrangian),
             other => Err(ApiError::usage(format!("unknown --method {other:?}"))),
         }
     }
@@ -110,7 +107,6 @@ impl Method {
             Method::Level => "level",
             Method::Uniform => "uniform",
             Method::Anneal => "anneal",
-            Method::Lagrangian => "lagrangian",
         }
     }
 }

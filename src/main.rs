@@ -3,7 +3,7 @@
 //! ```text
 //! smart-ndr gen   --sinks 800 --seed 7 --out design.sndr
 //! smart-ndr run   --design design.sndr [--tech n45|n32]
-//!                 [--method smart|greedy|upgrade|level|uniform|anneal|lagrangian]
+//!                 [--method smart|greedy|upgrade|level|uniform|anneal]
 //!                 [--slew-margin 1.1] [--skew-budget 30] [--svg tree.svg] [--mc 200] [--jobs 4]
 //!                 [--timeout 30] [--max-iters 100000] [--store cache/] [--no-cache]
 //! smart-ndr run   --sinks 500 --seed 3            # generate on the fly
@@ -101,7 +101,7 @@ USAGE:
   smart-ndr gen   --sinks <N> [--seed <S>] [--freq <GHz>] --out <FILE>
   smart-ndr run   (--design <FILE> | --sinks <N> [--seed <S>])
                   [--tech n45|n32]
-                  [--method smart|greedy|upgrade|level|uniform|anneal|lagrangian]
+                  [--method smart|greedy|upgrade|level|uniform|anneal]
                   [--slew-margin <X>] [--skew-budget <PS>] [--svg <FILE>] [--mc <SAMPLES>]
                   [--save-asg <FILE>] [--jobs <N>] [--json]
                   [--timeout <SECS>] [--max-iters <N>] [--store <DIR>] [--no-cache]

@@ -69,9 +69,9 @@ fn unexhausted_supervision_receipt_on_a_clean_run() {
 }
 
 #[test]
-fn lagrangian_method_is_supervised_too() {
+fn anneal_method_is_supervised_too() {
     let out = bin()
-        .args(["run", "--sinks", "60", "--seed", "2", "--method", "lagrangian", "--max-iters", "4", "--json"])
+        .args(["run", "--sinks", "60", "--seed", "2", "--method", "anneal", "--max-iters", "4", "--json"])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
