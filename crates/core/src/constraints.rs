@@ -132,19 +132,45 @@ impl Constraints {
     ///
     /// # Panics
     ///
-    /// Panics if `slew_margin < 1` (the baseline itself would violate) or
-    /// `skew_budget_ps <= 0`.
+    /// Panics where [`Constraints::try_relative`] returns an error.
     pub fn relative(tree: &ClockTree, tech: &Technology, slew_margin: f64, skew_budget_ps: f64) -> Self {
-        assert!(
-            slew_margin.is_finite() && slew_margin >= 1.0,
-            "slew margin {slew_margin} must be >= 1"
-        );
+        Self::try_relative(tree, tech, slew_margin, skew_budget_ps)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Constraints::relative`] for limits taken from a request.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the limit when `slew_margin < 1` (the baseline
+    /// itself would violate), or when a derived limit is not positive and
+    /// finite: a skew budget that leaves no room, or a margin so large that
+    /// the slew limit overflows.
+    pub fn try_relative(
+        tree: &ClockTree,
+        tech: &Technology,
+        slew_margin: f64,
+        skew_budget_ps: f64,
+    ) -> Result<Self, String> {
+        if !(slew_margin.is_finite() && slew_margin >= 1.0) {
+            return Err(format!("slew margin {slew_margin} must be >= 1"));
+        }
         let base = Assignment::uniform(tree, tech.rules().most_conservative_id());
         let report = Analyzer::new().run(tree, tech, &base);
-        Constraints::absolute(
-            slew_margin * report.max_slew_ps(),
-            report.skew_ps() + skew_budget_ps,
-        )
+        let (slew, skew) = (slew_margin * report.max_slew_ps(), report.skew_ps() + skew_budget_ps);
+        if !(slew.is_finite() && slew > 0.0) {
+            return Err(format!(
+                "slew margin {slew_margin:?} gives no usable slew limit ({slew} ps) over a baseline max slew of {:.3} ps",
+                report.max_slew_ps()
+            ));
+        }
+        if !(skew.is_finite() && skew > 0.0) {
+            return Err(format!(
+                "skew budget {skew_budget_ps:?} ps gives no usable skew limit ({skew} ps) over a baseline skew of {:.3} ps",
+                report.skew_ps()
+            ));
+        }
+        Ok(Constraints::absolute(slew, skew))
     }
 
     /// Max slew allowed at any sink or buffer input, ps.
@@ -214,6 +240,25 @@ mod tests {
         let report = Analyzer::new().run(&tree, &tech, &base);
         assert!(c.met_by(&report));
         assert_eq!(c.violation_ps(&report), 0.0);
+    }
+
+    #[test]
+    fn try_relative_rejects_limits_it_cannot_derive() {
+        let design = BenchmarkSpec::new("t", 40).seed(1).build().unwrap();
+        let tech = Technology::n45();
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+        assert_eq!(
+            Constraints::try_relative(&tree, &tech, 1.05, 20.0),
+            Ok(Constraints::relative(&tree, &tech, 1.05, 20.0))
+        );
+        for (margin, budget, names) in [
+            (0.5, 30.0, "slew margin 0.5"),
+            (1e308, 30.0, "slew margin 1e308"),
+            (1.1, -1e9, "skew budget"),
+        ] {
+            let err = Constraints::try_relative(&tree, &tech, margin, budget).unwrap_err();
+            assert!(err.contains(names), "{err}");
+        }
     }
 
     #[test]

@@ -201,6 +201,9 @@ pub enum QuarantineReason {
     ChecksumMismatch,
     /// The checksummed payload's section framing is malformed.
     BadFraming,
+    /// The payload verified, but lacks sections its reader needs (an
+    /// incompatible writer's layout).
+    MissingSections,
 }
 
 impl QuarantineReason {
@@ -214,6 +217,7 @@ impl QuarantineReason {
             QuarantineReason::Truncated => "truncated",
             QuarantineReason::ChecksumMismatch => "checksum-mismatch",
             QuarantineReason::BadFraming => "bad-framing",
+            QuarantineReason::MissingSections => "missing-sections",
         }
     }
 }
@@ -221,11 +225,13 @@ impl QuarantineReason {
 /// A verified entry's payload: named sections in file order.
 pub type Sections = Vec<(String, Vec<u8>)>;
 
-/// The outcome of [`ResultStore::load`].
+/// The outcome of [`ResultStore::load`], or of
+/// [`ResultStore::load_decoded`] with `T` the decoded value.
 #[derive(Debug)]
-pub enum Lookup {
-    /// The entry verified end-to-end; these are exactly the bytes saved.
-    Hit(Sections),
+pub enum Lookup<T = Sections> {
+    /// The entry verified end-to-end; these are exactly the bytes saved
+    /// (or their decoding).
+    Hit(T),
     /// No entry under this key.
     Miss,
     /// An entry existed but failed verification; it has been moved to
@@ -386,6 +392,19 @@ impl ResultStore {
     /// three outcomes; this never panics and never returns unverified
     /// bytes.
     pub fn load(&self, kind: StoreKind, key: CacheKey) -> Lookup {
+        self.load_decoded(kind, key, Some)
+    }
+
+    /// [`ResultStore::load`], with `decode` as the last verification step:
+    /// sections it rejects are quarantined as
+    /// [`QuarantineReason::MissingSections`], and the load counts as
+    /// quarantined, not as a hit.
+    pub fn load_decoded<T>(
+        &self,
+        kind: StoreKind,
+        key: CacheKey,
+        decode: impl FnOnce(Sections) -> Option<T>,
+    ) -> Lookup<T> {
         let path = self.entry_path(kind, key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -400,23 +419,18 @@ impl ResultStore {
                 return Lookup::Miss;
             }
         };
-        match parse_entry(&bytes, kind, key) {
-            Ok(sections) => {
+        let decoded = parse_entry(&bytes, kind, key)
+            .and_then(|sections| decode(sections).ok_or(QuarantineReason::MissingSections));
+        match decoded {
+            Ok(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit(sections)
+                Lookup::Hit(value)
             }
             Err(reason) => {
                 self.quarantine_file(&path, reason);
                 Lookup::Quarantined(reason)
             }
         }
-    }
-
-    /// Quarantines the entry for `key` explicitly — for callers that
-    /// discover a higher-level inconsistency (e.g. a verified entry whose
-    /// sections are semantically incomplete for the current reader).
-    pub fn quarantine(&self, kind: StoreKind, key: CacheKey, reason: QuarantineReason) {
-        self.quarantine_file(&self.entry_path(kind, key), reason);
     }
 
     fn quarantine_file(&self, path: &Path, reason: QuarantineReason) {
@@ -601,6 +615,20 @@ mod tests {
         assert_eq!(
             store.stats(),
             StoreStats { hits: 1, misses: 1, quarantined: 0, writes: 1 }
+        );
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn sections_the_decoder_rejects_count_as_quarantined_not_hit() {
+        let (d, store) = tmp_store("decode");
+        save_one(&store);
+        let lookup = store.load_decoded(StoreKind::Run, KEY, |_| None::<()>);
+        assert!(matches!(lookup, Lookup::Quarantined(QuarantineReason::MissingSections)));
+        assert!(matches!(store.load(StoreKind::Run, KEY), Lookup::Miss), "moved to corrupt/");
+        assert_eq!(
+            store.stats(),
+            StoreStats { hits: 0, misses: 1, quarantined: 1, writes: 1 }
         );
         fs::remove_dir_all(&d).unwrap();
     }

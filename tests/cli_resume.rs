@@ -197,6 +197,8 @@ fn row_missing_a_section_is_quarantined_with_a_warning_and_recomputed() {
         "{err}"
     );
     assert!(err.contains(", 1 quarantined, "), "{err}");
+    // The quarantined entry is no hit.
+    assert!(err.contains("store: 0 hit(s), 2 miss(es), 1 quarantined, 3 write(s)"), "{err}");
     assert!(runtimes(&out).iter().all(|rt| rt != "-"), "no row was replayed: {out:?}");
     let recomputed = std::fs::read(&out_q).expect("artifact written");
     assert_eq!(recomputed, reference, "the recomputed row must be byte-identical");

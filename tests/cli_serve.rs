@@ -343,13 +343,15 @@ fn out_of_range_limits_answer_typed_errors_and_daemon_keeps_serving() {
         (32, "run", one, "\"skew_budget\": 0", "usage"),
         (33, "pareto", one, "\"skew_budgets\": [0], \"windows\": []", "usage"),
         (34, "pareto", one, "\"track_fracs\": [0.9]", "invalid_input"),
+        // Finite, but the derived slew limit overflows.
+        (35, "run", generated, "\"slew_margin\": 1e308", "usage"),
     ];
     let mut d = Daemon::spawn(&["--jobs", "1"]);
     for (id, op, design, extra, _) in cases {
         d.send(&format!("{{\"op\": \"{op}\", \"id\": {id}, \"design\": {design}, {extra}}}"));
     }
     d.send(&run_request(1, 40, 1, ""));
-    let finals = d.finals_for(&[30, 31, 32, 33, 34, 1]);
+    let finals = d.finals_for(&[30, 31, 32, 33, 34, 35, 1]);
     for (id, _, _, _, code) in cases {
         assert!(
             finals[&id].contains(&format!("\"error\": {{\"code\": \"{code}\"")),
