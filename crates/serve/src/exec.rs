@@ -20,7 +20,7 @@ use snr_netlist::{load_design, load_design_with, validate::Bounds, BenchmarkSpec
     ErrorKind, LoadOptions};
 use snr_par::{par_map, CancelToken, Deadline, Parallelism};
 use snr_power::PowerModel;
-use snr_store::{CacheKey, ContentHasher, Lookup, QuarantineReason, ResultStore, StoreKind};
+use snr_store::{CacheKey, Lookup, QuarantineReason, ResultStore, StoreKind};
 use snr_tech::Technology;
 use snr_variation::{MonteCarlo, VariationError, VariationModel};
 
@@ -29,8 +29,8 @@ use snr_pareto::{FrontPoint, ParetoFront, PointEval, SweepPoint};
 use crate::cache::{CacheStatus, Warm, WarmCache};
 use crate::error::ApiError;
 use crate::plan::{
-    DesignInput, ExportNdrPlan, ImportPlan, LintPlan, ParetoPlan, Plan, RunPlan, SuiteEntry,
-    SuitePlan,
+    suite_row_key, DesignInput, ExportNdrPlan, ImportPlan, LintPlan, ParetoPlan, Plan, RunPlan,
+    SuiteEntry, SuitePlan,
 };
 use crate::request::{CacheMode, Method};
 
@@ -1089,23 +1089,6 @@ fn suite_row(entry: &SuiteEntry, tech: &Technology) -> SuiteRow {
             }
         }
     }
-}
-
-/// The result-store key of one suite row: a content hash of the design's
-/// canonical serialized bytes (not its name or path), the technology and
-/// the CTS configuration. `None` when the design cannot be serialized —
-/// such a row just runs uncached.
-fn suite_row_key(design: &Design, tech: &Technology) -> Option<CacheKey> {
-    let mut bytes = Vec::new();
-    snr_netlist::save_design(design, &mut bytes).ok()?;
-    Some(
-        ContentHasher::new()
-            .chunk(b"suite-row-v1")
-            .chunk(&bytes)
-            .chunk(tech.name().as_bytes())
-            .chunk(crate::plan::CTS_OPTIONS_FINGERPRINT.as_bytes())
-            .finish(),
-    )
 }
 
 /// Reassembles a suite row from a verified store entry. Stored rows are

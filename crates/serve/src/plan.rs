@@ -31,6 +31,15 @@ use crate::request::{
 /// cache key honest if that ever changes.
 pub(crate) const CTS_OPTIONS_FINGERPRINT: &str = "cts-default-v1";
 
+/// Version of what the optimizers return, mixed into every result-store
+/// key: run results ([`RunPlan::result_key`]), pareto points
+/// ([`ParetoPlan::point_key`]) and suite rows ([`suite_row_key`]). Any
+/// change to an optimizer's output bumps it, so a store written before
+/// the change recomputes instead of replaying stale results. Version 1
+/// is the keys written before the constant existed; version 2 is the
+/// stage-net `SmartNdr` flow.
+pub(crate) const RESULTS_VERSION: u64 = 2;
+
 /// The design input a plan carries: raw bytes to parse, or a generator
 /// spec to build.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +132,7 @@ impl ParetoPlan {
     pub fn point_key(&self, point: &SweepPoint) -> CacheKey {
         let mut h = ContentHasher::new();
         h.chunk(b"pareto-point-v1")
+            .chunk(&RESULTS_VERSION.to_le_bytes())
             .chunk(&self.key.0.to_le_bytes())
             .chunk(&[u8::from(self.eval.corners)])
             .chunk(&(self.eval.mc_samples as u64).to_le_bytes())
@@ -277,6 +287,7 @@ fn run_key(input: &DesignInput, tech: &Technology) -> CacheKey {
 fn result_key(warm_key: CacheKey, req: &RunRequest) -> CacheKey {
     ContentHasher::new()
         .chunk(b"result-v1")
+        .chunk(&RESULTS_VERSION.to_le_bytes())
         .chunk(&warm_key.0.to_le_bytes())
         .chunk(req.method.as_str().as_bytes())
         .chunk(&req.slew_margin.to_bits().to_le_bytes())
@@ -284,6 +295,24 @@ fn result_key(warm_key: CacheKey, req: &RunRequest) -> CacheKey {
         .chunk(&(req.mc_samples as u64).to_le_bytes())
         .chunk(&req.max_iters.to_le_bytes())
         .finish()
+}
+
+/// The result-store key of one suite row: a content hash of the design's
+/// canonical serialized bytes (not its name or path), the technology and
+/// the CTS configuration. `None` when the design cannot be serialized —
+/// such a row just runs uncached.
+pub(crate) fn suite_row_key(design: &Design, tech: &Technology) -> Option<CacheKey> {
+    let mut bytes = Vec::new();
+    snr_netlist::save_design(design, &mut bytes).ok()?;
+    Some(
+        ContentHasher::new()
+            .chunk(b"suite-row-v1")
+            .chunk(&RESULTS_VERSION.to_le_bytes())
+            .chunk(&bytes)
+            .chunk(tech.name().as_bytes())
+            .chunk(CTS_OPTIONS_FINGERPRINT.as_bytes())
+            .finish(),
+    )
 }
 
 fn design_input(source: &DesignSource) -> Result<DesignInput, ApiError> {
@@ -528,6 +557,24 @@ mod tests {
             base.result_key,
             plan_run(&more_jobs).unwrap().result_key,
             "results are bit-identical per job count, so jobs is excluded"
+        );
+    }
+
+    /// Known answers for the three result-store keys. They move only
+    /// together with [`RESULTS_VERSION`] (or a deliberate key change): a
+    /// store entry whose key does not move is replayed as it was written.
+    #[test]
+    fn result_store_keys_match_their_known_answers() {
+        let generate = DesignSource::Generate { sinks: 40, seed: 2, freq_ghz: 1.0 };
+        let run = plan_run(&gen_req(40, 2)).unwrap();
+        let pareto = plan_pareto(&ParetoRequest::new(generate)).unwrap();
+        let design = snr_netlist::BenchmarkSpec::new("kat", 40).seed(2).build().unwrap();
+        let row = suite_row_key(&design, &Technology::n45()).unwrap();
+        assert_eq!(RESULTS_VERSION, 2);
+        assert_eq!(
+            [run.result_key.0, pareto.point_key(&pareto.points[0]).0, row.0],
+            [0x3a56_f007_9b1a_18c6, 0xa374_af36_f1ff_ddbd, 0x514b_d3fe_595e_3439],
+            "run, pareto-point and suite-row keys"
         );
     }
 
