@@ -102,6 +102,17 @@ case "$capped" in
     *'"meets_constraints": true'*'"budget_exhausted": true'*|*'"budget_exhausted": true'*'"meets_constraints": true'*) ;;
     *) echo "FAIL: capped run must stay feasible and report exhaustion: $capped" >&2; exit 1 ;;
 esac
+# Rescue-only repair: upgrade-repair runs only when the conservative start
+# is infeasible, so a default run (feasible start) has no such phase.
+plain="$("$BIN" run --sinks 180 --seed 2 --json)"
+case "$plain" in
+    *'"phase": "stage-nets"'*) ;;
+    *) echo "FAIL: smart run must report its stage-net phase: $plain" >&2; exit 1 ;;
+esac
+case "$plain" in
+    *'"phase": "upgrade-repair"'*)
+        echo "FAIL: upgrade-repair ran on a feasible start: $plain" >&2; exit 1 ;;
+esac
 
 step "serve smoke (resident daemon)"
 # Three requests, one invalid: the invalid one gets a typed error, the
