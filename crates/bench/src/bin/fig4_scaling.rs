@@ -3,8 +3,8 @@
 //! Power saving and optimizer runtime as the sink count sweeps
 //! 200 → 50 000. `opt_ms` and the power columns are the greedy downgrade
 //! construction; `smart_ms` and `smart_save_vs_2w2s` are the full
-//! `SmartNdr` flow (downgrade, upgrade-repair and polish, cheaper feasible
-//! result kept). Expected shape: the saving fraction is roughly
+//! `SmartNdr` flow (greedy downgrade and the stage-net construction, the
+//! cheaper result kept). Expected shape: the saving fraction is roughly
 //! size-independent (the trade-off is per-edge), while runtime grows
 //! super-linearly (each commit's probes re-time a cone, and the number of
 //! commits grows with n).

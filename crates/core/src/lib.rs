@@ -19,8 +19,8 @@
 //! | [`Uniform`] | one rule everywhere | the industrial baselines |
 //! | [`LevelBased`] | conservative near the root, default near leaves | rule-of-thumb baseline |
 //! | [`GreedyDowngrade`] | sensitivity-ordered downgrades from the conservative start | the "smart" downgrade construction |
-//! | [`SmartNdr`] | best of the two greedy constructions | **the headline flow** |
-//! | [`GreedyUpgradeRepair`] | upgrades from the all-default start until feasible | dual construction |
+//! | [`SmartNdr`] | cheaper of greedy downgrade and stage-net downgrade; upgrade-repair only when the conservative start is infeasible | **the headline flow** |
+//! | [`GreedyUpgradeRepair`] | upgrades from the all-default start until feasible | dual construction; `SmartNdr`'s rescue |
 //! | [`Annealing`] | simulated annealing over assignments | global-search reference |
 //!
 //! All optimizers implement [`NdrOptimizer`] and are compared by the

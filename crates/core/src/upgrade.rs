@@ -17,7 +17,10 @@ use std::cmp::Reverse;
 ///
 /// This is the natural dual of [`crate::GreedyDowngrade`]; the ablation
 /// experiment compares the two constructions' power at identical
-/// constraints.
+/// constraints. [`crate::SmartNdr`] runs it as its rescue, only when the
+/// conservative start is infeasible (a track budget below its track cost):
+/// its candidates come from slew and skew violations, so it cannot repair
+/// window-arc, corner, EM or noise violations.
 #[derive(Debug, Clone)]
 pub struct GreedyUpgradeRepair {
     max_iters: usize,
