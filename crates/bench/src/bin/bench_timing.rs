@@ -6,7 +6,7 @@
 //! on one thread, and asserted **bit-identical** before anything is timed:
 //!
 //! * Monte-Carlo shape: K per-edge R/C scaling lanes through one
-//!   [`BatchAnalyzer::run_scaled`] call vs K serial
+//!   [`BatchAnalyzer::run_scaled_nominal`] call vs K serial
 //!   [`Analyzer::run_scaled`] calls (the pre-batch MC inner loop);
 //! * corner shape: a 3-corner sweep through one
 //!   [`BatchAnalyzer::run_at_corners`] call vs per-corner

@@ -23,29 +23,19 @@ use std::cmp::Reverse;
 /// window-arc, corner, EM or noise violations.
 #[derive(Debug, Clone)]
 pub struct GreedyUpgradeRepair {
-    max_iters: usize,
     budget: Budget,
 }
 
+/// Repair iterations after which the loop stops even under an unlimited
+/// budget; a tighter cap comes from the budget.
+const MAX_ITERS: usize = 100_000;
+
 impl GreedyUpgradeRepair {
-    /// Creates the optimizer with a generous iteration cap under an
-    /// unlimited budget.
+    /// Creates the optimizer under an unlimited budget.
     pub fn new() -> Self {
         GreedyUpgradeRepair {
-            max_iters: 100_000,
             budget: Budget::unlimited(),
         }
-    }
-
-    /// Returns a copy with a custom iteration cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_iters` is zero.
-    pub fn with_max_iters(mut self, max_iters: usize) -> Self {
-        assert!(max_iters > 0, "need at least one iteration");
-        self.max_iters = max_iters;
-        self
     }
 
     /// Returns a copy bounded by `budget`. The single phase
@@ -173,7 +163,7 @@ impl GreedyUpgradeRepair {
         // and a cursor past its prefix of edges at the top rule: repair
         // only raises rules, so those never leave it.
         let mut plateau: Option<(Vec<NodeId>, usize)> = None;
-        for _ in 0..self.max_iters {
+        for _ in 0..MAX_ITERS {
             if !meter.tick() {
                 return;
             }
@@ -371,7 +361,7 @@ mod tests {
         let (tree, tech) = fixture(120);
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
         let asg = GreedyUpgradeRepair::default()
-            .with_max_iters(1)
+            .with_budget(Budget::unlimited().with_max_iters(1))
             .assign(&ctx);
         // One iteration cannot repair a 120-sink tree; the guaranteed
         // fallback is the conservative uniform.

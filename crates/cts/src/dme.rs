@@ -1,5 +1,4 @@
-//! Deferred-Merge Embedding (DME) with exact Elmore balancing and
-//! integrated buffering.
+//! Buffered Deferred-Merge Embedding (DME) with exact Elmore balancing.
 //!
 //! The classic zero-skew-tree construction (Chao–Hsu–Kahng / Boese–Kahng):
 //! a bottom-up pass computes, for every merge of the [`TopologyPlan`], the
@@ -34,50 +33,8 @@ struct MergeState {
     child_len_nm: [f64; 2],
     /// Repeaters inserted along each child edge.
     child_reps: [u32; 2],
-    /// Buffer cell inserted at this node (buffered DME only).
+    /// Buffer cell inserted at this node.
     buffer: Option<usize>,
-}
-
-/// Builds the unbuffered, Elmore-balanced clock tree for `plan`.
-///
-/// Wire parasitics are taken from the technology's clock layer at the
-/// options' *construction rule* (industrially, trees are built assuming the
-/// uniform conservative NDR; the optimizer later relaxes individual edges).
-///
-/// # Errors
-///
-/// Returns [`CtsError`] if the plan does not match the design (wrong sink
-/// count or indices) — see [`TopologyPlan::check`].
-pub fn build_unbuffered_tree(
-    design: &Design,
-    tech: &Technology,
-    opts: &CtsOptions,
-    plan: &TopologyPlan,
-) -> Result<ClockTree, CtsError> {
-    build_tree_inner(design, tech, opts, plan, false)
-}
-
-/// Builds a *buffered* Elmore-balanced clock tree: buffered DME.
-///
-/// Buffers are inserted bottom-up during merging whenever a subtree's
-/// accumulated capacitance exceeds the stage-cap limit; long edges receive
-/// evenly spaced repeaters. Because insertion happens before each merge is
-/// balanced, the wire-length split compensates for buffer delays and the
-/// tree keeps (near-)zero Elmore skew even with unequal stage loads. A root
-/// driver is always added.
-///
-/// # Errors
-///
-/// Returns [`CtsError`] if the plan does not match the design, or if no
-/// library buffer can drive a stage load within three times the slew
-/// target.
-pub fn build_buffered_tree(
-    design: &Design,
-    tech: &Technology,
-    opts: &CtsOptions,
-    plan: &TopologyPlan,
-) -> Result<ClockTree, CtsError> {
-    build_tree_inner(design, tech, opts, plan, true)
 }
 
 fn pick_cell(tech: &Technology, opts: &CtsOptions, load_ff: f64) -> Result<usize, CtsError> {
@@ -105,19 +62,19 @@ struct EdgeModel<'a> {
     r: f64,
     /// Unit capacitance, fF/µm.
     c: f64,
-    /// Stage-cap limit driving repeater count, fF (`None` disables
-    /// repeaters — the unbuffered build).
-    cmax: Option<f64>,
-    /// Repeater cell (only consulted when `cmax` is set).
-    rep: Option<&'a BufferCell>,
+    /// Stage-cap limit driving repeater count, fF.
+    cmax: f64,
+    /// Repeater cell.
+    rep: &'a BufferCell,
 }
 
 impl EdgeModel<'_> {
     /// Repeater count for an edge of `e_um` µm.
     fn reps_for(&self, e_um: f64) -> u32 {
-        match self.cmax {
-            Some(cmax) if self.c * e_um > cmax => ((self.c * e_um) / cmax).ceil() as u32 - 1,
-            _ => 0,
+        if self.c * e_um > self.cmax {
+            ((self.c * e_um) / self.cmax).ceil() as u32 - 1
+        } else {
+            0
         }
     }
 
@@ -131,12 +88,8 @@ impl EdgeModel<'_> {
             t += self.r * seg * (self.c * seg / 2.0 + cap);
             cap += self.c * seg;
             if i < k {
-                // `reps_for` only returns k > 0 when `cmax` is set, and the
-                // constructor pairs `cmax` with a repeater cell.
-                if let Some(rep) = self.rep {
-                    t += rep.delay_ps(cap);
-                    cap = rep.input_cap_ff();
-                }
+                t += self.rep.delay_ps(cap);
+                cap = self.rep.input_cap_ff();
             }
         }
         (t, cap)
@@ -288,12 +241,28 @@ fn snake_length_um(r: f64, c: f64, cap_ff: f64, extra_ps: f64) -> f64 {
     ((cap_ff * cap_ff + 2.0 * c * extra_ps / r).sqrt() - cap_ff) / c
 }
 
-fn build_tree_inner(
+/// Builds a buffered, Elmore-balanced clock tree for `plan`: buffered DME.
+///
+/// Wire parasitics are taken from the technology's clock layer at the
+/// options' *construction rule* (industrially, trees are built assuming the
+/// uniform conservative NDR; the optimizer later relaxes individual edges).
+/// Buffers are inserted bottom-up during merging whenever a subtree's
+/// accumulated capacitance exceeds the stage-cap limit; long edges receive
+/// evenly spaced repeaters. Because insertion happens before each merge is
+/// balanced, the wire-length split compensates for buffer delays and the
+/// tree keeps (near-)zero Elmore skew even with unequal stage loads. A root
+/// driver is always added (a single-sink tree is just its sink).
+///
+/// # Errors
+///
+/// Returns [`CtsError`] if the plan does not match the design (wrong sink
+/// count or indices — see [`TopologyPlan::check`]), or if no library buffer
+/// can drive a stage load within three times the slew target.
+pub fn build_buffered_tree(
     design: &Design,
     tech: &Technology,
     opts: &CtsOptions,
     plan: &TopologyPlan,
-    buffered: bool,
 ) -> Result<ClockTree, CtsError> {
     plan.check(design.sinks().len())
         .map_err(|e| CtsError::new(format!("topology plan invalid: {e}")))?;
@@ -304,16 +273,12 @@ fn build_tree_inner(
 
     // One mid-size repeater cell for all long-edge repeaters, chosen for the
     // stage-cap design point.
-    let rep_idx = if buffered {
-        Some(pick_cell(tech, opts, opts.max_stage_cap_ff())?)
-    } else {
-        None
-    };
+    let rep_idx = pick_cell(tech, opts, opts.max_stage_cap_ff())?;
     let model = EdgeModel {
         r,
         c,
-        cmax: buffered.then(|| opts.max_stage_cap_ff()),
-        rep: rep_idx.map(|i| &tech.buffers().cells()[i]),
+        cmax: opts.max_stage_cap_ff(),
+        rep: &tech.buffers().cells()[rep_idx],
     };
 
     // ---- Bottom-up: merging regions -------------------------------------
@@ -336,31 +301,29 @@ fn build_tree_inner(
             PlanNode::Merge(ai, bi) => {
                 let d_nm = states[*ai].region.distance(&states[*bi].region);
                 let d_um = d_nm / units::NM_PER_UM;
-                if buffered {
-                    // Pre-buffer a child when its subtree plus the incoming
-                    // wire would blow the stage-cap limit — this keeps stage
-                    // loads bounded even across long top-level edges.
-                    let (ea0, eb0) = closed_form_split(
-                        r,
-                        c,
-                        (states[*ai].delay_ps, states[*ai].cap_ff),
-                        (states[*bi].delay_ps, states[*bi].cap_ff),
-                        d_um,
-                    );
-                    for (idx, e_um) in [(*ai, ea0), (*bi, eb0)] {
-                        let is_merge = matches!(plan.nodes()[idx], PlanNode::Merge(..));
-                        let side = &states[idx];
-                        if is_merge
-                            && side.buffer.is_none()
-                            && side.cap_ff + c * e_um > opts.max_stage_cap_ff()
-                        {
-                            let cell = pick_cell(tech, opts, side.cap_ff)?;
-                            let cb = &tech.buffers().cells()[cell];
-                            let s = &mut states[idx];
-                            s.delay_ps += cb.delay_ps(s.cap_ff);
-                            s.cap_ff = cb.input_cap_ff();
-                            s.buffer = Some(cell);
-                        }
+                // Pre-buffer a child when its subtree plus the incoming wire
+                // would blow the stage-cap limit — this keeps stage loads
+                // bounded even across long top-level edges.
+                let (ea0, eb0) = closed_form_split(
+                    r,
+                    c,
+                    (states[*ai].delay_ps, states[*ai].cap_ff),
+                    (states[*bi].delay_ps, states[*bi].cap_ff),
+                    d_um,
+                );
+                for (idx, e_um) in [(*ai, ea0), (*bi, eb0)] {
+                    let is_merge = matches!(plan.nodes()[idx], PlanNode::Merge(..));
+                    let side = &states[idx];
+                    if is_merge
+                        && side.buffer.is_none()
+                        && side.cap_ff + c * e_um > opts.max_stage_cap_ff()
+                    {
+                        let cell = pick_cell(tech, opts, side.cap_ff)?;
+                        let cb = &tech.buffers().cells()[cell];
+                        let s = &mut states[idx];
+                        s.delay_ps += cb.delay_ps(s.cap_ff);
+                        s.cap_ff = cb.input_cap_ff();
+                        s.buffer = Some(cell);
                     }
                 }
                 let (a, b) = (&states[*ai], &states[*bi]);
@@ -389,7 +352,7 @@ fn build_tree_inner(
                     child_reps: [split.ka, split.kb],
                     buffer: None,
                 };
-                if buffered && state.cap_ff > opts.max_stage_cap_ff() {
+                if state.cap_ff > opts.max_stage_cap_ff() {
                     let cell = pick_cell(tech, opts, state.cap_ff)?;
                     let cb = &tech.buffers().cells()[cell];
                     state.delay_ps += cb.delay_ps(state.cap_ff);
@@ -402,13 +365,11 @@ fn build_tree_inner(
         states.push(state);
     }
 
-    // A buffered tree always carries a root driver.
-    if buffered {
-        let ri = plan.root();
-        if states[ri].buffer.is_none() && matches!(plan.nodes()[ri], PlanNode::Merge(..)) {
-            let cell = pick_cell(tech, opts, states[ri].cap_ff)?;
-            states[ri].buffer = Some(cell);
-        }
+    // The tree always carries a root driver.
+    let ri = plan.root();
+    if states[ri].buffer.is_none() && matches!(plan.nodes()[ri], PlanNode::Merge(..)) {
+        let cell = pick_cell(tech, opts, states[ri].cap_ff)?;
+        states[ri].buffer = Some(cell);
     }
 
     // ---- Top-down: embedding ---------------------------------------------
@@ -462,26 +423,24 @@ fn build_tree_inner(
     Ok(tree)
 }
 
-/// Adds the edge `parent → child_loc`, materializing `reps` repeaters
-/// evenly spaced along the L-shaped route, and returns the child's id.
+/// Adds the edge `parent → child_loc`, materializing `reps` repeaters of
+/// library cell `cell` evenly spaced along the L-shaped route, and returns
+/// the child's id.
 fn attach_edge(
     tree: &mut ClockTree,
     parent: NodeId,
     child_loc: Point,
     designed_nm: f64,
     reps: u32,
-    rep_cell: Option<usize>,
+    cell: usize,
     child_kind: NodeKind,
 ) -> NodeId {
     let parent_loc = tree.node(parent).location();
     let manhattan = parent_loc.manhattan(child_loc);
     let total_nm = (designed_nm.round() as i64).max(manhattan);
-    // `reps > 0` only occurs on buffered builds, which always carry a
-    // repeater cell; degrade to a plain edge otherwise.
-    let cell = match rep_cell {
-        Some(cell) if reps > 0 => cell,
-        _ => return tree.add_node(child_kind, child_loc, parent, total_nm),
-    };
+    if reps == 0 {
+        return tree.add_node(child_kind, child_loc, parent, total_nm);
+    }
     let via = lshape_via(parent_loc, child_loc);
     let leg1 = parent_loc.manhattan(via);
     let mut cur = parent;
@@ -527,17 +486,22 @@ mod tests {
         let tech = Technology::n45();
         let opts = CtsOptions::default();
         let plan = bisection_topology(&design);
-        let tree = build_unbuffered_tree(&design, &tech, &opts, &plan).unwrap();
+        let tree = build_buffered_tree(&design, &tech, &opts, &plan).unwrap();
         (design, tech, opts, tree)
     }
 
-    /// Root-to-sink Elmore delay computed directly on the tree, for the
-    /// construction rule (independent reimplementation for the test).
+    /// Root-to-sink Elmore delays computed directly on the tree, for the
+    /// construction rule (independent reimplementation for the test): each
+    /// buffer isolates its subtree behind its input pin and adds its stage
+    /// delay for the load it drives.
     fn elmore_delays(tree: &ClockTree, tech: &Technology, rule: Rule) -> Vec<f64> {
         let r = tech.clock_unit_r(rule);
         let c = tech.clock_unit_c_delay(rule);
+        let cells = tech.buffers().cells();
         let n = tree.len();
-        let mut cap = vec![0.0f64; n];
+        // `load[v]`: what v drives; `seen[v]`: what v presents upstream.
+        let mut load = vec![0.0f64; n];
+        let mut seen = vec![0.0f64; n];
         for id in tree.postorder() {
             let node = tree.node(id);
             let mut acc = match node.kind() {
@@ -546,24 +510,32 @@ mod tests {
             };
             for ch in tree.children(id) {
                 let len_um = tree.node(ch).edge_len_nm() as f64 / 1_000.0;
-                acc += cap[ch.0] + c * len_um;
+                acc += seen[ch.0] + c * len_um;
             }
-            cap[id.0] = acc;
+            load[id.0] = acc;
+            seen[id.0] = match node.kind() {
+                NodeKind::Buffer { cell } => cells[cell].input_cap_ff(),
+                _ => acc,
+            };
         }
-        let mut delay = vec![0.0f64; n];
-        let mut out = Vec::new();
+        let mut out_time = vec![0.0f64; n];
+        let mut delays = Vec::new();
         for id in tree.topo_order() {
             let node = tree.node(id);
+            let mut t = 0.0;
             if let Some(p) = node.parent() {
                 let len_um = node.edge_len_nm() as f64 / 1_000.0;
-                let r_wire = r * len_um;
-                delay[id.0] = delay[p.0] + r_wire * (c * len_um / 2.0 + cap[id.0]);
+                t = out_time[p.0] + r * len_um * (c * len_um / 2.0 + seen[id.0]);
             }
+            if let NodeKind::Buffer { cell } = node.kind() {
+                t += cells[cell].delay_ps(load[id.0]);
+            }
+            out_time[id.0] = t;
             if node.kind().is_sink() {
-                out.push(delay[id.0]);
+                delays.push(t);
             }
         }
-        out
+        delays
     }
 
     #[test]
@@ -609,6 +581,42 @@ mod tests {
     }
 
     #[test]
+    fn stage_caps_bounded() {
+        // Recompute stage loads on the finished tree: no buffer may drive
+        // more than the limit by more than the decision granularity (one
+        // merge's wire on top of a subtree just under the limit).
+        let (_, tech, opts, tree) = setup(300);
+        let c = tech.clock_unit_c_delay(opts.construction_rule());
+        let cells = tech.buffers().cells();
+        let mut acc = vec![0.0f64; tree.len()];
+        let mut worst: f64 = 0.0;
+        for id in tree.postorder() {
+            let node = tree.node(id);
+            let mut a = match node.kind() {
+                NodeKind::Sink { cap_ff, .. } => cap_ff,
+                NodeKind::Buffer { .. } | NodeKind::Steiner => 0.0,
+            };
+            for ch in tree.children(id) {
+                let wire = c * tree.node(ch).edge_len_nm() as f64 / 1_000.0;
+                let below = match tree.node(ch).kind() {
+                    NodeKind::Buffer { cell } => cells[cell].input_cap_ff(),
+                    _ => acc[ch.0],
+                };
+                a += wire + below;
+            }
+            acc[id.0] = a;
+            if node.kind().is_buffer() {
+                worst = worst.max(a);
+            }
+        }
+        let limit = opts.max_stage_cap_ff();
+        assert!(
+            worst <= 2.5 * limit,
+            "worst stage cap {worst:.1} fF far exceeds limit {limit}"
+        );
+    }
+
+    #[test]
     fn single_sink_tree() {
         let (design, _, _, tree) = setup(1);
         assert_eq!(tree.len(), 1);
@@ -632,13 +640,24 @@ mod tests {
         assert_eq!(snake_length_um(r, c, cap, 0.0), 0.0);
     }
 
+    /// The model of the repeater tests: N45-like unit parasitics, a
+    /// 120 fF stage limit and library cell 3 as repeater.
+    fn model(tech: &Technology) -> EdgeModel<'_> {
+        EdgeModel {
+            r: 0.00224,
+            c: 0.196,
+            cmax: 120.0,
+            rep: &tech.buffers().cells()[3],
+        }
+    }
+
     #[test]
     fn edge_model_matches_closed_form_without_repeaters() {
+        let tech = Technology::n45();
         let m = EdgeModel {
             r: 0.002,
             c: 0.2,
-            cmax: None,
-            rep: None,
+            ..model(&tech)
         };
         let (d, cap) = m.eval(100.0, 0, 40.0);
         let expect = 0.002 * 100.0 * (0.2 * 100.0 / 2.0 + 40.0);
@@ -649,23 +668,11 @@ mod tests {
     #[test]
     fn repeaters_reduce_long_edge_delay() {
         let tech = Technology::n45();
-        let rep = &tech.buffers().cells()[3];
-        let m0 = EdgeModel {
-            r: 0.00224,
-            c: 0.196,
-            cmax: None,
-            rep: None,
-        };
-        let m3 = EdgeModel {
-            r: 0.00224,
-            c: 0.196,
-            cmax: Some(120.0),
-            rep: Some(rep),
-        };
-        let (d0, _) = m0.eval(3_000.0, 0, 30.0);
-        let k = m3.reps_for(3_000.0);
+        let m = model(&tech);
+        let (d0, _) = m.eval(3_000.0, 0, 30.0);
+        let k = m.reps_for(3_000.0);
         assert!(k >= 3);
-        let (dk, cap) = m3.eval(3_000.0, k, 30.0);
+        let (dk, cap) = m.eval(3_000.0, k, 30.0);
         assert!(dk < d0, "repeated edge {dk} not faster than bare {d0}");
         assert!(cap < 0.196 * 3_000.0, "upstream sees only the first segment");
     }
@@ -673,13 +680,7 @@ mod tests {
     #[test]
     fn solve_split_balances_with_repeaters() {
         let tech = Technology::n45();
-        let rep = &tech.buffers().cells()[3];
-        let m = EdgeModel {
-            r: 0.00224,
-            c: 0.196,
-            cmax: Some(120.0),
-            rep: Some(rep),
-        };
+        let m = model(&tech);
         let (ta, ca) = (100.0, 60.0);
         let (tb, cb) = (140.0, 90.0);
         let d = 2_000.0;
@@ -703,7 +704,7 @@ mod tests {
         let d2 = BenchmarkSpec::new("b", 20).seed(2).build().unwrap();
         let plan = bisection_topology(&d1);
         let tech = Technology::n45();
-        assert!(build_unbuffered_tree(&d2, &tech, &CtsOptions::default(), &plan).is_err());
+        assert!(build_buffered_tree(&d2, &tech, &CtsOptions::default(), &plan).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Symmetric H-tree generation.
 //!
 //! H-trees are the textbook zero-skew structure for top-level clock
-//! distribution. The generator is used by examples and by tests that need a
+//! distribution. The generator serves tests and doc examples that need a
 //! perfectly symmetric tree with known analytic properties (every root-sink
 //! path is identical by construction).
 
@@ -13,8 +13,8 @@ use snr_netlist::SinkId;
 /// `sink_cap_ff` at each of the `4^levels` leaf taps.
 ///
 /// Level 1 is a single "H" (4 taps). The root is placed at the area centre.
-/// The returned tree is unbuffered; feed it to [`crate::insert_buffers`]
-/// for a driven tree.
+/// The returned tree is unbuffered: a Steiner root, which the timing
+/// analyzers treat as an ideal clock source, and no stage buffers.
 ///
 /// # Panics
 ///

@@ -1,18 +1,22 @@
 //! Clock-tree synthesis substrate.
 //!
-//! Builds buffered clock trees over a [`snr_netlist::Design`], substituting
-//! the commercial CTS flow used in the DAC-2013 study:
+//! Builds buffered zero-skew clock trees over a [`snr_netlist::Design`],
+//! standing in for the conventional CTS flow whose trees the DAC-2013
+//! study assigns NDRs on. [`synthesize`] runs the flow:
 //!
-//! 1. **Topology**: recursive nearest-neighbour pairing of sinks
-//!    ([`nearest_neighbor_topology`]).
-//! 2. **Embedding**: Deferred-Merge Embedding with exact Elmore balancing —
-//!    the classic zero-skew-tree algorithm ([`build_buffered_tree`]).
-//! 3. **Buffering**: level-synchronized buffer insertion driven by a
-//!    stage-capacitance limit ([`insert_buffers`]).
+//! 1. **Topology**: balanced median bisection of the sinks
+//!    ([`bisection_topology`]); [`nearest_neighbor_topology`] is the greedy
+//!    alternative for topology ablations.
+//! 2. **Buffered embedding**: Deferred-Merge Embedding with exact Elmore
+//!    balancing, inserting buffers where a subtree's capacitance exceeds
+//!    the stage-capacitance limit and repeaters along long edges, and
+//!    folding their delays into each merge's balance
+//!    ([`build_buffered_tree`]).
 //!
 //! The output is a [`ClockTree`], the structure every downstream crate
 //! (timing, power, variation, the NDR optimizer) consumes, together with an
-//! [`Assignment`] mapping each tree edge to a routing rule.
+//! [`Assignment`] mapping each tree edge to a routing rule. [`h_tree`]
+//! builds the textbook unbuffered H-tree for tests and examples.
 //!
 //! # Examples
 //!
@@ -35,7 +39,6 @@
 
 mod arena;
 mod assignment;
-mod buffering;
 mod dme;
 mod error;
 mod htree;
@@ -48,8 +51,7 @@ pub mod svg;
 
 pub use arena::{TreeArena, NO_PARENT};
 pub use assignment::Assignment;
-pub use buffering::insert_buffers;
-pub use dme::{build_buffered_tree, build_unbuffered_tree};
+pub use dme::build_buffered_tree;
 pub use error::CtsError;
 pub use htree::h_tree;
 pub use io::{load_assignment, save_assignment};
@@ -61,7 +63,8 @@ pub use tree::{Children, ClockTree, Node, NodeId, NodeKind, TreeStats};
 use snr_netlist::Design;
 use snr_tech::Technology;
 
-/// Runs the full CTS flow: topology → DME embedding → buffering.
+/// Runs the CTS flow: median-bisection topology, then buffered DME
+/// ([`build_buffered_tree`]).
 ///
 /// # Errors
 ///

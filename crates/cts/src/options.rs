@@ -14,8 +14,8 @@ use snr_tech::Rule;
 /// ```
 /// use snr_cts::CtsOptions;
 ///
-/// let opts = CtsOptions::default().with_max_stage_cap_ff(80.0);
-/// assert_eq!(opts.max_stage_cap_ff(), 80.0);
+/// let opts = CtsOptions::default();
+/// assert_eq!(opts.max_stage_cap_ff(), 120.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CtsOptions {
@@ -25,28 +25,6 @@ pub struct CtsOptions {
 }
 
 impl CtsOptions {
-    /// Creates options with explicit values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_stage_cap_ff` or `slew_target_ps` is not positive
-    /// and finite.
-    pub fn new(construction_rule: Rule, max_stage_cap_ff: f64, slew_target_ps: f64) -> Self {
-        assert!(
-            max_stage_cap_ff.is_finite() && max_stage_cap_ff > 0.0,
-            "stage cap limit {max_stage_cap_ff} must be positive"
-        );
-        assert!(
-            slew_target_ps.is_finite() && slew_target_ps > 0.0,
-            "slew target {slew_target_ps} must be positive"
-        );
-        CtsOptions {
-            construction_rule,
-            max_stage_cap_ff,
-            slew_target_ps,
-        }
-    }
-
     /// The routing rule whose parasitics DME uses when balancing the tree.
     pub fn construction_rule(&self) -> Rule {
         self.construction_rule
@@ -61,34 +39,18 @@ impl CtsOptions {
     pub fn slew_target_ps(&self) -> f64 {
         self.slew_target_ps
     }
-
-    /// Returns a copy with a different construction rule.
-    pub fn with_construction_rule(mut self, rule: Rule) -> Self {
-        self.construction_rule = rule;
-        self
-    }
-
-    /// Returns a copy with a different stage-capacitance limit.
-    pub fn with_max_stage_cap_ff(mut self, cap: f64) -> Self {
-        assert!(cap.is_finite() && cap > 0.0, "stage cap {cap} must be positive");
-        self.max_stage_cap_ff = cap;
-        self
-    }
-
-    /// Returns a copy with a different slew target.
-    pub fn with_slew_target_ps(mut self, slew: f64) -> Self {
-        assert!(slew.is_finite() && slew > 0.0, "slew target {slew} must be positive");
-        self.slew_target_ps = slew;
-        self
-    }
 }
 
 impl Default for CtsOptions {
     fn default() -> Self {
-        // 2W2S is statically valid; fall back to the single-width default
-        // rule rather than panic if the rule constructor ever tightens.
-        let rule = Rule::new(2.0, 2.0).unwrap_or_default();
-        CtsOptions::new(rule, 120.0, 100.0)
+        CtsOptions {
+            // 2W2S is statically valid; fall back to the single-width
+            // default rule rather than panic if the rule constructor ever
+            // tightens.
+            construction_rule: Rule::new(2.0, 2.0).unwrap_or_default(),
+            max_stage_cap_ff: 120.0,
+            slew_target_ps: 100.0,
+        }
     }
 }
 
@@ -102,28 +64,5 @@ mod tests {
         assert_eq!(o.construction_rule(), Rule::new(2.0, 2.0).unwrap());
         assert_eq!(o.max_stage_cap_ff(), 120.0);
         assert_eq!(o.slew_target_ps(), 100.0);
-    }
-
-    #[test]
-    fn builders() {
-        let o = CtsOptions::default()
-            .with_construction_rule(Rule::DEFAULT)
-            .with_max_stage_cap_ff(50.0)
-            .with_slew_target_ps(60.0);
-        assert_eq!(o.construction_rule(), Rule::DEFAULT);
-        assert_eq!(o.max_stage_cap_ff(), 50.0);
-        assert_eq!(o.slew_target_ps(), 60.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_cap_panics() {
-        let _ = CtsOptions::new(Rule::DEFAULT, 0.0, 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn negative_slew_panics() {
-        let _ = CtsOptions::default().with_slew_target_ps(-1.0);
     }
 }

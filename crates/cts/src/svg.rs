@@ -10,26 +10,8 @@ use snr_geom::{lshape_via, Rect};
 use snr_tech::RuleSet;
 use std::fmt::Write as _;
 
-/// Rendering options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SvgOptions {
-    /// Output image width in pixels (height follows the aspect ratio).
-    pub width_px: f64,
-    /// Whether to draw sink markers.
-    pub draw_sinks: bool,
-    /// Whether to draw buffer markers.
-    pub draw_buffers: bool,
-}
-
-impl Default for SvgOptions {
-    fn default() -> Self {
-        SvgOptions {
-            width_px: 900.0,
-            draw_sinks: true,
-            draw_buffers: true,
-        }
-    }
-}
+/// Output image width in pixels (height follows the aspect ratio).
+const WIDTH_PX: f64 = 900.0;
 
 /// Categorical palette (color-blind-safe Okabe–Ito), one entry per rule id.
 const PALETTE: [&str; 8] = [
@@ -50,7 +32,7 @@ const PALETTE: [&str; 8] = [
 /// # Examples
 ///
 /// ```
-/// use snr_cts::{h_tree, svg::{render_svg, SvgOptions}, Assignment};
+/// use snr_cts::{h_tree, svg::render_svg, Assignment};
 /// use snr_geom::{Point, Rect};
 /// use snr_tech::RuleSet;
 ///
@@ -58,15 +40,10 @@ const PALETTE: [&str; 8] = [
 /// let tree = h_tree(area, 2, 5.0);
 /// let rules = RuleSet::standard();
 /// let asg = Assignment::uniform(&tree, rules.default_id());
-/// let svg = render_svg(&tree, &rules, &asg, &SvgOptions::default());
+/// let svg = render_svg(&tree, &rules, &asg);
 /// assert!(svg.starts_with("<svg"));
 /// ```
-pub fn render_svg(
-    tree: &ClockTree,
-    rules: &RuleSet,
-    assignment: &Assignment,
-    opts: &SvgOptions,
-) -> String {
+pub fn render_svg(tree: &ClockTree, rules: &RuleSet, assignment: &Assignment) -> String {
     assert_eq!(
         assignment.len(),
         tree.len(),
@@ -76,7 +53,7 @@ pub fn render_svg(
     let bbox = Rect::bounding(tree.nodes().iter().map(|n| n.location()))
         .unwrap_or_else(|| Rect::new(root_loc, root_loc))
         .inflate(1);
-    let scale = opts.width_px / bbox.width().max(1) as f64;
+    let scale = WIDTH_PX / bbox.width().max(1) as f64;
     let h_px = bbox.height().max(1) as f64 * scale;
     let legend_h = 22.0 * rules.len() as f64 + 10.0;
 
@@ -88,15 +65,15 @@ pub fn render_svg(
     let _ = write!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.0} {:.0}">"#,
-        opts.width_px,
+        WIDTH_PX,
         h_px + legend_h,
-        opts.width_px,
+        WIDTH_PX,
         h_px + legend_h,
     );
     let _ = write!(
         out,
         r#"<rect width="{:.0}" height="{:.0}" fill="white"/>"#,
-        opts.width_px,
+        WIDTH_PX,
         h_px + legend_h
     );
 
@@ -141,7 +118,7 @@ pub fn render_svg(
     // Markers.
     for node in tree.nodes() {
         match node.kind() {
-            NodeKind::Sink { .. } if opts.draw_sinks => {
+            NodeKind::Sink { .. } => {
                 let _ = write!(
                     out,
                     r##"<circle cx="{:.1}" cy="{:.1}" r="1.6" fill="#333"/>"##,
@@ -149,7 +126,7 @@ pub fn render_svg(
                     ty(node.location().y)
                 );
             }
-            NodeKind::Buffer { .. } if opts.draw_buffers => {
+            NodeKind::Buffer { .. } => {
                 let (x, y) = (tx(node.location().x), ty(node.location().y));
                 let _ = write!(
                     out,
@@ -158,7 +135,7 @@ pub fn render_svg(
                     y - 2.5
                 );
             }
-            _ => {}
+            NodeKind::Steiner => {}
         }
     }
 
@@ -193,7 +170,7 @@ mod tests {
     #[test]
     fn renders_wellformed_document() {
         let (tree, rules, asg) = fixture();
-        let svg = render_svg(&tree, &rules, &asg, &SvgOptions::default());
+        let svg = render_svg(&tree, &rules, &asg);
         assert!(svg.starts_with("<svg") && svg.ends_with("</svg>"));
         // One path group (only one rule used), plus a legend entry per rule.
         assert_eq!(svg.matches("<path").count(), 1);
@@ -207,24 +184,8 @@ mod tests {
         let (tree, rules, mut asg) = fixture();
         let e = tree.edges().next().unwrap();
         asg.set(e, rules.default_id());
-        let svg = render_svg(&tree, &rules, &asg, &SvgOptions::default());
+        let svg = render_svg(&tree, &rules, &asg);
         assert_eq!(svg.matches("<path").count(), 2);
-    }
-
-    #[test]
-    fn markers_toggle() {
-        let (tree, rules, asg) = fixture();
-        let svg = render_svg(
-            &tree,
-            &rules,
-            &asg,
-            &SvgOptions {
-                draw_sinks: false,
-                draw_buffers: false,
-                ..SvgOptions::default()
-            },
-        );
-        assert_eq!(svg.matches("<circle").count(), 0);
     }
 
     #[test]
@@ -237,13 +198,13 @@ mod tests {
             5.0,
         );
         let asg = Assignment::uniform(&other, rules.default_id());
-        let _ = render_svg(&tree, &rules, &asg, &SvgOptions::default());
+        let _ = render_svg(&tree, &rules, &asg);
     }
 
     #[test]
     fn coordinates_fit_viewbox() {
         let (tree, rules, asg) = fixture();
-        let svg = render_svg(&tree, &rules, &asg, &SvgOptions::default());
+        let svg = render_svg(&tree, &rules, &asg);
         // No negative coordinates should appear in path data.
         assert!(!svg.contains("M-") && !svg.contains(" L-"));
     }

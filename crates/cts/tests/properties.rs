@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use snr_cts::{
-    bisection_topology, build_buffered_tree, build_unbuffered_tree, h_tree,
-    nearest_neighbor_topology, Assignment, CtsOptions, NodeKind,
+    bisection_topology, build_buffered_tree, h_tree, nearest_neighbor_topology, Assignment,
+    CtsOptions, NodeKind,
 };
 use snr_geom::{Point, Rect};
 use snr_netlist::{BenchmarkSpec, Design};
@@ -24,28 +24,11 @@ fn arb_design() -> impl Strategy<Value = Design> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Buffered DME: structurally valid, all sinks present, root driven,
-    /// near-zero skew under the construction rule.
+    /// Buffered DME, for both topology generators: structurally valid, all
+    /// sinks present, root driven, Elmore-balanced to sub-ps skew under the
+    /// construction rule.
     #[test]
-    fn buffered_dme_invariants(design in arb_design()) {
-        let tech = Technology::n45();
-        let opts = CtsOptions::default();
-        let plan = bisection_topology(&design);
-        let tree = build_buffered_tree(&design, &tech, &opts, &plan).unwrap();
-        prop_assert!(tree.check().is_ok());
-        prop_assert_eq!(tree.sink_nodes().len(), design.sinks().len());
-        if design.sinks().len() > 1 {
-            prop_assert!(tree.node(tree.root()).kind().is_buffer());
-        }
-        let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = analyze(&tree, &tech, &asg);
-        prop_assert!(rep.skew_ps() < 1.0, "skew {} ps", rep.skew_ps());
-    }
-
-    /// Unbuffered DME is exactly Elmore-balanced (sub-ps), for both
-    /// topology generators.
-    #[test]
-    fn unbuffered_dme_zero_skew_any_topology(design in arb_design(), nn in any::<bool>()) {
+    fn buffered_dme_invariants(design in arb_design(), nn in any::<bool>()) {
         let tech = Technology::n45();
         let opts = CtsOptions::default();
         let plan = if nn {
@@ -53,7 +36,12 @@ proptest! {
         } else {
             bisection_topology(&design)
         };
-        let tree = build_unbuffered_tree(&design, &tech, &opts, &plan).unwrap();
+        let tree = build_buffered_tree(&design, &tech, &opts, &plan).unwrap();
+        prop_assert!(tree.check().is_ok());
+        prop_assert_eq!(tree.sink_nodes().len(), design.sinks().len());
+        if design.sinks().len() > 1 {
+            prop_assert!(tree.node(tree.root()).kind().is_buffer());
+        }
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
         let rep = analyze(&tree, &tech, &asg);
         prop_assert!(rep.skew_ps() < 0.5, "skew {} ps", rep.skew_ps());
@@ -66,7 +54,7 @@ proptest! {
     fn wirelength_bounds(design in arb_design()) {
         let tech = Technology::n45();
         let plan = bisection_topology(&design);
-        let tree = build_unbuffered_tree(&design, &tech, &CtsOptions::default(), &plan).unwrap();
+        let tree = build_buffered_tree(&design, &tech, &CtsOptions::default(), &plan).unwrap();
         let wl: i64 = tree.nodes().iter().map(|n| n.edge_len_nm()).sum();
         if design.sinks().len() > 1 {
             prop_assert!(wl >= design.hpwl_nm());

@@ -12,10 +12,12 @@ const LN9: f64 = 2.197_224_577_336_219_6;
 /// fly. Monte-Carlo sampling evaluates hundreds of lane chunks against the
 /// *same* tree and assignment — computing the nominals once up front (one
 /// rule lookup per edge, total) and passing them to
-/// [`BatchAnalyzer::run_scaled_nominal`] removes that per-chunk sweep.
+/// [`BatchAnalyzer::run_scaled_nominal`] keeps the rule-table sweep out of
+/// every chunk.
 ///
-/// The values are exactly what [`BatchAnalyzer::run_scaled`] computes
-/// internally, so both entry points stay bit-identical.
+/// The values are exactly what [`BatchAnalyzer::run_at_corners`] computes
+/// internally per call, with the serial analyzer's `unit · len`
+/// association, so every lane stays bit-identical to the serial analyzer.
 #[derive(Debug, Clone)]
 pub struct EdgeNominals {
     /// Per-edge nominal resistance `unit_r(rule) · len_um`, kΩ.
@@ -31,7 +33,7 @@ impl EdgeNominals {
     ///
     /// Panics if the assignment does not match the tree or references a
     /// rule outside the technology's rule set (the same contract as
-    /// [`BatchAnalyzer::run_scaled`]).
+    /// [`BatchAnalyzer::run_at_corners`]).
     pub fn compute(tree: &ClockTree, tech: &Technology, assignment: &Assignment) -> Self {
         let mut r = Vec::new();
         let mut c = Vec::new();
@@ -180,48 +182,19 @@ impl BatchAnalyzer {
         BatchAnalyzer::default()
     }
 
-    /// Evaluates `k` lanes of per-edge parasitic scalings in one traversal.
+    /// Evaluates `k` lanes of per-edge parasitic scalings in one traversal,
+    /// on the nominal parasitics of the assignment `nominals` was computed
+    /// from.
     ///
     /// `r_scale`/`c_scale` are lane-major: edge `v` (indexed by child node
     /// id, like [`crate::Analyzer::run_scaled`]'s scale vectors), lane `l`
     /// uses `r_scale[v * k + l]`. Lane `l`'s summary is bit-identical to
-    /// running the serial analyzer with that lane's scale vectors.
+    /// running the serial analyzer with that assignment and that lane's
+    /// scale vectors. Monte-Carlo sampling runs hundreds of lane chunks
+    /// against one `(tree, assignment)` pair, so the nominals are computed
+    /// once and shared.
     ///
     /// Returns one [`TimingSummary`] per lane, in lane order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero, a scale slice's length is not
-    /// `tree.len() * k`, the assignment does not match the tree, or the
-    /// assignment references rules outside the technology's rule set.
-    pub fn run_scaled(
-        &mut self,
-        tree: &ClockTree,
-        tech: &Technology,
-        assignment: &Assignment,
-        k: usize,
-        r_scale: &[f64],
-        c_scale: &[f64],
-    ) -> &[TimingSummary] {
-        assert!(k > 0, "need at least one lane");
-        let n = tree.len();
-        assert_eq!(r_scale.len(), n * k, "r-scale length must be tree.len() * k");
-        assert_eq!(c_scale.len(), n * k, "c-scale length must be tree.len() * k");
-        let mut nom_r = std::mem::take(&mut self.nom_r);
-        let mut nom_c = std::mem::take(&mut self.nom_c);
-        fill_nominals(tree, tech, assignment, &mut nom_r, &mut nom_c);
-        self.nom_r = nom_r;
-        self.nom_c = nom_c;
-        self.run_any(tree, tech, k, true, r_scale, c_scale, None)
-    }
-
-    /// Like [`Self::run_scaled`], but with precomputed [`EdgeNominals`].
-    ///
-    /// Skips the per-call rule-table sweep — Monte-Carlo sampling runs
-    /// hundreds of lane chunks against one `(tree, assignment)` pair, so
-    /// the nominals are computed once and shared. Bit-identical to
-    /// [`Self::run_scaled`] with the assignment the nominals were computed
-    /// from.
     ///
     /// # Panics
     ///
@@ -241,7 +214,7 @@ impl BatchAnalyzer {
         assert_eq!(nominals.len(), n, "nominals computed for a different tree");
         assert_eq!(r_scale.len(), n * k, "r-scale length must be tree.len() * k");
         assert_eq!(c_scale.len(), n * k, "c-scale length must be tree.len() * k");
-        self.run_any(tree, tech, k, true, r_scale, c_scale, Some(nominals))
+        self.run_any(tree, tech, k, r_scale, c_scale, Some(nominals))
     }
 
     /// Evaluates one lane per process corner in one traversal.
@@ -270,7 +243,7 @@ impl BatchAnalyzer {
         fill_nominals(tree, tech, assignment, &mut nom_r, &mut nom_c);
         self.nom_r = nom_r;
         self.nom_c = nom_c;
-        self.run_any(tree, tech, k, false, &r, &c, None)
+        self.run_any(tree, tech, k, &r, &c, None)
     }
 
     /// Sizes the scratch buffers and dispatches to [`kernel`], pinning the
@@ -278,13 +251,16 @@ impl BatchAnalyzer {
     /// counts the compiler unrolls (16 = the Monte-Carlo chunk width, 3 =
     /// the standard corner sweep); any other width takes the dynamic
     /// fallback instance.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// `Some(nominals)` is the Monte-Carlo shape: lane-major per-edge
+    /// scales on the caller's nominals. `None` is the corner shape: one
+    /// global factor per lane on the scratch nominals `run_at_corners`
+    /// filled.
     fn run_any(
         &mut self,
         tree: &ClockTree,
         tech: &Technology,
         k: usize,
-        per_edge: bool,
         r_scale: &[f64],
         c_scale: &[f64],
         nominals: Option<&EdgeNominals>,
@@ -341,10 +317,9 @@ impl BatchAnalyzer {
         let agg_min = &mut self.agg_min[..k];
         let agg_slew = &mut self.agg_slew[..k];
 
-        // Per-edge nominal parasitics — caller-supplied, or computed into
-        // the scratch fields by the public entry point. Each lane multiplies
-        // in its scale on the fly with the serial `(unit · len) · scale`
-        // association.
+        // Per-edge nominal parasitics. Each lane multiplies in its scale on
+        // the fly with the serial `(unit · len) · scale` association.
+        let per_edge = nominals.is_some();
         let (nom_r, nom_c) = match nominals {
             Some(nm) => (&nm.r[..n], &nm.c[..n]),
             None => (&self.nom_r[..n], &self.nom_c[..n]),
@@ -706,8 +681,9 @@ mod tests {
                 c[v * k + l] = 1.0 - 0.03 * l as f64 + 0.002 * (v % 7) as f64;
             }
         }
+        let nominals = EdgeNominals::compute(&tree, &tech, &asg);
         let mut batch = BatchAnalyzer::new();
-        let lanes = batch.run_scaled(&tree, &tech, &asg, k, &r, &c).to_vec();
+        let lanes = batch.run_scaled_nominal(&tree, &tech, &nominals, k, &r, &c).to_vec();
         let mut serial = Analyzer::new();
         for (l, lane) in lanes.iter().enumerate() {
             let rs: Vec<f64> = (0..n).map(|v| r[v * k + l]).collect();
@@ -725,8 +701,9 @@ mod tests {
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
         let n = tree.len();
         let ones = vec![1.0; n];
+        let nominals = EdgeNominals::compute(&tree, &tech, &asg);
         let mut batch = BatchAnalyzer::new();
-        let lane = batch.run_scaled(&tree, &tech, &asg, 1, &ones, &ones)[0];
+        let lane = batch.run_scaled_nominal(&tree, &tech, &nominals, 1, &ones, &ones)[0];
         let rep = analyze(&tree, &tech, &asg);
         assert_eq!(lane.latency_ps, rep.latency_ps());
         assert_eq!(lane.skew_ps(), rep.skew_ps());
@@ -768,7 +745,8 @@ mod tests {
     fn zero_lanes_panics() {
         let (tree, tech) = setup(10);
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
-        BatchAnalyzer::new().run_scaled(&tree, &tech, &asg, 0, &[], &[]);
+        let nominals = EdgeNominals::compute(&tree, &tech, &asg);
+        BatchAnalyzer::new().run_scaled_nominal(&tree, &tech, &nominals, 0, &[], &[]);
     }
 
     #[test]
@@ -777,6 +755,7 @@ mod tests {
         let (tree, tech) = setup(10);
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
         let bad = vec![1.0; tree.len()];
-        BatchAnalyzer::new().run_scaled(&tree, &tech, &asg, 2, &bad, &bad);
+        let nominals = EdgeNominals::compute(&tree, &tech, &asg);
+        BatchAnalyzer::new().run_scaled_nominal(&tree, &tech, &nominals, 2, &bad, &bad);
     }
 }

@@ -65,18 +65,19 @@ fn assert_lane_matches(lane: &TimingSummary, (lat, min, slew): (f64, f64, f64), 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every lane of `run_scaled` equals the serial oracle — for lane
-    /// counts from 1 through ragged widths past the pinned fast path, and
-    /// again after the scratch buffers have been dirtied by a wider run.
+    /// Every lane of `run_scaled_nominal` equals the serial oracle — for
+    /// lane counts from 1 through ragged widths past the pinned fast path,
+    /// and again after the scratch buffers have been dirtied by a wider run.
     #[test]
     fn lanes_match_serial_oracle(tree in arb_tree(), k in 1usize..=17, seed in 0u64..1_000) {
         let tech = Technology::n45();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
         let n = tree.len();
         let (r, c) = lane_scales(n, k, seed);
+        let nominals = EdgeNominals::compute(&tree, &tech, &asg);
 
         let mut batch = BatchAnalyzer::new();
-        let fresh = batch.run_scaled(&tree, &tech, &asg, k, &r, &c).to_vec();
+        let fresh = batch.run_scaled_nominal(&tree, &tech, &nominals, k, &r, &c).to_vec();
         prop_assert_eq!(fresh.len(), k);
         for (l, lane) in fresh.iter().enumerate() {
             assert_lane_matches(lane, serial_lane(&tree, &tech, &asg, k, l, &r, &c), &format!("fresh lane {l}/{k}"));
@@ -85,32 +86,12 @@ proptest! {
         // Dirty the grow-only scratch with a wider run, then repeat: stale
         // lane slots from the wider run must never leak into the narrower.
         let (rw, cw) = lane_scales(n, k + 3, seed ^ 0x9E37);
-        batch.run_scaled(&tree, &tech, &asg, k + 3, &rw, &cw);
-        let again = batch.run_scaled(&tree, &tech, &asg, k, &r, &c).to_vec();
+        batch.run_scaled_nominal(&tree, &tech, &nominals, k + 3, &rw, &cw);
+        let again = batch.run_scaled_nominal(&tree, &tech, &nominals, k, &r, &c).to_vec();
         for (l, (a, b)) in again.iter().zip(&fresh).enumerate() {
             prop_assert_eq!(a.latency_ps.to_bits(), b.latency_ps.to_bits(), "reuse lane {} latency", l);
             prop_assert_eq!(a.min_arrival_ps.to_bits(), b.min_arrival_ps.to_bits(), "reuse lane {} min", l);
             prop_assert_eq!(a.max_slew_ps.to_bits(), b.max_slew_ps.to_bits(), "reuse lane {} slew", l);
-        }
-    }
-
-    /// `run_scaled_nominal` with caller-computed nominals is the same
-    /// function as `run_scaled` — one shared rule-table sweep must not
-    /// change a bit.
-    #[test]
-    fn nominal_entry_point_matches(tree in arb_tree(), k in 1usize..=9, seed in 0u64..1_000) {
-        let tech = Technology::n45();
-        let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let (r, c) = lane_scales(tree.len(), k, seed);
-
-        let via_assignment = BatchAnalyzer::new().run_scaled(&tree, &tech, &asg, k, &r, &c).to_vec();
-        let nominals = EdgeNominals::compute(&tree, &tech, &asg);
-        let via_nominals =
-            BatchAnalyzer::new().run_scaled_nominal(&tree, &tech, &nominals, k, &r, &c).to_vec();
-        for (l, (a, b)) in via_nominals.iter().zip(&via_assignment).enumerate() {
-            prop_assert_eq!(a.latency_ps.to_bits(), b.latency_ps.to_bits(), "lane {} latency", l);
-            prop_assert_eq!(a.min_arrival_ps.to_bits(), b.min_arrival_ps.to_bits(), "lane {} min", l);
-            prop_assert_eq!(a.max_slew_ps.to_bits(), b.max_slew_ps.to_bits(), "lane {} slew", l);
         }
     }
 

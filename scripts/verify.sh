@@ -64,6 +64,17 @@ if [ "$rc" -ne 3 ]; then
     echo "FAIL: missing design should exit 3, got $rc" >&2; exit 1
 fi
 
+step "SVG render smoke"
+# run --svg writes one self-contained document with a marker per sink.
+"$BIN" run --sinks 60 --seed 2 --svg "$T/t.svg" >/dev/null
+[ "$(head -c 4 "$T/t.svg")" = "<svg" ] \
+    || { echo "FAIL: the SVG must start with <svg" >&2; exit 1; }
+[ "$(tail -c 6 "$T/t.svg")" = "</svg>" ] \
+    || { echo "FAIL: the SVG must end with </svg>" >&2; exit 1; }
+circles="$(grep -o '<circle' "$T/t.svg" | wc -l)"
+[ "$circles" -eq 60 ] \
+    || { echo "FAIL: the SVG must draw 60 sink markers, drew $circles" >&2; exit 1; }
+
 step "parallel determinism smoke"
 # The whole run must not depend on the thread count: the Monte-Carlo
 # samples run in parallel at --jobs 4, and only the wall-clock runtime_s

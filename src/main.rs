@@ -75,7 +75,7 @@
 //! protocol.
 
 use smart_ndr::core::{NdrOptimizer, OptContext, SmartNdr};
-use smart_ndr::cts::{save_assignment, svg::render_svg, svg::SvgOptions, synthesize, CtsOptions};
+use smart_ndr::cts::{save_assignment, svg::render_svg, synthesize, CtsOptions};
 use smart_ndr::netlist::{load_design, save_design, BenchmarkSpec, Design};
 use smart_ndr::power::PowerModel;
 use snr_fsio::atomic_write;
@@ -537,12 +537,7 @@ fn cmd_run(flags: &Flags) -> Result<(), ApiError> {
     }
 
     if let Some(path) = flags.get("svg") {
-        let svg = render_svg(
-            &resp.tree,
-            resp.tech.rules(),
-            resp.result.assignment(),
-            &SvgOptions::default(),
-        );
+        let svg = render_svg(&resp.tree, resp.tech.rules(), resp.result.assignment());
         fs::write(path, svg)
             .map_err(|e| ApiError::invalid(format!("cannot write {path}: {e}")))?;
         if !json {

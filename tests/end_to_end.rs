@@ -5,7 +5,7 @@ use smart_ndr::core::{
     enforce_robustness, Constraints, GreedyDowngrade, LevelBased, NdrOptimizer, OptContext,
     RobustnessSpec, SmartNdr,
 };
-use smart_ndr::cts::{h_tree, insert_buffers, synthesize, Assignment, CtsOptions};
+use smart_ndr::cts::{h_tree, synthesize, Assignment, CtsOptions};
 use smart_ndr::netlist::{ispd_like_suite, BenchmarkSpec};
 use smart_ndr::power::{evaluate, PowerModel};
 use smart_ndr::tech::Technology;
@@ -73,13 +73,12 @@ fn htree_path_through_all_crates() {
     use smart_ndr::geom::{Point, Rect};
     let area = Rect::new(Point::new(0, 0), Point::new(1_200_000, 1_200_000));
     let tech = Technology::n45();
-    let opts = CtsOptions::default();
-    let tree = insert_buffers(h_tree(area, 3, 12.0), &tech, &opts).unwrap();
+    let tree = h_tree(area, 3, 12.0);
     tree.check().unwrap();
 
     let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
     let rep = analyze(&tree, &tech, &asg);
-    // A perfect H-tree with level-synchronized buffers stays symmetric.
+    // Every root-to-sink path of a perfect H-tree is identical.
     assert!(rep.skew_ps() < 1e-6, "H-tree skew {}", rep.skew_ps());
 
     let power = evaluate(&tree, &tech, &asg, &PowerModel::new(2.0));
