@@ -1,7 +1,7 @@
 //! Figure 4 — scaling with design size.
 //!
 //! Power saving and optimizer runtime as the sink count sweeps
-//! 200 → 50 000. `opt_ms` and the power columns are the greedy downgrade
+//! 200 → 100 000. `opt_ms` and the power columns are the greedy downgrade
 //! construction; `smart_ms` and `smart_save_vs_2w2s` are the full
 //! `SmartNdr` flow (greedy downgrade and the stage-net construction, the
 //! cheaper result kept). Expected shape: the saving fraction is roughly
@@ -34,7 +34,7 @@ fn main() {
         "smart_save_vs_2w2s",
         "met",
     ]);
-    for n in [200usize, 400, 800, 1_600, 3_000, 6_000, 12_000, 25_000, 50_000] {
+    for n in [200usize, 400, 800, 1_600, 3_000, 6_000, 12_000, 25_000, 50_000, 100_000] {
         let design = BenchmarkSpec::new(format!("sc{n}"), n)
             .seed(31 + n as u64)
             .build()

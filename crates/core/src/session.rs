@@ -164,6 +164,8 @@ pub struct EvalSession<'c, 'a> {
     scratch_moves: Vec<(NodeId, RuleId)>,
     /// Recycled corner-summary buffer, likewise.
     scratch_corners: Vec<TimingSummary>,
+    /// Per node, the slot table of `dedup_moves`: all zero between calls.
+    move_slots: Vec<usize>,
 }
 
 impl<'c, 'a> EvalSession<'c, 'a> {
@@ -189,6 +191,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                     degradations: Vec::new(),
                     scratch_moves: Vec::new(),
                     scratch_corners: Vec::new(),
+                    move_slots: vec![0; ctx.tree().len()],
                 }
             }
             EvalMode::Incremental => {
@@ -223,6 +226,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                     degradations: Vec::new(),
                     scratch_moves: Vec::new(),
                     scratch_corners: Vec::new(),
+                    move_slots: vec![0; ctx.tree().len()],
                 };
                 session.committed_feasible =
                     session.incremental_feasible(summary, &corner_summaries);
@@ -250,7 +254,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         }
         let mut dedup = std::mem::take(&mut self.scratch_moves);
         dedup.clear();
-        dedup_moves(moves, &mut dedup);
+        dedup_moves(moves, &mut self.move_slots, &mut dedup);
         let (eval, network_uw) = match self.mode {
             EvalMode::Incremental => self.try_incremental(&dedup),
             EvalMode::FullReanalysis => self.try_full(&dedup),
@@ -690,13 +694,21 @@ impl ArcIndex {
 }
 
 /// Collapses duplicate edges last-write-wins into `out` (cleared by the
-/// caller).
-fn dedup_moves(moves: &[(NodeId, RuleId)], out: &mut Vec<(NodeId, RuleId)>) {
+/// caller), each edge where it first occurs, in O(moves). `slots` is indexed
+/// by node id and all zero on entry and on return; in between, `slots[e]` is
+/// one plus `e`'s index in `out`.
+fn dedup_moves(moves: &[(NodeId, RuleId)], slots: &mut [usize], out: &mut Vec<(NodeId, RuleId)>) {
     for &(edge, rule) in moves {
-        match out.iter_mut().find(|(e, _)| *e == edge) {
-            Some(slot) => slot.1 = rule,
-            None => out.push((edge, rule)),
+        match slots[edge.0] {
+            0 => {
+                out.push((edge, rule));
+                slots[edge.0] = out.len();
+            }
+            k => out[k - 1].1 = rule,
         }
+    }
+    for &(edge, _) in out.iter() {
+        slots[edge.0] = 0;
     }
 }
 
@@ -723,4 +735,90 @@ fn closed_form_power_delta_uw(
     }
     let model = ctx.power_model();
     units::switching_power_uw(cap_delta_ff, tech.vdd_v(), model.freq_ghz(), model.activity())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snr_cts::{synthesize, CtsOptions};
+    use snr_netlist::BenchmarkSpec;
+    use snr_power::PowerModel;
+    use snr_tech::Technology;
+
+    /// The linear-search deduplication `dedup_moves` replaced: the reference
+    /// for its output list, order and rules.
+    fn dedup_by_search(moves: &[(NodeId, RuleId)]) -> Vec<(NodeId, RuleId)> {
+        let mut out: Vec<(NodeId, RuleId)> = Vec::new();
+        for &(edge, rule) in moves {
+            match out.iter_mut().find(|(e, _)| *e == edge) {
+                Some(slot) => slot.1 = rule,
+                None => out.push((edge, rule)),
+            }
+        }
+        out
+    }
+
+    fn bits(eval: CandidateEval) -> (u64, u64, u64, bool) {
+        (
+            eval.power_delta_uw.to_bits(),
+            eval.worst_slew_ps.to_bits(),
+            eval.skew_ps.to_bits(),
+            eval.feasible,
+        )
+    }
+
+    /// Deterministic splitmix64, so every list derives from one seed.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Random move lists of 1–500 moves with repeated edges: the slot-table
+    /// deduplication returns the linear search's list, and `try_moves` on
+    /// the raw list and on its deduplicated form evaluates bit-equal, in
+    /// both modes and from varying committed states.
+    #[test]
+    fn dedup_matches_the_linear_search_and_evaluates_alike() {
+        let design = BenchmarkSpec::new("dedup", 200).seed(3).build().unwrap();
+        let tech = Technology::n45();
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+        let edges: Vec<NodeId> = tree.edges().collect();
+        let n_rules = tech.rules().len();
+        for mode in [EvalMode::Incremental, EvalMode::FullReanalysis] {
+            let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0)).with_eval_mode(mode);
+            let mut session = ctx.session();
+            let mut rng = SplitMix(17);
+            let mut slots = vec![0; tree.len()];
+            for round in 0..150 {
+                let len = 1 + rng.below(500);
+                // Draw from a pool no longer than the list, so most lists
+                // repeat edges.
+                let pool = 1 + rng.below(len.min(edges.len()));
+                let moves: Vec<(NodeId, RuleId)> = (0..len)
+                    .map(|_| (edges[rng.below(pool)], RuleId(rng.below(n_rules))))
+                    .collect();
+                let mut fast = Vec::new();
+                dedup_moves(&moves, &mut slots, &mut fast);
+                assert_eq!(fast, dedup_by_search(&moves), "{mode:?} round {round}");
+                assert!(slots.iter().all(|&s| s == 0), "slots left set");
+
+                let raw = session.try_moves(&moves);
+                session.rollback();
+                let deduped = session.try_moves(&fast);
+                assert_eq!(bits(raw), bits(deduped), "{mode:?} round {round}");
+                if rng.below(3) == 0 {
+                    session.commit();
+                } else {
+                    session.rollback();
+                }
+            }
+        }
+    }
 }

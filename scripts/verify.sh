@@ -104,6 +104,9 @@ grep -q '"batched_kernel"' "$T/BENCH_timing_smoke.json" \
 # 100k-sink row the README cites.
 grep -q '"sinks": 100000' BENCH_timing.json \
     || { echo "FAIL: BENCH_timing.json lost its 100k-sink row" >&2; exit 1; }
+# So must the scaling figure's 100k-sink row EXPERIMENTS F4 cites.
+grep -q '^100000,' results/fig4_scaling.csv \
+    || { echo "FAIL: results/fig4_scaling.csv lost its 100k-sink row" >&2; exit 1; }
 
 step "supervision smoke"
 # Anytime contract: an absurdly small budget still yields a feasible
@@ -123,6 +126,16 @@ esac
 case "$plain" in
     *'"phase": "upgrade-repair"'*)
         echo "FAIL: upgrade-repair ran on a feasible start: $plain" >&2; exit 1 ;;
+esac
+
+step "run at scale"
+# A 20k-sink default run, two orders of magnitude above the other smokes,
+# exits 0 with a result that meets its constraints. Only "baseline" and
+# "result" carry the flag, and "result" comes second.
+big="$("$BIN" run --sinks 20000 --seed 3 --json)"
+case "$big" in
+    *'"result": {'*'"meets_constraints": true'*) ;;
+    *) echo "FAIL: the 20k-sink run must meet its constraints" >&2; exit 1 ;;
 esac
 
 step "serve smoke (resident daemon)"
