@@ -9,6 +9,7 @@
 //! - F6's designs (300/41, 600/42, 1000/43) under
 //!   `nearest_neighbor_topology`, built with `build_buffered_tree`;
 //! - designs of one, two and three sinks on N45 and N32;
+//! - the 20k-sink design of `smart-ndr run --sinks 20000 --seed 3` on N45;
 //! - the digest of `render_svg`'s bytes for one tree under a mixed
 //!   assignment.
 //!
@@ -108,6 +109,10 @@ fn compute() -> String {
             line(&mut text, &format!("{}/{}", tech.name(), design.name()), &tree);
         }
     }
+    // The design and name the CLI generates for `run --sinks 20000 --seed 3`.
+    let big = BenchmarkSpec::new("cli-s20000", 20_000).seed(3).build().expect("20k spec");
+    let tree = synthesize(&big, &n45, &opts).expect("the 20k design synthesizes");
+    line(&mut text, &format!("{}/{}", n45.name(), big.name()), &tree);
 
     // Every rule in turn along the edges, so each rule's path group, stroke
     // and legend entry is drawn.

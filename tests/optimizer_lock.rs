@@ -1,5 +1,7 @@
 //! Optimizer output lock: FNV-64 digests of every optimizer outcome on a
-//! small corpus, checked against `tests/golden/optimizer_digests.txt`.
+//! small corpus under five constraint sets, and on the eight built-in
+//! suite designs (400–3000 sinks) at the default constraints, checked
+//! against `tests/golden/optimizer_digests.txt`.
 //!
 //! Each digest covers the per-edge rules, the exact bits of network power,
 //! skew and worst slew, the feasibility verdict, every budget phase's
@@ -16,7 +18,7 @@ mod common;
 
 use smart_ndr::core::{GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, Outcome, SmartNdr};
 use smart_ndr::cts::{synthesize, ClockTree, CtsOptions, NodeId};
-use smart_ndr::netlist::BenchmarkSpec;
+use smart_ndr::netlist::{ispd_like_suite, BenchmarkSpec, Design};
 use smart_ndr::tech::Technology;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -72,39 +74,48 @@ fn digest(tree: &ClockTree, out: &Outcome) -> u64 {
     h.0
 }
 
-/// One line per (design, constraint set, optimizer): the digest, then a
-/// readable summary of what it covers.
-fn compute() -> String {
-    let tech = Technology::n45();
+/// Appends one line per optimizer for `design` under the constraint set
+/// `set`: the digest, then a readable summary of what it covers.
+fn lines(text: &mut String, design: &Design, tech: &Technology, sets: &[(&str, &str)]) {
     let optimizers: [&dyn NdrOptimizer; 3] =
         [&SmartNdr::default(), &GreedyDowngrade::default(), &GreedyUpgradeRepair::default()];
+    let tree = synthesize(design, tech, &CtsOptions::default()).expect("corpus synthesizes");
+    for &(label, set) in sets {
+        let ctx = common::context(set, design, &tree, tech);
+        for opt in optimizers {
+            let out = opt.optimize(&ctx);
+            let iters: u64 = out.budget_reports().iter().map(|b| b.iterations_done).sum();
+            writeln!(
+                text,
+                "{}/{label}/{} {:016x} power_uw={:.6} skew_ps={:.6} slew_ps={:.6} meets={} iters={iters} degradations={}",
+                design.name(),
+                opt.name(),
+                digest(&tree, &out),
+                out.power().network_uw(),
+                out.timing().skew_ps(),
+                out.timing().max_slew_ps(),
+                out.meets_constraints(),
+                out.degradations().len(),
+            )
+            .expect("writing to a String cannot fail");
+        }
+    }
+}
+
+/// One line per (design, constraint set, optimizer): the small corpus
+/// under every set of [`SETS`], then the built-in suite at the defaults.
+fn compute() -> String {
+    let tech = Technology::n45();
     let mut text = String::new();
     for (sinks, seed) in DESIGNS {
         let design = BenchmarkSpec::new(format!("lock{sinks}"), sinks)
             .seed(seed)
             .build()
             .expect("corpus spec is valid");
-        let tree = synthesize(&design, &tech, &CtsOptions::default()).expect("corpus synthesizes");
-        for (label, set) in SETS {
-            let ctx = common::context(set, &design, &tree, &tech);
-            for opt in optimizers {
-                let out = opt.optimize(&ctx);
-                let iters: u64 = out.budget_reports().iter().map(|b| b.iterations_done).sum();
-                writeln!(
-                    text,
-                    "{}/{label}/{} {:016x} power_uw={:.6} skew_ps={:.6} slew_ps={:.6} meets={} iters={iters} degradations={}",
-                    design.name(),
-                    opt.name(),
-                    digest(&tree, &out),
-                    out.power().network_uw(),
-                    out.timing().skew_ps(),
-                    out.timing().max_slew_ps(),
-                    out.meets_constraints(),
-                    out.degradations().len(),
-                )
-                .expect("writing to a String cannot fail");
-            }
-        }
+        lines(&mut text, &design, &tech, &SETS);
+    }
+    for design in ispd_like_suite() {
+        lines(&mut text, &design, &tech, &[("default", "default")]);
     }
     text
 }
