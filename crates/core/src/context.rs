@@ -34,7 +34,8 @@ pub struct OptContext<'a> {
     tree: &'a ClockTree,
     tech: &'a Technology,
     power_model: PowerModel,
-    constraints: Constraints,
+    /// Set by [`OptContext::with_constraints`], or derived on first use.
+    constraints: OnceCell<Constraints>,
     corners: Vec<Corner>,
     /// Local-skew windows between sink pairs, with each sink id resolved
     /// to its tree node.
@@ -69,14 +70,15 @@ fn default_divergence_every(tree: &ClockTree) -> usize {
 
 impl<'a> OptContext<'a> {
     /// Creates a context with constraints derived from the conservative
-    /// baseline (10 % slew margin, 30 ps skew budget).
+    /// baseline (10 % slew margin, 30 ps skew budget). The derivation analyzes
+    /// the baseline, so it runs on first use and not at all when
+    /// [`with_constraints`](Self::with_constraints) sets others first.
     pub fn new(tree: &'a ClockTree, tech: &'a Technology, power_model: PowerModel) -> Self {
-        let constraints = Constraints::relative(tree, tech, 1.10, 30.0);
         OptContext {
             tree,
             tech,
             power_model,
-            constraints,
+            constraints: OnceCell::new(),
             corners: Vec::new(),
             arcs: Vec::new(),
             corner_base_skew: OnceCell::new(),
@@ -176,7 +178,7 @@ impl<'a> OptContext<'a> {
 
     /// Returns a copy with explicit constraints.
     pub fn with_constraints(mut self, constraints: Constraints) -> Self {
-        self.constraints = constraints;
+        self.constraints = OnceCell::from(constraints);
         self
     }
 
@@ -238,7 +240,9 @@ impl<'a> OptContext<'a> {
 
     /// The constraints assignments must meet.
     pub fn constraints(&self) -> Constraints {
-        self.constraints
+        *self
+            .constraints
+            .get_or_init(|| Constraints::relative(self.tree, self.tech, 1.10, 30.0))
     }
 
     /// Runs timing analysis of `assignment` (reusing shared scratch
@@ -296,7 +300,7 @@ impl<'a> OptContext<'a> {
         rule_of: impl Fn(NodeId) -> RuleId,
         stage_load_ff: impl Fn(NodeId) -> f64,
     ) -> bool {
-        let c = &self.constraints;
+        let c = self.constraints();
         if !(max_slew_ps <= c.slew_limit_ps() && skew_ps <= c.skew_limit_ps() && arcs_met()) {
             return false;
         }
@@ -353,7 +357,7 @@ impl<'a> OptContext<'a> {
         if self.corners.is_empty() {
             return true;
         }
-        let c = &self.constraints;
+        let c = self.constraints();
         let base_skews = self.corner_base_skews();
         self.corners.iter().zip(summaries).zip(base_skews).all(|((corner, at), base_skew)| {
             let scale = corner.r_scale() * corner.c_scale();

@@ -90,6 +90,7 @@ pub(crate) struct ViolationSites {
     pub(crate) latest_sink: Option<NodeId>,
 }
 
+#[derive(Clone)]
 struct Pending {
     /// Deduplicated moves, last write per edge wins.
     moves: Vec<(NodeId, RuleId)>,
@@ -135,12 +136,15 @@ impl std::fmt::Display for Degradation {
 /// pending candidate panics.
 ///
 /// Built by [`OptContext::session`] / [`OptContext::session_from`]; the mode
-/// comes from [`OptContext::with_eval_mode`].
+/// comes from [`OptContext::with_eval_mode`]. A clone carries its own copy
+/// of the engines and the commit count, which is cheaper than building them
+/// again for the same assignment.
 ///
 /// [`try_edge`]: EvalSession::try_edge
 /// [`try_moves`]: EvalSession::try_moves
 /// [`commit`]: EvalSession::commit
 /// [`rollback`]: EvalSession::rollback
+#[derive(Clone)]
 pub struct EvalSession<'c, 'a> {
     ctx: &'c OptContext<'a>,
     mode: EvalMode,
@@ -581,6 +585,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
 /// the committed state. A probe moves arrivals only inside its
 /// [`pending_cone`](IncrementalAnalyzer::pending_cone), a contiguous slot
 /// range, so the arcs it can flip are one contiguous run of `entries`.
+#[derive(Clone)]
 struct ArcIndex {
     /// The entries of slot `s` are `entries[start[s]..start[s + 1]]`.
     start: Vec<u32>,

@@ -3,8 +3,8 @@
 
 use crate::supervise::Meter;
 use crate::{
-    Budget, DegradationEvent, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext,
-    Parallelism, SupervisedRun,
+    Budget, DegradationEvent, EvalSession, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer,
+    OptContext, Parallelism, SupervisedRun,
 };
 use snr_cts::{Assignment, NodeId};
 
@@ -64,12 +64,13 @@ impl SmartNdr {
         self
     }
 
-    /// The stage-net construction from the feasible `start`.
+    /// The stage-net construction from the feasible committed state of
+    /// `session`, which it hands on to the refine.
     fn stage_nets(
         &self,
         ctx: &OptContext<'_>,
         downgrade: &GreedyDowngrade,
-        start: Assignment,
+        mut session: EvalSession<'_, '_>,
     ) -> SupervisedRun {
         let tree = ctx.tree();
         let by_cap = GreedyDowngrade::rules_by_cap(ctx);
@@ -93,9 +94,7 @@ impl SmartNdr {
             }
         }
 
-        let mut session = ctx.session_from(start);
         let mut depths = Meter::start(&self.budget, "stage-depths");
-        let mut passes = Meter::start(&self.budget, "stage-nets");
         let max_depth = nets.iter().map(|(d, _)| *d).max().unwrap_or(0);
         for d in (0..=max_depth).rev() {
             let group: Vec<NodeId> = nets
@@ -111,6 +110,8 @@ impl SmartNdr {
             }
             GreedyDowngrade::lower_group(ctx, &mut session, &by_cap, &group);
         }
+        let depths = depths.report();
+        let mut passes = Meter::start(&self.budget, "stage-nets");
         'passes: loop {
             let mut committed = false;
             for (_, net) in &nets {
@@ -123,14 +124,15 @@ impl SmartNdr {
                 break;
             }
         }
+        let passes = passes.report();
         let events: Vec<DegradationEvent> = session
             .degradations()
             .iter()
             .copied()
             .map(DegradationEvent::IncrementalToFull)
             .collect();
-        let mut run = downgrade.refine_supervised(ctx, session.into_assignment());
-        run.budgets.splice(0..0, [depths.report(), passes.report()]);
+        let mut run = downgrade.refine_session(ctx, session);
+        run.budgets.splice(0..0, [depths, passes]);
         run.degradations.splice(0..0, events);
         run
     }
@@ -158,9 +160,11 @@ impl NdrOptimizer for SmartNdr {
             return run;
         }
         // Receipts and events of both constructions are kept: the ladder
-        // reports everything that happened during the run.
-        let mut run = downgrade.refine_supervised(ctx, start.clone());
-        let mut staged = self.stage_nets(ctx, &downgrade, start);
+        // reports everything that happened during the run. Both start from
+        // one session: building its engines costs more than copying them.
+        let session = ctx.session_from(start);
+        let mut run = downgrade.refine_session(ctx, session.clone());
+        let mut staged = self.stage_nets(ctx, &downgrade, session);
         let (down, stage) = (&run.assignment, &staged.assignment);
         let take_stage = ctx.feasible(stage)
             && (!ctx.feasible(down)

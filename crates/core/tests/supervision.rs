@@ -89,3 +89,27 @@ fn pre_fired_token_yields_feasible_result_immediately() {
     let baseline = ctx.conservative_baseline();
     assert!(out.power().network_uw() <= baseline.power().network_uw() + 1e-9);
 }
+
+/// Every budget phase is timed from its own start to its own end, so the
+/// receipts of a 1200-sink `SmartNdr` run, which runs its phases one after
+/// another, sum to no more than the run's elapsed time.
+#[test]
+fn phase_receipts_time_their_own_phase() {
+    let (tree, tech) = fixture(1_200, 3);
+    let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
+    let out = SmartNdr::default().optimize(&ctx);
+    let phases: Vec<&str> = out.budget_reports().iter().map(|b| b.phase).collect();
+    assert_eq!(
+        phases,
+        [
+            "greedy-levels",
+            "greedy-refine",
+            "stage-depths",
+            "stage-nets",
+            "greedy-levels",
+            "greedy-refine"
+        ]
+    );
+    let sum: std::time::Duration = out.budget_reports().iter().map(|b| b.elapsed).sum();
+    assert!(sum <= out.elapsed(), "receipts sum to {sum:?}, the run took {:?}", out.elapsed());
+}
