@@ -726,12 +726,11 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
     let tree = Arc::clone(&warm.tree);
 
     // The conservative-uniform baseline anchors the relative track-budget
-    // axis; computed once, shared by every point.
+    // axis; computed once, shared by every point. Its track cost is a
+    // power figure, so no timing analysis runs for it.
+    let base_ctx = OptContext::new(&tree, &plan.tech, PowerModel::new(design.freq_ghz()));
     let baseline_track_um =
-        OptContext::new(&tree, &plan.tech, PowerModel::new(design.freq_ghz()))
-            .conservative_baseline()
-            .power()
-            .track_cost_um();
+        base_ctx.power(&base_ctx.conservative_assignment()).track_cost_um();
     if !plan.spec.track_fracs.is_empty() && baseline_track_um <= 0.0 {
         return Err(ApiError::invalid(format!(
             "{}: track fractions need a clock tree with wire, and its baseline track cost is 0",
