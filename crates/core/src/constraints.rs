@@ -152,22 +152,36 @@ impl Constraints {
         slew_margin: f64,
         skew_budget_ps: f64,
     ) -> Result<Self, String> {
+        let base = Assignment::uniform(tree, tech.rules().most_conservative_id());
+        let report = Analyzer::new().run(tree, tech, &base);
+        Self::try_over_baseline(report.max_slew_ps(), report.skew_ps(), slew_margin, skew_budget_ps)
+    }
+
+    /// [`Constraints::try_relative`] over a baseline already analyzed: its
+    /// max slew and skew, ps. Callers deriving many limit sets from one
+    /// tree analyze its baseline once; the limits carry the same bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`Constraints::try_relative`].
+    pub fn try_over_baseline(
+        baseline_max_slew_ps: f64,
+        baseline_skew_ps: f64,
+        slew_margin: f64,
+        skew_budget_ps: f64,
+    ) -> Result<Self, String> {
         if !(slew_margin.is_finite() && slew_margin >= 1.0) {
             return Err(format!("slew margin {slew_margin} must be >= 1"));
         }
-        let base = Assignment::uniform(tree, tech.rules().most_conservative_id());
-        let report = Analyzer::new().run(tree, tech, &base);
-        let (slew, skew) = (slew_margin * report.max_slew_ps(), report.skew_ps() + skew_budget_ps);
+        let (slew, skew) = (slew_margin * baseline_max_slew_ps, baseline_skew_ps + skew_budget_ps);
         if !(slew.is_finite() && slew > 0.0) {
             return Err(format!(
-                "slew margin {slew_margin:?} gives no usable slew limit ({slew} ps) over a baseline max slew of {:.3} ps",
-                report.max_slew_ps()
+                "slew margin {slew_margin:?} gives no usable slew limit ({slew} ps) over a baseline max slew of {baseline_max_slew_ps:.3} ps"
             ));
         }
         if !(skew.is_finite() && skew > 0.0) {
             return Err(format!(
-                "skew budget {skew_budget_ps:?} ps gives no usable skew limit ({skew} ps) over a baseline skew of {:.3} ps",
-                report.skew_ps()
+                "skew budget {skew_budget_ps:?} ps gives no usable skew limit ({skew} ps) over a baseline skew of {baseline_skew_ps:.3} ps"
             ));
         }
         Ok(Constraints::absolute(slew, skew))
@@ -240,6 +254,22 @@ mod tests {
         let report = Analyzer::new().run(&tree, &tech, &base);
         assert!(c.met_by(&report));
         assert_eq!(c.violation_ps(&report), 0.0);
+    }
+
+    #[test]
+    fn limits_over_an_analyzed_baseline_carry_the_relative_bits() {
+        let design = BenchmarkSpec::new("t", 60).seed(4).build().unwrap();
+        let tech = Technology::n45();
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+        let base = Assignment::uniform(&tree, tech.rules().most_conservative_id());
+        let report = Analyzer::new().run(&tree, &tech, &base);
+        for (margin, budget) in [(1.0, 10.0), (1.05, 30.0), (1.25, 150.0), (0.5, 10.0), (1e308, 10.0)] {
+            assert_eq!(
+                Constraints::try_over_baseline(report.max_slew_ps(), report.skew_ps(), margin, budget),
+                Constraints::try_relative(&tree, &tech, margin, budget),
+                "margin {margin}, budget {budget}"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!    optimizer under one point's constraints and measures the four
 //!    objectives ([`Objectives`]). Evaluation is serial and seeded, so a
 //!    point's objective vector is bit-identical wherever it is computed.
+//!    The points of one sweep share a [`SweepContext`]: one baseline
+//!    analysis for every point's limits and one Monte-Carlo draw for
+//!    every point's σ-skew.
 //! 3. **Dominance filtering** — [`ParetoFront`] maintains the incremental
 //!    non-dominated set as results stream in, with the invariants pinned
 //!    by `tests/dominance_properties.rs`: output mutually non-dominated,
@@ -34,10 +37,11 @@
 use snr_core::{Budget, Constraints, NdrOptimizer, OptContext, SmartNdr};
 use snr_cts::ClockTree;
 use snr_netlist::{random_timing_arcs, Design};
-use snr_par::{CancelToken, Parallelism};
+use snr_par::{CancelToken, Cancelled, Parallelism};
 use snr_power::PowerModel;
 use snr_tech::{Corner, Technology};
-use snr_variation::{MonteCarlo, VariationError, VariationModel};
+use snr_variation::{Deviations, MonteCarlo, VariationError, VariationModel};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Objectives and dominance
@@ -356,6 +360,107 @@ pub struct PointEval {
     pub degraded: bool,
 }
 
+/// The state every point of one sweep shares, built once per sweep: the
+/// design, its tree, the evaluation knobs, the conservative baseline's max
+/// slew, skew and track cost (one analysis for the whole sweep), and the
+/// Monte-Carlo width deviations. The deviations are drawn by the first
+/// point that runs Monte Carlo, so a sweep whose points all replay from a
+/// store draws nothing; every later point analyzes its own assignment on
+/// the same table (see [`snr_variation::Deviations`]).
+pub struct SweepContext<'a> {
+    design: &'a Design,
+    tree: &'a ClockTree,
+    tech: &'a Technology,
+    cfg: EvalConfig,
+    baseline_max_slew_ps: f64,
+    baseline_skew_ps: f64,
+    baseline_track_um: f64,
+    deviations: OnceLock<Deviations>,
+    /// Held while drawing, so concurrent points draw once between them.
+    drawing: Mutex<()>,
+    #[cfg(test)]
+    draws: std::sync::atomic::AtomicUsize,
+}
+
+impl<'a> SweepContext<'a> {
+    /// Analyzes the conservative-uniform baseline of `tree` once for the
+    /// whole sweep. Nothing is drawn yet.
+    pub fn new(
+        design: &'a Design,
+        tree: &'a ClockTree,
+        tech: &'a Technology,
+        cfg: EvalConfig,
+    ) -> Self {
+        let ctx = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()));
+        let conservative = ctx.conservative_assignment();
+        let timing = ctx.analyze(&conservative);
+        SweepContext {
+            design,
+            tree,
+            tech,
+            cfg,
+            baseline_max_slew_ps: timing.max_slew_ps(),
+            baseline_skew_ps: timing.skew_ps(),
+            baseline_track_um: ctx.power(&conservative).track_cost_um(),
+            deviations: OnceLock::new(),
+            drawing: Mutex::new(()),
+            #[cfg(test)]
+            draws: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// The conservative baseline's routing-track cost, µm: the anchor of
+    /// the track-budget axis.
+    pub fn baseline_track_um(&self) -> f64 {
+        self.baseline_track_um
+    }
+
+    /// The limits [`Constraints::try_relative`] derives on this sweep's
+    /// tree, bit for bit, without analyzing the baseline again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Constraints::try_relative`].
+    pub fn constraints(
+        &self,
+        slew_margin: f64,
+        skew_budget_ps: f64,
+    ) -> Result<Constraints, String> {
+        Constraints::try_over_baseline(
+            self.baseline_max_slew_ps,
+            self.baseline_skew_ps,
+            slew_margin,
+            skew_budget_ps,
+        )
+    }
+
+    /// Whether a point has drawn the sweep's Monte-Carlo deviations.
+    pub fn deviations_drawn(&self) -> bool {
+        self.deviations.get().is_some()
+    }
+
+    fn monte_carlo(&self) -> MonteCarlo {
+        MonteCarlo::new(VariationModel::default(), self.cfg.mc_samples, self.cfg.mc_seed)
+            .with_parallelism(self.cfg.mc_parallelism)
+    }
+
+    /// The sweep's deviations, drawn on first use. A cancelled draw leaves
+    /// nothing behind, so the next point under an unfired token draws.
+    fn deviations(&self, token: &CancelToken) -> Result<&Deviations, Cancelled> {
+        if let Some(deviations) = self.deviations.get() {
+            return Ok(deviations);
+        }
+        let _drawing = self.drawing.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(deviations) = self.deviations.get() {
+            return Ok(deviations);
+        }
+        let deviations = self.monte_carlo().deviations(self.tree, token)?;
+        #[cfg(test)]
+        self.draws.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(self.deviations.get_or_init(|| deviations))
+    }
+}
+
 /// Evaluates one sweep point: smart-NDR under the point's constraints,
 /// then the four objectives. The optimizer is serial and everything is
 /// seeded, and the Monte-Carlo samples on `cfg.mc_parallelism` threads
@@ -366,29 +471,31 @@ pub struct PointEval {
 /// started, mid-optimization, or mid-variation): a cancelled point
 /// contributes nothing, so budget-truncated fronts stay a pure function
 /// of the completed subset.
+///
+/// # Panics
+///
+/// Panics if the point's limits are unusable over the sweep's baseline
+/// (see [`SweepContext::constraints`]), or its track budget is not
+/// positive.
 pub fn evaluate_point(
-    design: &Design,
-    tree: &ClockTree,
-    tech: &Technology,
+    sweep: &SweepContext<'_>,
     point: &SweepPoint,
-    cfg: &EvalConfig,
-    baseline_track_um: f64,
     token: Option<&CancelToken>,
 ) -> Option<PointEval> {
     if token.is_some_and(CancelToken::is_cancelled) {
         return None;
     }
+    let SweepContext { design, tree, tech, cfg, .. } = sweep;
 
-    let mut constraints = match point.skew {
-        SkewAxis::Global { budget_ps } => {
-            Constraints::relative(tree, tech, point.slew_margin, budget_ps)
-        }
-        SkewAxis::Window { .. } => {
-            Constraints::relative(tree, tech, point.slew_margin, cfg.relaxed_skew_budget_ps)
-        }
+    let skew_budget_ps = match point.skew {
+        SkewAxis::Global { budget_ps } => budget_ps,
+        SkewAxis::Window { .. } => cfg.relaxed_skew_budget_ps,
     };
+    let mut constraints = sweep
+        .constraints(point.slew_margin, skew_budget_ps)
+        .unwrap_or_else(|e| panic!("{e}"));
     if let Some(frac) = point.track_frac {
-        constraints = constraints.with_track_budget_um(frac * baseline_track_um);
+        constraints = constraints.with_track_budget_um(frac * sweep.baseline_track_um);
     }
 
     let mut ctx = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()))
@@ -427,10 +534,18 @@ pub fn evaluate_point(
     }
 
     let sigma_skew_ps = if cfg.mc_samples > 0 {
-        let mc = MonteCarlo::new(VariationModel::default(), cfg.mc_samples, cfg.mc_seed)
-            .with_parallelism(cfg.mc_parallelism);
         let mc_token = token.cloned().unwrap_or_default();
-        match mc.run_with_token(tree, tech, out.assignment(), &mc_token) {
+        let Ok(deviations) = sweep.deviations(&mc_token) else {
+            return None;
+        };
+        let report = sweep.monte_carlo().run_with_deviations(
+            tree,
+            tech,
+            out.assignment(),
+            deviations,
+            &mc_token,
+        );
+        match report {
             Ok(rep) => rep.sigma_skew_ps(),
             Err(VariationError::Cancelled) => return None,
             // Optimizer assignments always draw from the technology's own
@@ -507,6 +622,106 @@ pub fn decode_eval(text: &str) -> Option<PointEval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snr_cts::{synthesize, CtsOptions};
+    use snr_netlist::BenchmarkSpec;
+    use snr_par::par_map;
+    use std::sync::atomic::Ordering;
+
+    fn small_design() -> (Design, ClockTree, Technology) {
+        let design = BenchmarkSpec::new("shared", 60).seed(5).build().unwrap();
+        let tech = Technology::n45();
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+        (design, tree, tech)
+    }
+
+    /// One point evaluated the way every point was before sweeps shared
+    /// their baseline and draw: its own baseline analysis for the limits
+    /// and its own Monte-Carlo run.
+    fn evaluate_alone(
+        design: &Design,
+        tree: &ClockTree,
+        tech: &Technology,
+        point: &SweepPoint,
+        cfg: &EvalConfig,
+    ) -> PointEval {
+        let budget = match point.skew {
+            SkewAxis::Global { budget_ps } => budget_ps,
+            SkewAxis::Window { .. } => cfg.relaxed_skew_budget_ps,
+        };
+        let mut constraints = Constraints::relative(tree, tech, point.slew_margin, budget);
+        let base = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()));
+        if let Some(frac) = point.track_frac {
+            let track_um = base.conservative_baseline().power().track_cost_um();
+            constraints = constraints.with_track_budget_um(frac * track_um);
+        }
+        let mut ctx = base.with_constraints(constraints);
+        if let SkewAxis::Window { window_ps } = point.skew {
+            let count = (design.sinks().len() / 2).clamp(1, cfg.max_arcs);
+            let window = (window_ps, window_ps);
+            let arcs = random_timing_arcs(design, count, window, window, cfg.arc_seed);
+            ctx = ctx.with_timing_arcs(arcs).unwrap();
+        }
+        let out = SmartNdr::default().optimize(&ctx);
+        let mc = MonteCarlo::new(VariationModel::default(), cfg.mc_samples, cfg.mc_seed);
+        PointEval {
+            objectives: Objectives {
+                power_uw: out.power().network_uw(),
+                skew_ps: out.timing().skew_ps(),
+                sigma_skew_ps: mc.run(tree, tech, out.assignment()).sigma_skew_ps(),
+                track_cost_um: out.power().track_cost_um(),
+            },
+            meets: out.meets_constraints(),
+            degraded: !out.degradations().is_empty(),
+        }
+    }
+
+    #[test]
+    fn a_shared_sweep_gives_every_point_its_own_runs_bits_and_draws_once() {
+        let (design, tree, tech) = small_design();
+        // 37 samples: two full chunks and a ragged third.
+        let cfg = EvalConfig {
+            mc_samples: 37,
+            mc_parallelism: Parallelism::serial(),
+            ..EvalConfig::default()
+        };
+        let spec = SweepSpec { track_fracs: vec![0.9], ..SweepSpec::default_sweep() };
+        let points = spec.enumerate();
+        let sweep = SweepContext::new(&design, &tree, &tech, cfg);
+        assert!(!sweep.deviations_drawn(), "building the sweep draws nothing");
+        let evals = par_map(Parallelism::new(2), &points, |_, point| {
+            evaluate_point(&sweep, point, None).unwrap()
+        });
+        assert_eq!(sweep.draws.load(Ordering::Relaxed), 1, "one draw per sweep");
+        for (point, eval) in points.iter().zip(&evals) {
+            let alone = evaluate_alone(&design, &tree, &tech, point, &cfg);
+            assert_eq!(encode_eval(eval), encode_eval(&alone), "point {}", point.index);
+        }
+    }
+
+    #[test]
+    fn a_sweep_without_monte_carlo_never_draws() {
+        let (design, tree, tech) = small_design();
+        let cfg = EvalConfig { mc_samples: 0, ..EvalConfig::default() };
+        let sweep = SweepContext::new(&design, &tree, &tech, cfg);
+        for point in SweepSpec::default_sweep().enumerate().iter().take(3) {
+            assert_eq!(evaluate_point(&sweep, point, None).unwrap().objectives.sigma_skew_ps, 0.0);
+        }
+        assert_eq!(sweep.draws.load(Ordering::Relaxed), 0);
+        assert!(!sweep.deviations_drawn());
+    }
+
+    #[test]
+    fn a_cancelled_draw_leaves_the_next_point_to_draw() {
+        let (design, tree, tech) = small_design();
+        let sweep = SweepContext::new(&design, &tree, &tech, EvalConfig::default());
+        let fired = CancelToken::new();
+        fired.cancel();
+        assert!(sweep.deviations(&fired).is_err());
+        assert!(!sweep.deviations_drawn());
+        assert!(sweep.deviations(&CancelToken::new()).is_ok());
+        assert!(sweep.deviations(&fired).is_ok(), "a drawn table is kept");
+        assert_eq!(sweep.draws.load(Ordering::Relaxed), 1);
+    }
 
     fn obj(p: f64, s: f64, r: f64, t: f64) -> Objectives {
         Objectives { power_uw: p, skew_ps: s, sigma_skew_ps: r, track_cost_um: t }

@@ -11,9 +11,9 @@ use snr_cts::{synthesize, CtsOptions};
 use snr_netlist::BenchmarkSpec;
 use snr_par::CancelToken;
 use snr_pareto::{
-    brute_force_front, evaluate_point, EvalConfig, FrontPoint, ParetoFront, PointEval, SweepSpec,
+    brute_force_front, evaluate_point, EvalConfig, FrontPoint, ParetoFront, PointEval,
+    SweepContext, SweepSpec,
 };
-use snr_power::PowerModel;
 
 /// Evaluates the whole default sweep serially on an 80-sink design.
 fn evaluate_default_sweep() -> Vec<PointEval> {
@@ -23,19 +23,12 @@ fn evaluate_default_sweep() -> Vec<PointEval> {
         .expect("benchmark generation succeeds");
     let tech = snr_tech::Technology::n45();
     let tree = synthesize(&design, &tech, &CtsOptions::default()).expect("CTS succeeds");
-    let baseline_track_um =
-        snr_core::OptContext::new(&tree, &tech, PowerModel::new(design.freq_ghz()))
-            .conservative_baseline()
-            .power()
-            .track_cost_um();
     let cfg = EvalConfig { mc_samples: 4, ..EvalConfig::default() };
+    let sweep = SweepContext::new(&design, &tree, &tech, cfg);
     SweepSpec::default_sweep()
         .enumerate()
         .iter()
-        .map(|point| {
-            evaluate_point(&design, &tree, &tech, point, &cfg, baseline_track_um, None)
-                .expect("uncancelled evaluation completes")
-        })
+        .map(|point| evaluate_point(&sweep, point, None).expect("uncancelled evaluation completes"))
         .collect()
 }
 
@@ -109,16 +102,9 @@ fn cancelled_token_drops_the_point_entirely() {
     let point = SweepSpec::default_sweep().enumerate()[0];
     let token = CancelToken::new();
     token.cancel();
+    let sweep = SweepContext::new(&design, &tree, &tech, EvalConfig::default());
     assert_eq!(
-        evaluate_point(
-            &design,
-            &tree,
-            &tech,
-            &point,
-            &EvalConfig::default(),
-            10_000.0,
-            Some(&token)
-        ),
+        evaluate_point(&sweep, &point, Some(&token)),
         None,
         "a cancelled point must contribute nothing, not a partial result"
     );

@@ -24,7 +24,7 @@ use snr_store::{CacheKey, Lookup, QuarantineReason, ResultStore, StoreKind};
 use snr_tech::Technology;
 use snr_variation::{MonteCarlo, VariationError, VariationModel};
 
-use snr_pareto::{FrontPoint, ParetoFront, PointEval, SweepPoint};
+use snr_pareto::{FrontPoint, ParetoFront, PointEval, SweepContext, SweepPoint};
 
 use crate::cache::{CacheStatus, Warm, WarmCache};
 use crate::error::ApiError;
@@ -640,14 +640,16 @@ fn execute_run(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Box<RunResponse>, Ap
         // A panicking sample worker surfaces here after every worker has
         // joined; map it to the typed infeasible error so front ends
         // report it instead of aborting. Results are bit-identical per
-        // job count, so jobs=1 reproduces the failure serially.
+        // job count, so jobs=1 reproduces the failure serially. The
+        // baseline and the result are analyzed on one draw.
         let mc_token = token.clone().unwrap_or_default();
         let reps = ctx.phase("mc", || {
             catch_unwind(AssertUnwindSafe(|| -> Result<_, VariationError> {
-                Ok((
-                    mc.run_with_token(&tree, &plan.tech, baseline.assignment(), &mc_token)?,
-                    mc.run_with_token(&tree, &plan.tech, result.assignment(), &mc_token)?,
-                ))
+                let deviations = mc.deviations(&tree, &mc_token)?;
+                let analyze = |asg| {
+                    mc.run_with_deviations(&tree, &plan.tech, asg, &deviations, &mc_token)
+                };
+                Ok((analyze(baseline.assignment())?, analyze(result.assignment())?))
             }))
         })
         .map_err(|payload| {
@@ -725,13 +727,11 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
     let design = Arc::clone(&warm.design);
     let tree = Arc::clone(&warm.tree);
 
-    // The conservative-uniform baseline anchors the relative track-budget
-    // axis; computed once, shared by every point. Its track cost is a
-    // power figure, so no timing analysis runs for it.
-    let base_ctx = OptContext::new(&tree, &plan.tech, PowerModel::new(design.freq_ghz()));
-    let baseline_track_um =
-        base_ctx.power(&base_ctx.conservative_assignment()).track_cost_um();
-    if !plan.spec.track_fracs.is_empty() && baseline_track_um <= 0.0 {
+    // The conservative-uniform baseline anchors every point's limits and
+    // the relative track-budget axis: analyzed once, shared by every point
+    // together with the Monte-Carlo deviations the first point draws.
+    let sweep = SweepContext::new(&design, &tree, &plan.tech, plan.eval);
+    if !plan.spec.track_fracs.is_empty() && sweep.baseline_track_um() <= 0.0 {
         return Err(ApiError::invalid(format!(
             "{}: track fractions need a clock tree with wire, and its baseline track cost is 0",
             design.name()
@@ -740,7 +740,9 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
     // Skew budgets are finite, so only a slew limit can overflow, and the
     // widest margin gives the largest: if it is usable, every point's is.
     let widest = plan.spec.slew_margins.iter().copied().fold(1.0, f64::max);
-    relative_constraints(&design, &tree, &plan.tech, widest, plan.eval.relaxed_skew_budget_ps)?;
+    sweep
+        .constraints(widest, plan.eval.relaxed_skew_budget_ps)
+        .map_err(|e| ApiError::usage(format!("{}: {e}", design.name())))?;
 
     let token = if plan.timeout_s > 0.0 {
         Some(CancelToken::with_deadline(Deadline::after(Duration::from_secs_f64(
@@ -784,15 +786,7 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
                     Stored::Recompute(None) => {}
                 }
             }
-            let eval = snr_pareto::evaluate_point(
-                &design,
-                &tree,
-                &plan.tech,
-                point,
-                &plan.eval,
-                baseline_track_um,
-                token.as_ref(),
-            )?;
+            let eval = snr_pareto::evaluate_point(&sweep, point, token.as_ref())?;
             ctx.emit(&Event::FrontPoint { index: point.index, eval, replayed: false });
             // Every completed point is replay-safe — evaluation is fully
             // serial and seeded, so even a degraded point (and a point
@@ -809,6 +803,9 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
             Some((eval, false))
         })
     });
+
+    #[cfg(test)]
+    tests::SWEEP_DREW.with(|drew| drew.set(sweep.deviations_drawn()));
 
     let mut front = ParetoFront::new();
     let mut evaluated = 0usize;
@@ -1147,4 +1144,42 @@ fn execute_suite(plan: &SuitePlan, ctx: &ExecCtx<'_>) -> Result<SuiteResponse, A
     });
     let failed = rows.iter().filter(|r| r.failed).count();
     Ok(SuiteResponse { rows, failed })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{DesignSource, ParetoRequest, Request};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether the last sweep this thread executed drew its
+        /// Monte-Carlo deviations.
+        pub(super) static SWEEP_DREW: Cell<bool> = const { Cell::new(false) };
+    }
+
+    #[test]
+    fn a_sweep_replayed_from_the_store_never_draws() {
+        let dir = std::env::temp_dir().join(format!("snr-exec-draws-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let ctx = ExecCtx { cache: None, sink: None, on_token: None, store: Some(&store) };
+        let mut req =
+            ParetoRequest::new(DesignSource::Generate { sinks: 40, seed: 3, freq_ghz: 1.0 });
+        req.mc_samples = 37;
+        req.jobs = Some(2);
+        let plan = crate::plan::plan(&Request::Pareto(req)).unwrap();
+        let sweep = |want_drawn: bool| {
+            let Ok(Response::Pareto(resp)) = execute(&plan, &ctx) else {
+                panic!("a sweep answers with a front");
+            };
+            assert_eq!(SWEEP_DREW.get(), want_drawn);
+            resp
+        };
+        let cold = sweep(true);
+        let warm = sweep(false);
+        assert_eq!((cold.replayed, warm.replayed), (0, cold.points_total));
+        assert_eq!(crate::render::pareto_json(&cold), crate::render::pareto_json(&warm));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -342,6 +342,20 @@ fn check_constraints(slew_margin: f64, skew_budget_ps: f64) -> Result<(), ApiErr
         .map_err(ApiError::usage)
 }
 
+/// Most Monte-Carlo samples a `run` or `pareto` request may ask for. The
+/// reports hold every sample, so an unbounded count would abort the
+/// process on allocation instead of answering.
+const MAX_MC_SAMPLES: usize = 1_000_000;
+
+fn check_mc(samples: usize) -> Result<(), ApiError> {
+    if samples > MAX_MC_SAMPLES {
+        return Err(ApiError::usage(format!(
+            "\"mc\" must be at most {MAX_MC_SAMPLES} samples, got {samples}"
+        )));
+    }
+    Ok(())
+}
+
 fn plan_run(req: &RunRequest) -> Result<RunPlan, ApiError> {
     if !req.timeout_s.is_finite() || req.timeout_s < 0.0 {
         return Err(ApiError::usage(format!(
@@ -350,6 +364,7 @@ fn plan_run(req: &RunRequest) -> Result<RunPlan, ApiError> {
         )));
     }
     check_constraints(req.slew_margin, req.skew_budget_ps)?;
+    check_mc(req.mc_samples)?;
     let input = design_input(&req.design)?;
     let tech = req.tech.resolve();
     let key = run_key(&input, &tech);
@@ -385,6 +400,7 @@ fn plan_pareto(req: &ParetoRequest) -> Result<ParetoPlan, ApiError> {
         track_fracs: req.track_fracs.clone(),
     };
     spec.validate().map_err(ApiError::usage)?;
+    check_mc(req.mc_samples)?;
     let input = design_input(&req.design)?;
     let tech = req.tech.resolve();
     let key = run_key(&input, &tech);
@@ -524,6 +540,27 @@ mod tests {
 
     fn gen_req(sinks: usize, seed: u64) -> RunRequest {
         RunRequest::new(DesignSource::Generate { sinks, seed, freq_ghz: 1.0 })
+    }
+
+    #[test]
+    fn monte_carlo_sample_counts_have_a_ceiling() {
+        let mut run = gen_req(40, 2);
+        let mut pareto =
+            ParetoRequest::new(DesignSource::Generate { sinks: 40, seed: 2, freq_ghz: 1.0 });
+        for (samples, ok) in [(MAX_MC_SAMPLES, true), (MAX_MC_SAMPLES + 1, false), (1 << 53, false)] {
+            run.mc_samples = samples;
+            pareto.mc_samples = samples;
+            for outcome in [plan_run(&run).map(|_| ()), plan_pareto(&pareto).map(|_| ())] {
+                match outcome {
+                    Ok(()) => assert!(ok, "{samples} samples must be refused"),
+                    Err(e) => {
+                        assert!(!ok, "{samples} samples must plan");
+                        assert_eq!(e.code(), crate::ApiCode::Usage);
+                        assert!(e.message().contains("must be at most 1000000 samples"), "{e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

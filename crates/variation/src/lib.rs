@@ -26,6 +26,15 @@
 //! analyzer's floating-point operations in the serial order, so batching
 //! never changes a single bit of the statistics.
 //!
+//! The contract covers **shared deviations** too. A width deviation does
+//! not depend on the edge's rule, so [`MonteCarlo::deviations`] can draw a
+//! run's deviations on a tree once and [`MonteCarlo::run_with_deviations`]
+//! analyzes any number of assignments on them (a Pareto sweep's points, a
+//! run's baseline and result). The table holds the leading sample chunks
+//! that fit a fixed 64 MiB cap; an analysis draws the chunks past it with
+//! the same function. Every report equals [`MonteCarlo::run_with_token`]'s
+//! bit for bit, which is the cap-0 case.
+//!
 //! # Examples
 //!
 //! ```
@@ -293,17 +302,40 @@ fn sigma(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// One pair of independent standard-normal samples (Box–Muller).
-fn gaussian_pair(rng: &mut StdRng) -> (f64, f64) {
+/// One standard-normal sample: the cosine half of a Box–Muller pair. Both
+/// uniforms are consumed, so the RNG stream advances exactly as if the pair
+/// had been drawn; the sine half is never computed.
+fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * std::f64::consts::PI * u2;
-    (r * theta.cos(), r * theta.sin())
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-fn gaussian(rng: &mut StdRng) -> f64 {
-    gaussian_pair(rng).0
+/// Largest deviation table [`MonteCarlo::deviations`] holds, in bytes.
+/// Chunks past it are drawn by each analysis, so memory stays bounded for
+/// any sample count and tree size.
+const TABLE_CAP_BYTES: usize = 64 << 20;
+
+/// The per-edge width deviations of a Monte-Carlo run on one tree, drawn
+/// once by [`MonteCarlo::deviations`] and shared by every
+/// [`MonteCarlo::run_with_deviations`] on that tree, whatever the
+/// assignment: a deviation depends only on the model, the seed, the sample
+/// index and the edge's correlation cell, never on the edge's rule.
+///
+/// The table holds the leading sample chunks that fit a fixed byte cap;
+/// an analysis draws the chunks past it itself, with the same function and
+/// therefore the same bits.
+#[derive(Debug, Clone)]
+pub struct Deviations {
+    model: VariationModel,
+    n_samples: usize,
+    seed: u64,
+    nodes: usize,
+    edges: Vec<NodeId>,
+    cells: Vec<usize>,
+    /// Chunk `c` holds samples `[c·LANES, c·LANES + lk)` edge-major:
+    /// `dw` of edge `k` in lane `l` at `[k·lk + l]`.
+    chunks: Vec<Vec<f64>>,
 }
 
 /// A Monte-Carlo skew-variation engine.
@@ -384,6 +416,9 @@ impl MonteCarlo {
     /// reported, because a sample subset would silently change the
     /// distribution.
     ///
+    /// Every chunk's deviations are drawn inside the analysis, so the
+    /// memory beyond the report is the per-worker scratch alone.
+    ///
     /// # Errors
     ///
     /// Returns [`VariationError::Cancelled`] if the token fired before
@@ -402,15 +437,70 @@ impl MonteCarlo {
         assignment: &Assignment,
         token: &CancelToken,
     ) -> Result<VariationReport, VariationError> {
-        let n = tree.len();
-        let layer = tech.clock_layer();
-        let rules = tech.rules();
+        let deviations = self.layout(tree);
+        self.run_with_deviations(tree, tech, assignment, &deviations, token)
+    }
 
-        // Edge midpoints -> correlation-grid cells.
+    /// Draws the run's width deviations on `tree` once, for any number of
+    /// [`run_with_deviations`](Self::run_with_deviations) calls under
+    /// different assignments. The table holds as many leading chunks as
+    /// fit a fixed 64 MiB cap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Cancelled`] if the token fired before the table was
+    /// complete; a partial table is never returned.
+    pub fn deviations(
+        &self,
+        tree: &ClockTree,
+        token: &CancelToken,
+    ) -> Result<Deviations, Cancelled> {
+        self.deviations_capped(tree, TABLE_CAP_BYTES, token)
+    }
+
+    /// [`deviations`](Self::deviations) under a table cap of `cap_bytes`.
+    fn deviations_capped(
+        &self,
+        tree: &ClockTree,
+        cap_bytes: usize,
+        token: &CancelToken,
+    ) -> Result<Deviations, Cancelled> {
+        let mut deviations = self.layout(tree);
+        let n_chunks = self.n_samples.div_ceil(LANES);
+        let chunk_bytes = LANES * deviations.edges.len() * std::mem::size_of::<f64>();
+        let all_bytes = self
+            .n_samples
+            .saturating_mul(deviations.edges.len() * std::mem::size_of::<f64>());
+        let held = if all_bytes <= cap_bytes {
+            n_chunks
+        } else {
+            cap_bytes / chunk_bytes
+        };
+        let g = self.model.grid;
+        deviations.chunks = try_par_map_n(
+            self.parallelism,
+            held,
+            token,
+            |_worker| Vec::with_capacity(g * g),
+            |g_cells, ci| {
+                let lk = self.lanes_in(ci);
+                let mut dw = vec![0.0; deviations.edges.len() * lk];
+                self.draw_chunk(&deviations.cells, ci, g_cells, |k, l, d| dw[k * lk + l] = d);
+                dw
+            },
+        )?;
+        Ok(deviations)
+    }
+
+    /// The deviations' edge list and correlation cells with an empty
+    /// table: every chunk is drawn by the analysis.
+    fn layout(&self, tree: &ClockTree) -> Deviations {
+        // Edge midpoints -> correlation-grid cells. They depend only on
+        // geometry, so every sample shares one read-only table.
         let bbox = Rect::bounding(tree.nodes().iter().map(|nd| nd.location()))
             .expect("trees are non-empty");
         let g = self.model.grid;
-        let cell_of = |e: snr_cts::NodeId| -> usize {
+        let cell_of = |e: NodeId| -> usize {
             let node = tree.node(e);
             let p = node.location();
             let q = node
@@ -431,49 +521,123 @@ impl MonteCarlo {
             };
             fx.min(g - 1) * g + fy.min(g - 1)
         };
+        let edges: Vec<NodeId> = tree.edges().collect();
+        let cells = edges.iter().map(|&e| cell_of(e)).collect();
+        Deviations {
+            model: self.model,
+            n_samples: self.n_samples,
+            seed: self.seed,
+            nodes: tree.len(),
+            edges,
+            cells,
+            chunks: Vec::new(),
+        }
+    }
 
-        // The correlation cells depend only on geometry: resolve them once
-        // so every sample worker shares a read-only table. The per-edge
-        // rules are validated and resolved here too — a malformed assignment
-        // fails the whole run up front instead of panicking a worker.
-        let edges: Vec<snr_cts::NodeId> = tree.edges().collect();
-        let cells: Vec<usize> = edges.iter().map(|&e| cell_of(e)).collect();
-        let edge_rules: Vec<Rule> = edges
-            .iter()
-            .map(|&e| {
-                let id = assignment.rule(e);
-                rules
-                    .get(id)
-                    .ok_or(VariationError::RuleOutOfRange { edge: e, rule: id })
-            })
-            .collect::<Result<_, _>>()?;
-        // Nominal parasitics are shared by every chunk (one rule-table sweep
-        // for the whole run instead of one per chunk).
-        let nominals = EdgeNominals::compute(tree, tech, assignment);
+    /// Lanes in chunk `ci` (the final chunk may be ragged).
+    fn lanes_in(&self, ci: usize) -> usize {
+        LANES.min(self.n_samples - ci * LANES)
+    }
 
+    /// Draws chunk `ci`'s deviations, handing each to `put(edge index,
+    /// lane, Δw)`: into a table, or straight into an analysis's R/C scales.
+    /// `g_cells` is scratch for the grid components.
+    fn draw_chunk(
+        &self,
+        cells: &[usize],
+        ci: usize,
+        g_cells: &mut Vec<f64>,
+        mut put: impl FnMut(usize, usize, f64),
+    ) {
+        let g = self.model.grid;
         let sd = self.model.sigma_w_um;
         let (w_die, w_sp, w_rnd) = (
             self.model.frac_die.sqrt(),
             self.model.frac_spatial.sqrt(),
             self.model.frac_random().sqrt(),
         );
+        for l in 0..self.lanes_in(ci) {
+            let i = ci * LANES + l;
+            // Each sample owns an RNG stream derived from (seed, i), so the
+            // drawn vector never depends on which worker or lane evaluates
+            // it — the determinism contract.
+            let mut rng = StdRng::seed_from_u64(self.seed ^ splitmix64(i as u64));
+            let g_die = gaussian(&mut rng);
+            g_cells.clear();
+            g_cells.extend((0..g * g).map(|_| gaussian(&mut rng)));
+            for (k, &cell) in cells.iter().enumerate() {
+                let g_e = gaussian(&mut rng);
+                put(k, l, sd * (w_die * g_die + w_sp * g_cells[cell] + w_rnd * g_e));
+            }
+        }
+        #[cfg(test)]
+        tests::drew_chunk(ci);
+    }
+
+    /// [`run_with_token`](Self::run_with_token) reading each chunk's
+    /// deviations from `deviations` where its table holds them, and
+    /// drawing the rest. The report is bit-identical to `run_with_token`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_with_token`](Self::run_with_token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deviations` was drawn by an engine with another model,
+    /// sample count or seed, or for a tree of another size, and where
+    /// `run_with_token` panics.
+    pub fn run_with_deviations(
+        &self,
+        tree: &ClockTree,
+        tech: &Technology,
+        assignment: &Assignment,
+        deviations: &Deviations,
+        token: &CancelToken,
+    ) -> Result<VariationReport, VariationError> {
+        assert!(
+            (deviations.model, deviations.n_samples, deviations.seed, deviations.nodes)
+                == (self.model, self.n_samples, self.seed, tree.len()),
+            "deviations drawn for another engine or tree"
+        );
+        let n = tree.len();
+        let layer = tech.clock_layer();
+        let rules = tech.rules();
+
+        // The per-edge rules are validated and resolved up front — a
+        // malformed assignment fails the whole run instead of panicking a
+        // worker — with their nominal unit R and C, which every sample
+        // divides by.
+        let edge_rules: Vec<(Rule, f64, f64)> = deviations
+            .edges
+            .iter()
+            .map(|&e| {
+                let id = assignment.rule(e);
+                let rule = rules
+                    .get(id)
+                    .ok_or(VariationError::RuleOutOfRange { edge: e, rule: id })?;
+                Ok((rule, layer.unit_r(rule), layer.unit_c_delay(rule)))
+            })
+            .collect::<Result<_, VariationError>>()?;
+        // Nominal parasitics are shared by every chunk (one rule-table sweep
+        // for the whole run instead of one per chunk).
+        let nominals = EdgeNominals::compute(tree, tech, assignment);
 
         // Samples are evaluated LANES at a time through the batched kernel:
         // chunk c covers samples [c·LANES, c·LANES + lk) with a possibly
         // ragged final chunk. Scale vectors are lane-major ([edge·lk + l]),
-        // and each lane's RNG stream is exactly the stream the serial path
-        // gave that sample index, so the report stays bit-identical.
+        // and each lane's deviations are exactly the ones the serial path
+        // drew for that sample index, so the report stays bit-identical.
         struct Scratch {
             batch: BatchAnalyzer,
             r_scale: Vec<f64>,
             c_scale: Vec<f64>,
             g_cells: Vec<f64>,
         }
-        let n_samples = self.n_samples;
-        let n_chunks = n_samples.div_ceil(LANES);
+        let g = self.model.grid;
         let chunks: Vec<Vec<(f64, f64)>> = try_par_map_n(
             self.parallelism,
-            n_chunks,
+            self.n_samples.div_ceil(LANES),
             token,
             |_worker| Scratch {
                 batch: BatchAnalyzer::new(),
@@ -482,32 +646,27 @@ impl MonteCarlo {
                 g_cells: Vec::with_capacity(g * g),
             },
             |scratch, ci| {
-                let lk = LANES.min(n_samples - ci * LANES);
+                let lk = self.lanes_in(ci);
                 scratch.r_scale.clear();
                 scratch.r_scale.resize(n * lk, 1.0);
                 scratch.c_scale.clear();
                 scratch.c_scale.resize(n * lk, 1.0);
-                for l in 0..lk {
-                    let i = ci * LANES + l;
-                    // Each sample owns an RNG stream derived from (seed, i),
-                    // so the drawn vector never depends on which worker or
-                    // lane evaluates it — the determinism contract.
-                    let mut rng = StdRng::seed_from_u64(self.seed ^ splitmix64(i as u64));
-                    let g_die = gaussian(&mut rng);
-                    scratch.g_cells.clear();
-                    scratch
-                        .g_cells
-                        .extend((0..g * g).map(|_| gaussian(&mut rng)));
-                    for (k, &e) in edges.iter().enumerate() {
-                        let g_e = gaussian(&mut rng);
-                        let dw =
-                            sd * (w_die * g_die + w_sp * scratch.g_cells[cells[k]] + w_rnd * g_e);
-                        let rule = edge_rules[k];
-                        scratch.r_scale[e.0 * lk + l] =
-                            layer.unit_r_varied(rule, dw) / layer.unit_r(rule);
-                        scratch.c_scale[e.0 * lk + l] =
-                            layer.unit_c_delay_varied(rule, dw) / layer.unit_c_delay(rule);
+                let (r_scale, c_scale) = (&mut scratch.r_scale, &mut scratch.c_scale);
+                let mut scale = |k: usize, l: usize, d: f64| {
+                    let e = deviations.edges[k].0;
+                    let (rule, unit_r, unit_c) = edge_rules[k];
+                    r_scale[e * lk + l] = layer.unit_r_varied(rule, d) / unit_r;
+                    c_scale[e * lk + l] = layer.unit_c_delay_varied(rule, d) / unit_c;
+                };
+                match deviations.chunks.get(ci) {
+                    Some(held) => {
+                        for (k, dw) in held.chunks_exact(lk).enumerate() {
+                            for (l, &d) in dw.iter().enumerate() {
+                                scale(k, l, d);
+                            }
+                        }
                     }
+                    None => self.draw_chunk(&deviations.cells, ci, &mut scratch.g_cells, scale),
                 }
                 let lanes = scratch.batch.run_scaled_nominal(
                     tree,
@@ -533,6 +692,7 @@ mod tests {
     use super::*;
     use snr_cts::{synthesize, CtsOptions};
     use snr_netlist::BenchmarkSpec;
+    use std::cell::RefCell;
 
     fn setup(n: usize) -> (ClockTree, Technology) {
         let design = BenchmarkSpec::new("t", n).seed(12).build().unwrap();
@@ -617,6 +777,103 @@ mod tests {
             &longer.skew_samples_ps()[..13],
             "sample streams must be independent of n_samples"
         );
+    }
+
+    fn sample_bits(rep: &VariationReport) -> Vec<(u64, u64)> {
+        rep.skew_samples_ps()
+            .iter()
+            .zip(rep.latency_samples_ps())
+            .map(|(s, l)| (s.to_bits(), l.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn capped_tables_match_run_with_token_bit_for_bit() {
+        // Tables holding no chunk, one, two and every chunk, over ragged
+        // and full final chunks: the analysis draws whatever the table does
+        // not hold, and every report equals the undrawn run's.
+        let (tree, tech) = setup(30);
+        let asg = Assignment::uniform(&tree, tech.rules().default_id());
+        let chunk_bytes = LANES * tree.edges().count() * std::mem::size_of::<f64>();
+        let token = CancelToken::new();
+        for n_samples in 1..=40 {
+            for jobs in [1, 2] {
+                let mc = MonteCarlo::new(VariationModel::default(), n_samples, 19)
+                    .with_parallelism(Parallelism::new(jobs));
+                let want = sample_bits(&mc.run_with_token(&tree, &tech, &asg, &token).unwrap());
+                let n_chunks = n_samples.div_ceil(LANES);
+                for (cap, held_chunks) in [(0, 0), (chunk_bytes, 1), (2 * chunk_bytes, 2)] {
+                    let devs = mc.deviations_capped(&tree, cap, &token).unwrap();
+                    let all = n_samples <= cap / chunk_bytes * LANES;
+                    let held = if all { n_chunks } else { held_chunks };
+                    assert_eq!(devs.chunks.len(), held, "n={n_samples} cap={cap}");
+                    let rep = mc.run_with_deviations(&tree, &tech, &asg, &devs, &token).unwrap();
+                    assert_eq!(sample_bits(&rep), want, "n={n_samples} jobs={jobs} cap={cap}");
+                }
+                let devs = mc.deviations(&tree, &token).unwrap();
+                assert_eq!(devs.chunks.len(), n_chunks);
+                let rep = mc.run_with_deviations(&tree, &tech, &asg, &devs, &token).unwrap();
+                assert_eq!(sample_bits(&rep), want, "n={n_samples} jobs={jobs} full table");
+            }
+        }
+    }
+
+    type DrawHook = Box<dyn Fn(usize)>;
+
+    thread_local! {
+        /// Called with the index of every chunk this thread draws.
+        static ON_DRAW: RefCell<Option<DrawHook>> = RefCell::new(None);
+    }
+
+    pub(super) fn drew_chunk(ci: usize) {
+        ON_DRAW.with(|hook| {
+            if let Some(hook) = &*hook.borrow() {
+                hook(ci);
+            }
+        });
+    }
+
+    #[test]
+    fn a_token_fired_during_the_draw_cancels_the_whole_run() {
+        // The serial path draws on this thread, so the hook fires the token
+        // right after chunk 1 is drawn, before chunk 2 is claimed.
+        let (tree, tech) = setup(40);
+        let asg = Assignment::uniform(&tree, tech.rules().default_id());
+        let mc = MonteCarlo::new(VariationModel::default(), 4 * LANES, 4)
+            .with_parallelism(Parallelism::serial());
+        let fire_after_chunk_1 = |token: &CancelToken| {
+            let token = token.clone();
+            ON_DRAW.with(|hook| {
+                *hook.borrow_mut() = Some(Box::new(move |ci| {
+                    if ci == 1 {
+                        token.cancel();
+                    }
+                }));
+            });
+        };
+        let token = CancelToken::new();
+        fire_after_chunk_1(&token);
+        assert!(matches!(mc.deviations(&tree, &token), Err(Cancelled)));
+        let token = CancelToken::new();
+        fire_after_chunk_1(&token);
+        assert_eq!(
+            mc.run_with_token(&tree, &tech, &asg, &token),
+            Err(VariationError::Cancelled)
+        );
+        ON_DRAW.with(|hook| *hook.borrow_mut() = None);
+    }
+
+    #[test]
+    #[should_panic(expected = "deviations drawn for another engine or tree")]
+    fn deviations_of_another_seed_are_rejected() {
+        let (tree, tech) = setup(20);
+        let asg = Assignment::uniform(&tree, tech.rules().default_id());
+        let token = CancelToken::new();
+        let devs = MonteCarlo::new(VariationModel::default(), 5, 1)
+            .deviations(&tree, &token)
+            .unwrap();
+        let _ = MonteCarlo::new(VariationModel::default(), 5, 2)
+            .run_with_deviations(&tree, &tech, &asg, &devs, &token);
     }
 
     #[test]

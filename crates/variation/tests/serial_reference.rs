@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use snr_cts::{synthesize, Assignment, ClockTree, CtsOptions, NodeId};
 use snr_geom::Rect;
 use snr_netlist::BenchmarkSpec;
-use snr_par::{splitmix64, Parallelism};
+use snr_par::{splitmix64, CancelToken, Parallelism};
 use snr_tech::Technology;
 use snr_timing::Analyzer;
 use snr_variation::{MonteCarlo, VariationModel, LANES};
@@ -121,5 +121,40 @@ fn batched_engine_matches_prebatch_reference_loop() {
             latency.to_bits(),
             "sample {i} latency diverged from the pre-batch reference"
         );
+    }
+}
+
+#[test]
+fn shared_deviations_match_the_reference_and_run_with_token() {
+    // Deviations drawn once and analyzed later reproduce both the undrawn
+    // engine and the per-sample reference, for every sample count from one
+    // ragged chunk to three chunks and on one and two workers.
+    let design = BenchmarkSpec::new("shared", 50).seed(8).build().expect("valid spec");
+    let tech = Technology::n45();
+    let tree = synthesize(&design, &tech, &CtsOptions::default()).expect("synthesizes");
+    let asg = Assignment::uniform(&tree, tech.rules().default_id());
+    let model = VariationModel::default();
+    let seed = 0x5EED;
+    // Sample i depends only on (seed, i), so one reference run gives every
+    // shorter run as a prefix.
+    let reference = reference_samples(&tree, &tech, &asg, model, 40, seed);
+    let token = CancelToken::new();
+    for n_samples in 1..=40 {
+        for jobs in [1, 2] {
+            let mc = MonteCarlo::new(model, n_samples, seed).with_parallelism(Parallelism::new(jobs));
+            let deviations = mc.deviations(&tree, &token).expect("unfired token");
+            let shared = mc
+                .run_with_deviations(&tree, &tech, &asg, &deviations, &token)
+                .expect("valid assignment");
+            let drawn = mc.run_with_token(&tree, &tech, &asg, &token).expect("valid assignment");
+            assert_eq!(shared, drawn, "n={n_samples} jobs={jobs}");
+            for (i, &(skew, latency)) in reference[..n_samples].iter().enumerate() {
+                assert_eq!(
+                    (shared.skew_samples_ps()[i].to_bits(), shared.latency_samples_ps()[i].to_bits()),
+                    (skew.to_bits(), latency.to_bits()),
+                    "n={n_samples} jobs={jobs}: sample {i} diverged from the reference"
+                );
+            }
+        }
     }
 }

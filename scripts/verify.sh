@@ -199,6 +199,28 @@ cmp -s "$T/pcold.json" "$T/pareto1.json" \
     || { echo "FAIL: store participation must not change pareto bytes" >&2; exit 1; }
 grep -q "store: 15 hit(s), 0 miss(es), 0 quarantined" "$T/pwarm.err" \
     || { echo "FAIL: warm pareto rerun must replay every point" >&2; exit 1; }
+# --mc 37 is three sample chunks (two full, one ragged) of the deviations
+# the sweep's points share: the same bytes for any --jobs and from a warm
+# store, where no point draws.
+"$BIN" pareto --sinks 80 --seed 11 --mc 37 --jobs 1 --json > "$T/p37_1.json"
+"$BIN" pareto --sinks 80 --seed 11 --mc 37 --jobs 4 --json > "$T/p37_4.json"
+cmp -s "$T/p37_1.json" "$T/p37_4.json" \
+    || { echo "FAIL: the --mc 37 front must not depend on --jobs" >&2; exit 1; }
+"$BIN" pareto --sinks 80 --seed 11 --mc 37 --json --store "$T/p37store" \
+    > "$T/p37cold.json" 2>/dev/null
+"$BIN" pareto --sinks 80 --seed 11 --mc 37 --json --store "$T/p37store" \
+    > "$T/p37warm.json" 2>/dev/null
+cmp -s "$T/p37cold.json" "$T/p37warm.json" && cmp -s "$T/p37cold.json" "$T/p37_1.json" \
+    || { echo "FAIL: the --mc 37 front must not depend on the store" >&2; exit 1; }
+# A Monte-Carlo count past the ceiling is a typed usage error (exit 1),
+# never an allocation abort (exit 134).
+for cmd in run pareto; do
+    rc=0; out="$("$BIN" "$cmd" --sinks 40 --mc 9007199254740992 --json 2>/dev/null)" || rc=$?
+    case "$rc:$out" in
+        '1:{"error": {"code": "usage"'*) ;;
+        *) echo "FAIL: $cmd --mc 2^53 should be a usage error, got $rc: $out" >&2; exit 1 ;;
+    esac
+done
 # bench_pareto --smoke asserts serial == parallel == store-warm bytes
 # internally; temp output path keeps the checked-in record put.
 target/release/bench_pareto --smoke --out "$T/BENCH_pareto_smoke.json" >/dev/null

@@ -174,6 +174,25 @@ fn run_with_oversized_sink_count_is_invalid_input() {
     assert!(err.contains("at most 1000000 sinks"), "{err}");
 }
 
+/// A Monte-Carlo count past the ceiling is refused before anything is
+/// allocated for it, instead of aborting the process.
+#[test]
+fn oversized_monte_carlo_count_is_a_usage_error() {
+    for cmd in ["run", "pareto"] {
+        let out = bin()
+            .args([cmd, "--sinks", "40", "--mc", "9007199254740992", "--json"])
+            .output()
+            .expect("binary runs");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: usage errors exit 1: {text}");
+        assert!(
+            text.starts_with("{\"error\": {\"code\": \"usage\"")
+                && text.contains("must be at most 1000000 samples"),
+            "{cmd}: {text}"
+        );
+    }
+}
+
 #[test]
 fn bad_flag_value_fails_cleanly() {
     let out = bin()

@@ -194,6 +194,31 @@ fn oversized_generate_request_fails_typed_and_daemon_keeps_serving() {
     assert!(d.eof_and_wait().success());
 }
 
+#[test]
+fn oversized_monte_carlo_request_fails_typed_and_daemon_keeps_serving() {
+    let mut d = Daemon::spawn(&["--jobs", "1"]);
+    d.send(&run_request(1, 40, 7, ", \"mc\": 9007199254740992"));
+    d.send(
+        "{\"op\": \"pareto\", \"id\": 2, \"design\": {\"generate\": {\"sinks\": 40, \"seed\": 7}}, \"mc\": 9007199254740992}",
+    );
+    d.send(&run_request(3, 40, 7, ", \"mc\": 20"));
+    let finals = d.finals_for(&[1, 2, 3]);
+    for id in [1, 2] {
+        assert!(
+            finals[&id].contains("\"error\": {\"code\": \"usage\"")
+                && finals[&id].contains("must be at most 1000000 samples"),
+            "oversized request must fail typed: {}",
+            finals[&id]
+        );
+    }
+    assert!(
+        finals[&3].contains("\"ok\": true") && finals[&3].contains("\"variation\""),
+        "{}",
+        finals[&3]
+    );
+    assert!(d.eof_and_wait().success());
+}
+
 /// A request whose iteration budget expires mid-optimization still returns
 /// a best-so-far result (ok, with the exhaustion receipt in supervision),
 /// not an error.
