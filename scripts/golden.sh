@@ -2,16 +2,18 @@
 # Output locks: optimizer digests (tests/optimizer_lock.rs), suite
 # artifacts (tests/suite_lock.rs), Pareto fronts (tests/pareto_lock.rs),
 # interop outputs (tests/interop_lock.rs), CLI error lines
-# (tests/cli_errors_lock.rs), the optimizers' gaps to the exhaustive
-# optimum on tiny trees (tests/global_oracle.rs) and the clock trees CTS
-# builds (tests/cts_lock.rs).
+# (tests/cli_errors_lock.rs), what `lint` and `import` print and answer
+# (tests/check_lock.rs), the optimizers' gaps to the exhaustive optimum
+# on tiny trees (tests/global_oracle.rs) and the clock trees CTS builds
+# (tests/cts_lock.rs).
 #
 #   scripts/golden.sh           check: run the lock tests, fail on any drift
 #   scripts/golden.sh --bless   regenerate tests/golden/optimizer_digests.txt,
 #                               the suite_*.txt artifacts, the
 #                               pareto_*.txt fronts, the interop
 #                               outputs, the CLI error lines, the
-#                               oracle gaps and the tree digests and
+#                               lint/import outputs, the oracle gaps
+#                               and the tree digests and
 #                               print every entry or line that changed
 #
 # Bless only when a change is meant to alter results; an engine or
@@ -21,8 +23,8 @@ cd "$(dirname "$0")/.."
 
 GOLDEN=tests/golden/optimizer_digests.txt
 ACTUAL=target/tmp/optimizer_digests.actual.txt
-ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid export_ndr_examples import_dirty12 cli_errors oracle_gaps cts_trees"
-LOCKS=(--test optimizer_lock --test suite_lock --test pareto_lock --test interop_lock --test cli_errors_lock --test global_oracle --test cts_lock)
+ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid export_ndr_examples import_dirty12 cli_errors check_outputs oracle_gaps cts_trees"
+LOCKS=(--test optimizer_lock --test suite_lock --test pareto_lock --test interop_lock --test cli_errors_lock --test check_lock --test global_oracle --test cts_lock)
 
 case "${1:-}" in
     "")
