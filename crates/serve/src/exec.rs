@@ -16,8 +16,11 @@ use snr_core::{
     LevelBased, NdrOptimizer, OptContext, Outcome, SmartNdr, Uniform,
 };
 use snr_cts::{synthesize, ClockTree, CtsOptions};
-use snr_netlist::{load_design, load_design_with, validate::Bounds, BenchmarkSpec, Design,
-    ErrorKind, LoadOptions};
+use snr_netlist::validate::{Bounds, Diagnostic, Repair};
+use snr_netlist::{
+    import_design_with, load_design, load_design_with, BenchmarkSpec, Design, ErrorKind,
+    ImportLimits, ImportOptions, LoadOptions, NetlistError,
+};
 use snr_par::{par_map, CancelToken, Deadline, Parallelism};
 use snr_power::PowerModel;
 use snr_store::{CacheKey, Lookup, QuarantineReason, ResultStore, StoreKind};
@@ -29,8 +32,8 @@ use snr_pareto::{FrontPoint, ParetoFront, PointEval, SweepContext, SweepPoint};
 use crate::cache::{CacheStatus, Warm, WarmCache};
 use crate::error::ApiError;
 use crate::plan::{
-    suite_row_key, DesignInput, ExportNdrPlan, ImportPlan, LintPlan, ParetoPlan, Plan, RunPlan,
-    SuiteEntry, SuitePlan,
+    suite_row_key, CheckPlan, DesignInput, ExportNdrPlan, ParetoPlan, Plan, RunPlan, SuiteEntry,
+    SuitePlan,
 };
 use crate::request::{CacheMode, Method};
 
@@ -151,41 +154,19 @@ pub struct RunResponse {
     pub cache: CacheStatus,
 }
 
-/// The result of a `lint` plan.
+/// The result of a `lint` or `import` plan: the design the bytes became,
+/// plus everything its parser and the validation found and fixed.
 #[derive(Debug, Clone)]
-pub struct LintResponse {
-    /// The validated (possibly repaired) design.
+pub struct CheckResponse {
+    /// The checked (possibly repaired) design.
     pub design: Arc<Design>,
-    /// Diagnostics, rendered.
+    /// Diagnostics, rendered (`import`'s include its `I`-series codes).
     pub diagnostics: Vec<String>,
     /// Repair actions taken, rendered.
     pub repairs: Vec<String>,
 }
 
-impl LintResponse {
-    /// `clean` or `repaired` — the status word the CLI prints.
-    pub fn status(&self) -> &'static str {
-        if self.repairs.is_empty() {
-            "clean"
-        } else {
-            "repaired"
-        }
-    }
-}
-
-/// The result of an `import` plan: the design the external file became,
-/// plus everything the importer found and fixed along the way.
-#[derive(Debug, Clone)]
-pub struct ImportResponse {
-    /// The imported (possibly repaired) design.
-    pub design: Arc<Design>,
-    /// Import-layer and validation diagnostics, rendered.
-    pub diagnostics: Vec<String>,
-    /// Repair actions taken, rendered.
-    pub repairs: Vec<String>,
-}
-
-impl ImportResponse {
+impl CheckResponse {
     /// `clean` or `repaired` — the status word the CLI prints.
     pub fn status(&self) -> &'static str {
         if self.repairs.is_empty() {
@@ -355,13 +336,13 @@ pub enum Response {
     /// A run replayed from the durable result store.
     Replayed(Box<ReplayedRun>),
     /// A completed lint.
-    Lint(Box<LintResponse>),
+    Lint(Box<CheckResponse>),
     /// A completed suite.
     Suite(SuiteResponse),
     /// A completed Pareto sweep.
     Pareto(Box<ParetoResponse>),
     /// A completed external-design import.
-    Import(Box<ImportResponse>),
+    Import(Box<CheckResponse>),
     /// A completed NDR Tcl export (or reimport).
     ExportNdr(Box<ExportNdrResponse>),
 }
@@ -379,9 +360,9 @@ pub fn execute(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Response, ApiError> {
     match plan {
         Plan::Run(p) => execute_run_stored(p, ctx),
         Plan::Pareto(p) => execute_pareto(p, ctx).map(|r| Response::Pareto(Box::new(r))),
-        Plan::Lint(p) => execute_lint(p).map(Response::Lint),
+        Plan::Lint(p) => execute_check(p, parse_sndr, SNDR_HINT).map(Response::Lint),
         Plan::Suite(p) => execute_suite(p, ctx).map(Response::Suite),
-        Plan::Import(p) => execute_import(p).map(Response::Import),
+        Plan::Import(p) => execute_check(p, import_external, DEF_HINT).map(Response::Import),
         Plan::ExportNdr(p) => execute_export_ndr(p, ctx).map(Response::ExportNdr),
     }
 }
@@ -519,7 +500,9 @@ fn build_warm(
             if looks_like_sndr(bytes) {
                 load_design(&bytes[..]).map_err(|e| ApiError::invalid(e.to_string()))
             } else {
-                import_external(bytes, tech, false).map(|r| r.design)
+                import_external(bytes, Bounds::for_tech(tech), false)
+                    .map(|(design, ..)| design)
+                    .map_err(|e| rejection(e, DEF_HINT))
             }
         }
         DesignInput::Spec { name, sinks, seed, freq_ghz } => {
@@ -573,6 +556,25 @@ fn relative_constraints(
         .map_err(|e| ApiError::usage(format!("{}: {e}", design.name())))
 }
 
+/// The cancellation token a `run` or `pareto` plan runs under: a deadline
+/// `timeout_s` from now (0 = none), or a plain token when the front end
+/// wants a cancellation hook, so a resident front end can cancel even
+/// without a timeout. The hook receives the token; `None` when neither
+/// asks for one.
+fn cancel_token(timeout_s: f64, ctx: &ExecCtx<'_>) -> Option<CancelToken> {
+    let token = if timeout_s > 0.0 {
+        CancelToken::with_deadline(Deadline::after(Duration::from_secs_f64(timeout_s)))
+    } else if ctx.on_token.is_some() {
+        CancelToken::new()
+    } else {
+        return None;
+    };
+    if let Some(hook) = ctx.on_token {
+        hook(&token);
+    }
+    Some(token)
+}
+
 /// Builds the optimizer a `method` spelling names, with the run's budget
 /// attached where the optimizer supports it. Shared by `run` and
 /// `export_ndr` so the two cannot disagree on what a method means.
@@ -602,27 +604,13 @@ fn execute_run(plan: &RunPlan, ctx: &ExecCtx<'_>) -> Result<Box<RunResponse>, Ap
     let opt_ctx = OptContext::new(&tree, &plan.tech, PowerModel::new(design.freq_ghz()))
         .with_constraints(constraints);
 
-    // Budget and cancellation, exactly as the CLI has always armed them —
-    // plus a resident-mode twist: when the front end wants a cancellation
-    // hook, a token exists even without a timeout.
     let mut budget = Budget::unlimited();
     if plan.max_iters > 0 {
         budget = budget.with_max_iters(plan.max_iters);
     }
-    let token = if plan.timeout_s > 0.0 {
-        Some(CancelToken::with_deadline(Deadline::after(Duration::from_secs_f64(
-            plan.timeout_s,
-        ))))
-    } else if ctx.on_token.is_some() {
-        Some(CancelToken::new())
-    } else {
-        None
-    };
+    let token = cancel_token(plan.timeout_s, ctx);
     if let Some(t) = &token {
         budget = budget.with_token(t.clone());
-        if let Some(hook) = ctx.on_token {
-            hook(t);
-        }
     }
 
     let method = make_optimizer(plan.method, budget);
@@ -744,18 +732,7 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
         .constraints(widest, plan.eval.relaxed_skew_budget_ps)
         .map_err(|e| ApiError::usage(format!("{}: {e}", design.name())))?;
 
-    let token = if plan.timeout_s > 0.0 {
-        Some(CancelToken::with_deadline(Deadline::after(Duration::from_secs_f64(
-            plan.timeout_s,
-        ))))
-    } else if ctx.on_token.is_some() {
-        Some(CancelToken::new())
-    } else {
-        None
-    };
-    if let (Some(t), Some(hook)) = (&token, ctx.on_token) {
-        hook(t);
-    }
+    let token = cancel_token(plan.timeout_s, ctx);
 
     // `max_points` truncation is a deterministic prefix of the canonical
     // enumeration, decided before any point is dispatched.
@@ -860,34 +837,41 @@ fn execute_pareto(plan: &ParetoPlan, ctx: &ExecCtx<'_>) -> Result<ParetoResponse
     })
 }
 
-fn execute_lint(plan: &LintPlan) -> Result<Box<LintResponse>, ApiError> {
-    let opts = LoadOptions { bounds: Bounds::for_tech(&plan.tech), repair: plan.repair };
-    let report = load_design_with(&plan.bytes[..], &opts).map_err(|e| {
-        // Surface the individual diagnostics with the failure, so front
-        // ends can show every problem at once instead of the first.
-        let details: Vec<String> = e.diagnostics().iter().map(|d| d.to_string()).collect();
-        let hint = match e.kind() {
-            ErrorKind::Parse => " (syntax error; run with a valid .sndr file)",
-            _ if !details.is_empty() => " (re-run with --repair to attempt salvage)",
-            _ => "",
-        };
-        ApiError::invalid(format!("{e}{hint}")).with_details(details)
-    })?;
+/// What a design parser returns: the design with every diagnostic found
+/// and every repair applied.
+type Parsed = (Design, Vec<Diagnostic>, Vec<Repair>);
 
-    let diagnostics: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
-    let repairs: Vec<String> = report.repairs.iter().map(|r| r.to_string()).collect();
+/// The hint a `.sndr` syntax failure carries.
+const SNDR_HINT: &str = " (syntax error; run with a valid .sndr file)";
+/// The hint a DEF-lite syntax failure carries.
+const DEF_HINT: &str = " (not a readable DEF-lite/ISPD file)";
 
-    // Feasibility smoke-check: a structurally valid design that no buffer
-    // in the library can drive is a constraint problem, not an input
-    // problem. The diagnostics still travel with the error so nothing
-    // already discovered is lost.
-    synthesize(&report.design, &plan.tech, &CtsOptions::default()).map_err(|e| {
-        let mut details = diagnostics.clone();
-        details.extend(repairs.iter().cloned());
-        ApiError::infeasible(format!("{}: {e}", report.design.name())).with_details(details)
-    })?;
+/// The `.sndr` parser, under `bounds`, repairing when asked.
+fn parse_sndr(bytes: &[u8], bounds: Bounds, repair: bool) -> Result<Parsed, NetlistError> {
+    let report = load_design_with(bytes, &LoadOptions { bounds, repair })?;
+    Ok((report.design, report.diagnostics, report.repairs))
+}
 
-    Ok(Box::new(LintResponse { design: Arc::new(report.design), diagnostics, repairs }))
+/// The bounded DEF-lite importer, under `bounds`, repairing when asked. A
+/// rejection carries every diagnostic, always at least one `I`-series
+/// code.
+fn import_external(bytes: &[u8], bounds: Bounds, repair: bool) -> Result<Parsed, NetlistError> {
+    let opts = ImportOptions { bounds, repair, limits: ImportLimits::default() };
+    let report = import_design_with(bytes, &opts)?;
+    Ok((report.design, report.diagnostics, report.repairs))
+}
+
+/// A parser's rejection as a typed error carrying every diagnostic as a
+/// detail line, so front ends can show every problem at once instead of
+/// the first; a syntax failure ends with the parser's `parse_hint`.
+fn rejection(e: NetlistError, parse_hint: &str) -> ApiError {
+    let details: Vec<String> = e.diagnostics().iter().map(|d| d.to_string()).collect();
+    let hint = match e.kind() {
+        ErrorKind::Parse => parse_hint,
+        _ if !details.is_empty() => " (re-run with --repair to attempt salvage)",
+        _ => "",
+    };
+    ApiError::invalid(format!("{e}{hint}")).with_details(details)
 }
 
 /// `.sndr` files always open with their `sndr <version>` magic; any other
@@ -899,49 +883,29 @@ fn looks_like_sndr(bytes: &[u8]) -> bool {
     bytes[start..].starts_with(b"sndr")
 }
 
-/// Runs the bounded DEF-lite importer over external bytes, mapping a
-/// rejection to a typed error carrying every diagnostic (always at least
-/// one `I`-series code) as error details.
-fn import_external(
-    bytes: &[u8],
-    tech: &Technology,
-    repair: bool,
-) -> Result<snr_netlist::ImportReport, ApiError> {
-    let opts = snr_netlist::ImportOptions {
-        bounds: Bounds::for_tech(tech),
-        repair,
-        limits: snr_netlist::ImportLimits::default(),
-    };
-    snr_netlist::import_design_with(bytes, &opts).map_err(|e| {
-        let details: Vec<String> = e.diagnostics().iter().map(|d| d.to_string()).collect();
-        let hint = match e.kind() {
-            ErrorKind::Parse => " (not a readable DEF-lite/ISPD file)",
-            _ if !details.is_empty() => " (re-run with --repair to attempt salvage)",
-            _ => "",
-        };
-        ApiError::invalid(format!("{e}{hint}")).with_details(details)
-    })
-}
+/// Checks a design with the op's `parse` (`parse_hint` follows its syntax
+/// failures). A rejection surfaces every diagnostic as error details, and
+/// a design that loads but cannot be synthesized is *infeasible*, not
+/// invalid: a constraint problem, not an input one. The diagnostics
+/// travel with that error too, so nothing already discovered is lost.
+fn execute_check(
+    plan: &CheckPlan,
+    parse: fn(&[u8], Bounds, bool) -> Result<Parsed, NetlistError>,
+    parse_hint: &str,
+) -> Result<Box<CheckResponse>, ApiError> {
+    let bounds = Bounds::for_tech(&plan.tech);
+    let (design, diagnostics, repairs) =
+        parse(&plan.bytes, bounds, plan.repair).map_err(|e| rejection(e, parse_hint))?;
+    let diagnostics: Vec<String> = diagnostics.iter().map(|d| d.to_string()).collect();
+    let repairs: Vec<String> = repairs.iter().map(|r| r.to_string()).collect();
 
-/// Imports an external DEF-lite design through the bounded importer.
-/// Mirrors [`execute_lint`]: a rejection surfaces every diagnostic as
-/// error details (all of them carrying `I`-series codes), and a design
-/// that imports but cannot be synthesized is *infeasible*, not invalid.
-fn execute_import(plan: &ImportPlan) -> Result<Box<ImportResponse>, ApiError> {
-    let report = import_external(&plan.bytes, &plan.tech, plan.repair)?;
-
-    let diagnostics: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
-    let repairs: Vec<String> = report.repairs.iter().map(|r| r.to_string()).collect();
-
-    // Same feasibility smoke-check as lint: an importable design the CTS
-    // flow cannot synthesize is a constraint problem, not an input one.
-    synthesize(&report.design, &plan.tech, &CtsOptions::default()).map_err(|e| {
+    synthesize(&design, &plan.tech, &CtsOptions::default()).map_err(|e| {
         let mut details = diagnostics.clone();
         details.extend(repairs.iter().cloned());
-        ApiError::infeasible(format!("{}: {e}", report.design.name())).with_details(details)
+        ApiError::infeasible(format!("{}: {e}", design.name())).with_details(details)
     })?;
 
-    Ok(Box::new(ImportResponse { design: Arc::new(report.design), diagnostics, repairs }))
+    Ok(Box::new(CheckResponse { design: Arc::new(design), diagnostics, repairs }))
 }
 
 /// Solves (or reimports) an assignment and renders it as NDR Tcl. The

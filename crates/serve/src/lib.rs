@@ -37,13 +37,13 @@ pub mod server;
 pub use cache::{CacheKey, CacheStatus, WarmCache};
 pub use error::{ApiCode, ApiError};
 pub use exec::{
-    execute, Event, ExecCtx, ExportNdrResponse, ImportResponse, LintResponse, ParetoFrontRow,
-    ParetoResponse, ReplayedRun, Response, RunResponse, SuiteResponse, SuiteRow,
+    execute, CheckResponse, Event, ExecCtx, ExportNdrResponse, ParetoFrontRow, ParetoResponse,
+    ReplayedRun, Response, RunResponse, SuiteResponse, SuiteRow,
 };
-pub use plan::{plan, ExportNdrPlan, ImportPlan, LintPlan, ParetoPlan, Plan, RunPlan, SuitePlan};
+pub use plan::{plan, CheckPlan, ExportNdrPlan, ParetoPlan, Plan, RunPlan, SuitePlan};
 pub use request::{
-    CacheMode, Control, DesignSource, Envelope, ExportNdrRequest, ImportRequest, LintRequest,
-    Method, Op, ParetoRequest, Request, RunRequest, SuiteRequest, SuiteSource, TechId,
+    CacheMode, CheckRequest, Control, DesignSource, Envelope, ExportNdrRequest, Method, Op,
+    ParetoRequest, Request, RunRequest, SuiteRequest, SuiteSource, TechId,
 };
 pub use server::{serve_stdio, ServeConfig, ServerState};
 pub use snr_store::{Lookup, QuarantineReason, ResultStore, StoreKind, StoreStats};

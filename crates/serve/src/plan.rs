@@ -22,8 +22,8 @@ use snr_pareto::{
 use crate::cache::{CacheKey, ContentHasher};
 use crate::error::ApiError;
 use crate::request::{
-    CacheMode, DesignSource, ExportNdrRequest, ImportRequest, LintRequest, Method,
-    ParetoRequest, Request, RunRequest, SuiteRequest, SuiteSource,
+    CacheMode, CheckRequest, DesignSource, ExportNdrRequest, Method, ParetoRequest, Request,
+    RunRequest, SuiteRequest, SuiteSource,
 };
 
 /// Fingerprint of the CTS options a plan bakes in. There is exactly one
@@ -161,22 +161,12 @@ impl ParetoPlan {
     }
 }
 
-/// A resolved `lint` request.
+/// A resolved `lint` or `import` request. Execution hands `lint` bytes to
+/// the `.sndr` parser and `import` bytes, which are untrusted, to the
+/// bounded DEF-lite importer.
 #[derive(Debug, Clone)]
-pub struct LintPlan {
-    /// Raw `.sndr` bytes to validate.
-    pub bytes: Vec<u8>,
-    /// Resolved technology (bounds source).
-    pub tech: Technology,
-    /// Attempt repair.
-    pub repair: bool,
-}
-
-/// A resolved `import` request. The bytes are untrusted — execution hands
-/// them to the bounded DEF-lite importer, never the `.sndr` parser.
-#[derive(Debug, Clone)]
-pub struct ImportPlan {
-    /// Raw DEF-lite bytes to import.
+pub struct CheckPlan {
+    /// Raw design bytes to check.
     pub bytes: Vec<u8>,
     /// Resolved technology (bounds source).
     pub tech: Technology,
@@ -241,12 +231,12 @@ pub enum Plan {
     Run(RunPlan),
     /// Constraint-space sweep returning the Pareto front.
     Pareto(ParetoPlan),
-    /// Validation / repair.
-    Lint(LintPlan),
+    /// Validation / repair of `.sndr` bytes.
+    Lint(CheckPlan),
     /// The multi-design table.
     Suite(SuitePlan),
     /// External DEF-lite import.
-    Import(ImportPlan),
+    Import(CheckPlan),
     /// NDR Tcl export / reimport.
     ExportNdr(ExportNdrPlan),
 }
@@ -430,18 +420,12 @@ fn plan_pareto(req: &ParetoRequest) -> Result<ParetoPlan, ApiError> {
     })
 }
 
-fn plan_lint(req: &LintRequest) -> Result<LintPlan, ApiError> {
+/// Plans the check `op` (`lint` or `import`), which needs bytes to parse.
+fn plan_check(op: &str, req: &CheckRequest) -> Result<CheckPlan, ApiError> {
     let Some(bytes) = source_bytes(&req.design)? else {
-        return Err(ApiError::usage("lint needs a design file or inline text"));
+        return Err(ApiError::usage(format!("{op} needs a design file or inline text")));
     };
-    Ok(LintPlan { bytes, tech: req.tech.resolve(), repair: req.repair })
-}
-
-fn plan_import(req: &ImportRequest) -> Result<ImportPlan, ApiError> {
-    let Some(bytes) = source_bytes(&req.design)? else {
-        return Err(ApiError::usage("import needs a design file or inline text"));
-    };
-    Ok(ImportPlan { bytes, tech: req.tech.resolve(), repair: req.repair })
+    Ok(CheckPlan { bytes, tech: req.tech.resolve(), repair: req.repair })
 }
 
 fn plan_export_ndr(req: &ExportNdrRequest) -> Result<ExportNdrPlan, ApiError> {
@@ -526,9 +510,9 @@ pub fn plan(req: &Request) -> Result<Plan, ApiError> {
     match req {
         Request::Run(r) => plan_run(r).map(Plan::Run),
         Request::Pareto(r) => plan_pareto(r).map(Plan::Pareto),
-        Request::Lint(r) => plan_lint(r).map(Plan::Lint),
+        Request::Lint(r) => plan_check("lint", r).map(Plan::Lint),
         Request::Suite(r) => plan_suite(r).map(Plan::Suite),
-        Request::Import(r) => plan_import(r).map(Plan::Import),
+        Request::Import(r) => plan_check("import", r).map(Plan::Import),
         Request::ExportNdr(r) => plan_export_ndr(r).map(Plan::ExportNdr),
     }
 }
@@ -719,14 +703,18 @@ mod tests {
     }
 
     #[test]
-    fn import_needs_bytes() {
-        let err = plan_import(&ImportRequest {
+    fn checks_need_bytes() {
+        let req = CheckRequest {
             design: DesignSource::Generate { sinks: 4, seed: 1, freq_ghz: 1.0 },
             tech: TechId::N45,
             repair: false,
-        })
-        .unwrap_err();
-        assert_eq!(err.code(), crate::ApiCode::Usage);
+        };
+        for (request, op) in [(Request::Lint(req.clone()), "lint"), (Request::Import(req), "import")]
+        {
+            let err = plan(&request).unwrap_err();
+            assert_eq!(err.code(), crate::ApiCode::Usage);
+            assert_eq!(err.message(), format!("{op} needs a design file or inline text"));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The single shared JSON serializer for flow results.
 //!
-//! These functions are the *only* place run/lint outcomes are turned into
+//! These functions are the *only* place flow outcomes are turned into
 //! JSON: `smart-ndr run --json` prints [`run_json`] verbatim, and the
 //! daemon embeds the very same string inside its response envelope — so
 //! the two output paths cannot drift. (A test in `tests/api.rs` pins the
@@ -18,8 +18,7 @@ use snr_pareto::{SkewAxis, SweepPoint};
 
 use crate::error::ApiError;
 use crate::exec::{
-    Event, ExportNdrResponse, ImportResponse, LintResponse, ParetoResponse, Response,
-    RunResponse, SuiteResponse,
+    CheckResponse, Event, ExportNdrResponse, ParetoResponse, Response, RunResponse, SuiteResponse,
 };
 use crate::json::json_escape;
 
@@ -176,9 +175,10 @@ pub fn run_human(resp: &RunResponse) -> String {
     out
 }
 
-/// The machine-readable object for a completed lint — exactly the line
-/// `smart-ndr lint --json` prints.
-pub fn lint_json(resp: &LintResponse) -> String {
+/// The machine-readable object for a completed check — exactly the line
+/// `smart-ndr lint --json` prints, or with `sinks` (the design's sink
+/// count) the line `smart-ndr import --json` prints.
+pub fn check_json(resp: &CheckResponse, sinks: bool) -> String {
     let list = |items: &[String]| {
         items
             .iter()
@@ -186,33 +186,15 @@ pub fn lint_json(resp: &LintResponse) -> String {
             .collect::<Vec<_>>()
             .join(", ")
     };
-    format!(
-        "{{\"design\": \"{}\", \"status\": \"{}\", \"diagnostics\": [{}], \"repairs\": [{}]}}",
-        json_escape(resp.design.name()),
-        resp.status(),
-        list(&resp.diagnostics),
-        list(&resp.repairs),
-    )
-}
-
-/// The machine-readable object for a completed import — exactly the line
-/// `smart-ndr import --json` prints.
-pub fn import_json(resp: &ImportResponse) -> String {
-    let list = |items: &[String]| {
-        items
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(s)))
-            .collect::<Vec<_>>()
-            .join(", ")
+    let sinks = if sinks {
+        format!("\"sinks\": {}, ", resp.design.sinks().len())
+    } else {
+        String::new()
     };
     format!(
-        concat!(
-            "{{\"design\": \"{}\", \"status\": \"{}\", \"sinks\": {}, ",
-            "\"diagnostics\": [{}], \"repairs\": [{}]}}"
-        ),
+        "{{\"design\": \"{}\", \"status\": \"{}\", {sinks}\"diagnostics\": [{}], \"repairs\": [{}]}}",
         json_escape(resp.design.name()),
         resp.status(),
-        resp.design.sinks().len(),
         list(&resp.diagnostics),
         list(&resp.repairs),
     )
@@ -425,7 +407,7 @@ pub fn response_line(id: u64, resp: &Response) -> String {
             r.run_json
         ),
         Response::Lint(r) => {
-            format!("{{\"id\": {id}, \"ok\": true, \"result\": {}}}", lint_json(r))
+            format!("{{\"id\": {id}, \"ok\": true, \"result\": {}}}", check_json(r, false))
         }
         Response::Suite(r) => {
             format!("{{\"id\": {id}, \"ok\": true, \"result\": {}}}", suite_json(r))
@@ -436,7 +418,7 @@ pub fn response_line(id: u64, resp: &Response) -> String {
             pareto_json(r)
         ),
         Response::Import(r) => {
-            format!("{{\"id\": {id}, \"ok\": true, \"result\": {}}}", import_json(r))
+            format!("{{\"id\": {id}, \"ok\": true, \"result\": {}}}", check_json(r, true))
         }
         Response::ExportNdr(r) => {
             format!("{{\"id\": {id}, \"ok\": true, \"result\": {}}}", export_ndr_json(r))

@@ -234,26 +234,15 @@ impl ParetoRequest {
     }
 }
 
-/// A `lint` request: validate (and optionally repair) a design without
-/// running the flow.
+/// A `lint` or `import` request: check one design without running the
+/// flow — parse, validate, optionally repair, and confirm a clock tree can
+/// be built. `lint` reads a native `.sndr` design; `import` reads an
+/// external DEF-lite/ISPD file, whose bytes are untrusted, so its parser
+/// enforces resource limits and reports `I`-series diagnostics instead of
+/// panicking. Everything after the parser is shared.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LintRequest {
-    /// The design to validate.
-    pub design: DesignSource,
-    /// Technology whose bounds the validation uses.
-    pub tech: TechId,
-    /// Attempt to repair salvageable diagnostics.
-    pub repair: bool,
-}
-
-/// An `import` request: parse an external DEF-lite/ISPD file into the
-/// native design database through the validate → repair → finish
-/// pipeline. The hostile-input counterpart of [`LintRequest`]: the bytes
-/// are untrusted, so the importer enforces resource limits and reports
-/// `I`-series diagnostics instead of panicking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImportRequest {
-    /// The DEF-lite file (or inline text) to import.
+pub struct CheckRequest {
+    /// The design file (or inline text) to check.
     pub design: DesignSource,
     /// Technology whose bounds the validation uses.
     pub tech: TechId,
@@ -327,12 +316,12 @@ pub enum Request {
     Run(RunRequest),
     /// Constraint-space sweep returning the Pareto front.
     Pareto(ParetoRequest),
-    /// Validation / repair of one design.
-    Lint(LintRequest),
+    /// Validation / repair of one `.sndr` design.
+    Lint(CheckRequest),
     /// The multi-design table.
     Suite(SuiteRequest),
     /// Import an external DEF-lite/ISPD design.
-    Import(ImportRequest),
+    Import(CheckRequest),
     /// Export (or reimport) an NDR assignment as OpenROAD Tcl.
     ExportNdr(ExportNdrRequest),
 }
@@ -606,16 +595,14 @@ impl Envelope {
                 req.cache = cache_of(v)?;
                 Op::Job(Request::Pareto(req))
             }
-            "lint" => Op::Job(Request::Lint(LintRequest {
-                design: design_source(v)?,
-                tech: tech_of(v)?,
-                repair: get_bool(v, "repair")?,
-            })),
-            "import" => Op::Job(Request::Import(ImportRequest {
-                design: design_source(v)?,
-                tech: tech_of(v)?,
-                repair: get_bool(v, "repair")?,
-            })),
+            "lint" | "import" => {
+                let req = CheckRequest {
+                    design: design_source(v)?,
+                    tech: tech_of(v)?,
+                    repair: get_bool(v, "repair")?,
+                };
+                Op::Job(if op == "lint" { Request::Lint(req) } else { Request::Import(req) })
+            }
             "export_ndr" => {
                 let mut req = ExportNdrRequest::new(design_source(v)?);
                 req.tech = tech_of(v)?;

@@ -80,8 +80,8 @@ use smart_ndr::netlist::{load_design, save_design, BenchmarkSpec, Design};
 use smart_ndr::power::PowerModel;
 use snr_fsio::atomic_write;
 use snr_serve::render::{
-    error_json, export_ndr_json, import_json, lint_json, pareto_human, pareto_json, run_human,
-    run_json, suite_det_header, suite_header,
+    check_json, error_json, export_ndr_json, pareto_human, pareto_json, run_human, run_json,
+    suite_det_header, suite_header,
 };
 use snr_serve::json::Json;
 use snr_serve::{
@@ -222,8 +222,8 @@ fn run(args: Vec<String>) -> Result<(), ApiError> {
                 "no-cache", "store",
             ],
         ),
-        "lint" => (cmd_lint, &["design", "tech", "repair", "out"]),
-        "import" => (cmd_import, &["design", "tech", "repair", "out"]),
+        "lint" => (|flags| cmd_check(flags, "lint"), &["design", "tech", "repair", "out"]),
+        "import" => (|flags| cmd_check(flags, "import"), &["design", "tech", "repair", "out"]),
         "export-ndr" => (
             cmd_export_ndr,
             &[
@@ -574,16 +574,22 @@ fn cmd_pareto(flags: &Flags) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// `smart-ndr lint`: validate (and optionally repair) a `.sndr` design
-/// without running the flow. Every diagnostic and every repair action is
-/// printed; a feasibility smoke-check (can the default CTS flow synthesize
-/// the design at all?) separates "invalid input" from "infeasible".
-fn cmd_lint(flags: &Flags) -> Result<(), ApiError> {
+/// `smart-ndr lint` and `smart-ndr import` (`op`): check one design
+/// without running the flow. `lint` validates (and optionally repairs) a
+/// `.sndr` design; `import` brings an external DEF-lite/ISPD design in
+/// through a bounded, panic-free parser that reports typed I-series
+/// diagnostics. Every diagnostic and every repair action is printed; a
+/// feasibility smoke-check (can the default CTS flow synthesize the design
+/// at all?) separates "invalid input" from "infeasible". `--out` writes
+/// the canonical `.sndr`, so an imported design feeds straight into
+/// run/suite/pareto (and gets content-byte store keys like any other).
+fn cmd_check(flags: &Flags, op: &str) -> Result<(), ApiError> {
     let json = flags.contains_key("json");
-    let plan = plan(&request_of(flags, "lint")?)?;
+    let import = op == "import";
+    let plan = plan(&request_of(flags, op)?)?;
     let resp = match execute(&plan, &ExecCtx::oneshot()) {
-        Ok(Response::Lint(resp)) => resp,
-        Ok(_) => unreachable!("lint plans produce lint responses"),
+        Ok(Response::Lint(resp) | Response::Import(resp)) => resp,
+        Ok(_) => unreachable!("{op} plans produce {op} responses"),
         Err(err) => {
             // Surface the individual diagnostics before failing, so the
             // user sees every problem at once instead of the first.
@@ -597,11 +603,8 @@ fn cmd_lint(flags: &Flags) -> Result<(), ApiError> {
     };
 
     if !json {
-        for d in &resp.diagnostics {
-            println!("{d}");
-        }
-        for r in &resp.repairs {
-            println!("{r}");
+        for line in resp.diagnostics.iter().chain(&resp.repairs) {
+            println!("{line}");
         }
     }
 
@@ -609,71 +612,23 @@ fn cmd_lint(flags: &Flags) -> Result<(), ApiError> {
         let file = fs::File::create(out)
             .map_err(|e| ApiError::invalid(format!("cannot create {out}: {e}")))?;
         save_design(&resp.design, file).map_err(|e| ApiError::invalid(e.to_string()))?;
-    }
-
-    if json {
-        println!("{}", lint_json(&resp));
-    } else {
-        println!(
-            "{}: {} ({} diagnostics, {} repairs)",
-            resp.design.name(),
-            resp.status(),
-            resp.diagnostics.len(),
-            resp.repairs.len(),
-        );
-    }
-    Ok(())
-}
-
-/// `smart-ndr import`: bring an external DEF-lite/ISPD design into the
-/// native database. Hostile input is the expected case — the importer is
-/// bounded and recoverable, so this command reports typed I-series
-/// diagnostics instead of crashing. `--out` writes the canonical `.sndr`
-/// so imported designs feed straight into run/suite/pareto (and get
-/// content-byte store keys like any other design).
-fn cmd_import(flags: &Flags) -> Result<(), ApiError> {
-    let json = flags.contains_key("json");
-    let plan = plan(&request_of(flags, "import")?)?;
-    let resp = match execute(&plan, &ExecCtx::oneshot()) {
-        Ok(Response::Import(resp)) => resp,
-        Ok(_) => unreachable!("import plans produce import responses"),
-        Err(err) => {
-            // Like lint: surface every diagnostic before failing.
-            if !json {
-                for d in err.details() {
-                    println!("{d}");
-                }
-            }
-            return Err(err);
-        }
-    };
-
-    if !json {
-        for d in &resp.diagnostics {
-            println!("{d}");
-        }
-        for r in &resp.repairs {
-            println!("{r}");
-        }
-    }
-
-    if let Some(out) = flags.get("out") {
-        let file = fs::File::create(out)
-            .map_err(|e| ApiError::invalid(format!("cannot create {out}: {e}")))?;
-        save_design(&resp.design, file).map_err(|e| ApiError::invalid(e.to_string()))?;
-        if !json {
+        if import && !json {
             println!("wrote {out}");
         }
     }
 
     if json {
-        println!("{}", import_json(&resp));
+        println!("{}", check_json(&resp, import));
     } else {
+        let (verb, sinks) = if import {
+            ("imported ", format!("{} sinks, ", resp.design.sinks().len()))
+        } else {
+            ("", String::new())
+        };
         println!(
-            "{}: imported {} ({} sinks, {} diagnostics, {} repairs)",
+            "{}: {verb}{} ({sinks}{} diagnostics, {} repairs)",
             resp.design.name(),
             resp.status(),
-            resp.design.sinks().len(),
             resp.diagnostics.len(),
             resp.repairs.len(),
         );
