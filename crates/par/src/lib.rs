@@ -276,19 +276,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    par_map_with(par, items, |_| (), |(), i, item| f(i, item))
-}
-
-/// [`par_map`] with per-worker state built by `init` (see
-/// [`try_par_map_n`]).
-fn par_map_with<S, T, U, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
-    match par_map_core(par, items, None, init, f) {
+    match par_map_core(par, items.len(), None, |_| (), |(), i| f(i, &items[i])) {
         Ok(out) => out,
         Err(Cancelled) => unreachable!("no token was supplied"),
     }
@@ -333,36 +321,33 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> U + Sync,
 {
-    let indices: Vec<usize> = (0..n).collect();
-    par_map_core(par, &indices, Some(token), init, |state, _, &i| f(state, i))
+    par_map_core(par, n, Some(token), init, f)
 }
 
-/// The shared engine behind every map primitive: dynamic scheduling,
-/// per-worker state, optional cooperative cancellation, deterministic
-/// panic propagation.
-fn par_map_core<S, T, U, I, F>(
+/// The shared engine behind every map primitive over the index range
+/// `0..n`: dynamic scheduling, per-worker state, optional cooperative
+/// cancellation, deterministic panic propagation.
+fn par_map_core<S, U, I, F>(
     par: Parallelism,
-    items: &[T],
+    n: usize,
     token: Option<&CancelToken>,
     init: I,
     f: F,
 ) -> Result<Vec<U>, Cancelled>
 where
-    T: Sync,
     U: Send,
     I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
+    F: Fn(&mut S, usize) -> U + Sync,
 {
-    let n = items.len();
     let workers = par.effective_jobs(n);
     if workers <= 1 {
         let mut state = init(0);
         let mut out = Vec::with_capacity(n);
-        for (i, item) in items.iter().enumerate() {
+        for i in 0..n {
             if let Some(t) = token {
                 t.check()?;
             }
-            out.push(f(&mut state, i, item));
+            out.push(f(&mut state, i));
         }
         return Ok(out);
     }
@@ -390,7 +375,7 @@ where
                         if i >= n {
                             return WorkerOutcome { results: out, panic: None };
                         }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, &items[i]))) {
+                        match catch_unwind(AssertUnwindSafe(|| f(&mut state, i))) {
                             Ok(v) => out.push((i, v)),
                             // Stop this worker: its state may be poisoned
                             // and the whole map is about to unwind anyway.

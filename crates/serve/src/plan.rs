@@ -14,6 +14,7 @@ use std::io::BufReader;
 use snr_netlist::{ispd_like_suite, load_design, Design};
 use snr_par::Parallelism;
 use snr_tech::Technology;
+use snr_variation::MAX_SAMPLES;
 
 use snr_pareto::{
     check_skew_budget, check_slew_margin, EvalConfig, SkewAxis, SweepPoint, SweepSpec,
@@ -332,15 +333,13 @@ fn check_constraints(slew_margin: f64, skew_budget_ps: f64) -> Result<(), ApiErr
         .map_err(ApiError::usage)
 }
 
-/// Most Monte-Carlo samples a `run` or `pareto` request may ask for. The
-/// reports hold every sample, so an unbounded count would abort the
-/// process on allocation instead of answering.
-const MAX_MC_SAMPLES: usize = 1_000_000;
-
+/// Refuses a `run` or `pareto` Monte-Carlo count above the engine's
+/// ceiling, which [`MonteCarlo::new`](snr_variation::MonteCarlo::new)
+/// would panic on.
 fn check_mc(samples: usize) -> Result<(), ApiError> {
-    if samples > MAX_MC_SAMPLES {
+    if samples > MAX_SAMPLES {
         return Err(ApiError::usage(format!(
-            "\"mc\" must be at most {MAX_MC_SAMPLES} samples, got {samples}"
+            "\"mc\" must be at most {MAX_SAMPLES} samples, got {samples}"
         )));
     }
     Ok(())
@@ -531,7 +530,7 @@ mod tests {
         let mut run = gen_req(40, 2);
         let mut pareto =
             ParetoRequest::new(DesignSource::Generate { sinks: 40, seed: 2, freq_ghz: 1.0 });
-        for (samples, ok) in [(MAX_MC_SAMPLES, true), (MAX_MC_SAMPLES + 1, false), (1 << 53, false)] {
+        for (samples, ok) in [(MAX_SAMPLES, true), (MAX_SAMPLES + 1, false), (1 << 53, false)] {
             run.mc_samples = samples;
             pareto.mc_samples = samples;
             for outcome in [plan_run(&run).map(|_| ()), plan_pareto(&pareto).map(|_| ())] {

@@ -73,6 +73,11 @@ use std::fmt;
 /// lane width.
 pub const LANES: usize = 16;
 
+/// Most samples one [`MonteCarlo`] engine may draw. A report holds every
+/// sample, so an unbounded count would abort the process on allocation
+/// instead of answering; request front ends refuse larger counts up front.
+pub const MAX_SAMPLES: usize = 1_000_000;
+
 /// Why a Monte-Carlo run returned no statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VariationError {
@@ -358,9 +363,13 @@ impl MonteCarlo {
     ///
     /// # Panics
     ///
-    /// Panics if `n_samples` is zero.
+    /// Panics if `n_samples` is zero or above [`MAX_SAMPLES`].
     pub fn new(model: VariationModel, n_samples: usize, seed: u64) -> Self {
         assert!(n_samples > 0, "need at least one sample");
+        assert!(
+            n_samples <= MAX_SAMPLES,
+            "need at most {MAX_SAMPLES} samples, got {n_samples}"
+        );
         MonteCarlo {
             model,
             n_samples,
@@ -861,6 +870,12 @@ mod tests {
             Err(VariationError::Cancelled)
         );
         ON_DRAW.with(|hook| *hook.borrow_mut() = None);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at most 1000000 samples, got 9007199254740992")]
+    fn sample_counts_above_the_ceiling_panic() {
+        let _ = MonteCarlo::new(VariationModel::default(), 1 << 53, 7);
     }
 
     #[test]
