@@ -4,7 +4,7 @@ use crate::supervise::Meter;
 use crate::{Budget, DegradationEvent, NdrOptimizer, OptContext, SupervisedRun};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snr_cts::{Assignment, NodeId};
+use snr_cts::NodeId;
 use snr_tech::RuleId;
 
 /// Global-search reference: simulated annealing over the assignment vector.
@@ -79,10 +79,6 @@ impl NdrOptimizer for Annealing {
         "annealing"
     }
 
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
-        self.assign_supervised(ctx).assignment
-    }
-
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
         let tree = ctx.tree();
         let rules = ctx.tech().rules();
@@ -135,12 +131,7 @@ impl NdrOptimizer for Annealing {
                 session.rollback();
             }
         }
-        let mut degradations: Vec<DegradationEvent> = session
-            .degradations()
-            .iter()
-            .copied()
-            .map(DegradationEvent::IncrementalToFull)
-            .collect();
+        let mut degradations = session.degradation_events();
         let assignment = match best_feasible {
             Some((_, asg)) => asg,
             None => {

@@ -1,7 +1,7 @@
 //! The smart-NDR method: sensitivity-ordered greedy downgrading.
 
 use crate::supervise::Meter;
-use crate::{Budget, DegradationEvent, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
+use crate::{Budget, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
 use snr_cts::{Assignment, NodeId};
 
 /// The paper's "smart" NDR assignment.
@@ -73,10 +73,6 @@ impl NdrOptimizer for GreedyDowngrade {
         "smart-greedy"
     }
 
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
-        self.assign_supervised(ctx).assignment
-    }
-
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
         self.refine_supervised(ctx, ctx.conservative_assignment())
     }
@@ -125,12 +121,7 @@ impl GreedyDowngrade {
         if feasible {
             Self::refine_edges(ctx, &mut session, &by_cap, &mut refine);
         }
-        let degradations = session
-            .degradations()
-            .iter()
-            .copied()
-            .map(DegradationEvent::IncrementalToFull)
-            .collect();
+        let degradations = session.degradation_events();
         SupervisedRun {
             assignment: session.into_assignment(),
             budgets: vec![levels, refine.report()],

@@ -1,6 +1,6 @@
 //! Depth-threshold baseline.
 
-use crate::{NdrOptimizer, OptContext};
+use crate::{NdrOptimizer, OptContext, SupervisedRun};
 use snr_cts::Assignment;
 
 /// The industry rule-of-thumb baseline: conservative rules on the trunk
@@ -29,7 +29,7 @@ impl NdrOptimizer for LevelBased {
         "level-based"
     }
 
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
+    fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
         let tree = ctx.tree();
         let rules = ctx.tech().rules();
         let depths = tree.depths();
@@ -50,7 +50,7 @@ impl NdrOptimizer for LevelBased {
                 break; // smallest feasible cut is the cheapest of the family
             }
         }
-        best.unwrap_or_else(|| ctx.conservative_assignment())
+        SupervisedRun::unsupervised(best.unwrap_or_else(|| ctx.conservative_assignment()))
     }
 }
 

@@ -104,18 +104,16 @@ pub trait NdrOptimizer {
     /// Short stable name for tables (e.g. `"smart-greedy"`).
     fn name(&self) -> &str;
 
-    /// Produces an assignment for the context's tree.
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment;
+    /// Produces an assignment for the context's tree together with its
+    /// supervision record: per-phase [`BudgetReport`]s and any
+    /// [`DegradationEvent`] ladder rungs taken (both empty for an
+    /// optimizer without budgets, see [`SupervisedRun::unsupervised`]).
+    fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun;
 
-    /// Produces an assignment together with its supervision record:
-    /// per-phase [`BudgetReport`]s and any [`DegradationEvent`] ladder
-    /// rungs taken. The default wraps [`assign`](Self::assign) with empty
-    /// supervision, for optimizers that predate budgets.
-    ///
-    /// Implementations that override this must override `assign` as well
-    /// (typically delegating to this method), or the defaults recurse.
-    fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
-        SupervisedRun::unsupervised(self.assign(ctx))
+    /// Produces an assignment for the context's tree, dropping the
+    /// supervision record.
+    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
+        self.assign_supervised(ctx).assignment
     }
 
     /// Runs the optimizer and packages the result with its evaluation and

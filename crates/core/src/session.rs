@@ -39,7 +39,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::OptContext;
+use crate::{DegradationEvent, OptContext};
 use snr_cts::{Assignment, NodeId};
 use snr_netlist::TimingArc;
 use snr_tech::{units, RuleId};
@@ -454,6 +454,12 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// callers may surface these as diagnostics.
     pub fn degradations(&self) -> &[Degradation] {
         &self.degradations
+    }
+
+    /// [`degradations`](Self::degradations) as the ladder rungs an
+    /// optimizer's supervision record reports.
+    pub(crate) fn degradation_events(&self) -> Vec<DegradationEvent> {
+        self.degradations.iter().copied().map(DegradationEvent::IncrementalToFull).collect()
     }
 
     /// Test-only corruption hook: skews the nominal incremental engine's

@@ -3,10 +3,10 @@
 
 use crate::supervise::Meter;
 use crate::{
-    Budget, DegradationEvent, EvalSession, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer,
-    OptContext, Parallelism, SupervisedRun,
+    Budget, EvalSession, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext,
+    Parallelism, SupervisedRun,
 };
-use snr_cts::{Assignment, NodeId};
+use snr_cts::NodeId;
 
 /// The full smart-NDR flow as the experiments report it: downgrade edges
 /// from the uniform-conservative rule where their context allows it.
@@ -125,12 +125,7 @@ impl SmartNdr {
             }
         }
         let passes = passes.report();
-        let events: Vec<DegradationEvent> = session
-            .degradations()
-            .iter()
-            .copied()
-            .map(DegradationEvent::IncrementalToFull)
-            .collect();
+        let events = session.degradation_events();
         let mut run = downgrade.refine_session(ctx, session);
         run.budgets.splice(0..0, [depths, passes]);
         run.degradations.splice(0..0, events);
@@ -141,10 +136,6 @@ impl SmartNdr {
 impl NdrOptimizer for SmartNdr {
     fn name(&self) -> &str {
         "smart-ndr"
-    }
-
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
-        self.assign_supervised(ctx).assignment
     }
 
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {

@@ -211,9 +211,10 @@ pub struct SupervisedRun {
 }
 
 impl SupervisedRun {
-    /// Wraps a plain assignment with empty supervision — what the default
+    /// Wraps a plain assignment with empty supervision — what
     /// [`NdrOptimizer::assign_supervised`](crate::NdrOptimizer::assign_supervised)
-    /// produces for optimizers that predate budgets.
+    /// returns for an optimizer without budgets ([`crate::Uniform`],
+    /// [`crate::LevelBased`]).
     pub fn unsupervised(assignment: Assignment) -> Self {
         SupervisedRun {
             assignment,

@@ -1,6 +1,6 @@
 //! Uniform-rule baselines.
 
-use crate::{NdrOptimizer, OptContext};
+use crate::{NdrOptimizer, OptContext, SupervisedRun};
 use snr_cts::Assignment;
 use snr_tech::RuleId;
 
@@ -64,13 +64,13 @@ impl NdrOptimizer for Uniform {
         &self.name
     }
 
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
+    fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
         let rule = if self.rule.0 == usize::MAX {
             ctx.tech().rules().most_conservative_id()
         } else {
             self.rule
         };
-        Assignment::uniform(ctx.tree(), rule)
+        SupervisedRun::unsupervised(Assignment::uniform(ctx.tree(), rule))
     }
 }
 

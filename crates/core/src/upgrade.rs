@@ -103,20 +103,11 @@ impl NdrOptimizer for GreedyUpgradeRepair {
         "upgrade-repair"
     }
 
-    fn assign(&self, ctx: &OptContext<'_>) -> Assignment {
-        self.assign_supervised(ctx).assignment
-    }
-
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
         let mut session = ctx.session_from(ctx.default_assignment());
         let mut meter = Meter::start(&self.budget, "upgrade-repair");
         self.repair_loop(ctx, &mut session, &mut meter);
-        let mut degradations: Vec<DegradationEvent> = session
-            .degradations()
-            .iter()
-            .copied()
-            .map(DegradationEvent::IncrementalToFull)
-            .collect();
+        let mut degradations = session.degradation_events();
         // Could not repair within budget: the conservative uniform tree is
         // the guaranteed-feasible answer when one exists — the final
         // ladder rung.
