@@ -10,10 +10,13 @@
 /// One injected execution fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecFault {
-    /// Corrupt the incremental engines at session commit `at_commit`
-    /// (1-based) by `delta_ps`, so the divergence guard must fire.
+    /// Corrupt the incremental engines by `delta_ps` at the first
+    /// divergence-guard check at or after session commit `at_commit`
+    /// (1-based; the check itself when the guard runs on every commit).
+    /// The committed scalars drift with the engine, so that check must
+    /// fire; a session that never reaches the commit is untouched.
     Divergence {
-        /// Commit count at which the corruption lands.
+        /// Commit count from which the corruption lands.
         at_commit: usize,
         /// Injected slew perturbation in picoseconds.
         delta_ps: f64,

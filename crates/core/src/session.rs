@@ -395,12 +395,29 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         self.committed_network_uw = pending.network_uw;
         self.commits += 1;
         #[cfg(feature = "fault-inject")]
-        if let Some((at_commit, delta_ps)) = self.ctx.divergence_fault() {
-            if self.commits == at_commit {
-                self.debug_corrupt_incremental(delta_ps);
-            }
-        }
+        self.inject_divergence();
         self.check_divergence();
+    }
+
+    /// Lands an armed [`crate::ExecFault::Divergence`] on the first guard
+    /// commit at or after its `at_commit`: the nominal engine's committed
+    /// state drifts by `delta_ps`, and the committed scalars are re-read
+    /// from it, so the check that follows compares drifted numbers. A
+    /// drift injected between checks could be re-solved away by a later
+    /// commit before any check saw it.
+    #[cfg(feature = "fault-inject")]
+    fn inject_divergence(&mut self) {
+        let Some((at_commit, delta_ps)) = self.ctx.divergence_fault() else { return };
+        let every = self.ctx.divergence_every();
+        if every == 0 || self.commits != at_commit.div_ceil(every) * every {
+            return;
+        }
+        if let Some(engine) = self.engine.as_mut() {
+            engine.debug_perturb(delta_ps);
+            let drifted = engine.summary();
+            self.committed_slew_ps = drifted.max_slew_ps;
+            self.committed_skew_ps = drifted.skew_ps();
+        }
     }
 
     /// The divergence guard: every `ctx.divergence_every()` commits,

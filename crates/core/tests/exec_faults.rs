@@ -40,34 +40,39 @@ fn injected_divergence_falls_back_and_matches_the_clean_run() {
 /// `SmartNdr` runs two sessions from the conservative start: the downgrade
 /// works on a copy, and the stage-net construction hands its own on to its
 /// refine. A session whose guard has tripped is not handed on: the refine
-/// builds fresh engines for its assignment. Each trip is reported once. A
-/// fault at commit 2 trips all three sessions. One at commit 40 trips the
-/// two constructions' sessions before the handoff, and the refine's fresh
-/// one commits fewer times; a session handed on keeps counting commits. One
-/// at commit 400 trips none. The result stays the clean one.
+/// builds fresh engines for its assignment and counts commits from zero. A
+/// session handed on keeps counting. The fault lands on the guard check of
+/// its commit, so every session that reaches that commit trips there, once,
+/// and no later commit can re-solve the drift away first. On both trees a
+/// fault at commit 2 trips all three sessions; later faults trip only the
+/// sessions that commit that often. The result stays the clean one.
 #[test]
 fn each_session_reports_its_divergence_once() {
-    // Large enough that the refine of the stage-net result commits more
-    // than twice.
-    let (tree, tech) = fixture(300, 7);
-    let clean = SmartNdr::default().assign(&OptContext::new(&tree, &tech, PowerModel::new(1.0)));
-    for (at_commit, sessions) in [(2, 3), (40, 2), (400, 0)] {
-        let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0))
-            .with_divergence_guard(1, 1e-6)
-            .with_exec_fault(ExecFault::Divergence { at_commit, delta_ps: 1e-3 });
-        let run = SmartNdr::default().assign_supervised(&ctx);
-        let trips: Vec<usize> = run
-            .degradations
-            .iter()
-            .map(|d| match d {
-                DegradationEvent::IncrementalToFull(d) => d.at_commit,
-                other => panic!("unexpected rung {other}"),
-            })
-            .collect();
-        // The corrupted engine state first shows in the next commit's
-        // scalars, where the guard trips.
-        assert!(trips.iter().all(|&at| at == at_commit + 1), "fault at {at_commit}: {trips:?}");
-        assert_eq!(trips.len(), sessions, "fault at {at_commit}: one trip per session: {trips:?}");
-        assert_eq!(clean, run.assignment, "fault at {at_commit}");
+    // (sinks, seed) and, per fault commit, how many sessions trip.
+    let fixtures = [
+        ((300, 7), [(2, 3), (20, 2), (80, 1), (400, 0)]),
+        ((200, 3), [(2, 3), (3, 2), (40, 1), (400, 0)]),
+    ];
+    for ((sinks, seed), faults) in fixtures {
+        let (tree, tech) = fixture(sinks, seed);
+        let clean =
+            SmartNdr::default().assign(&OptContext::new(&tree, &tech, PowerModel::new(1.0)));
+        for (at_commit, sessions) in faults {
+            let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0))
+                .with_divergence_guard(1, 1e-6)
+                .with_exec_fault(ExecFault::Divergence { at_commit, delta_ps: 1e-3 });
+            let run = SmartNdr::default().assign_supervised(&ctx);
+            let trips: Vec<usize> = run
+                .degradations
+                .iter()
+                .map(|d| match d {
+                    DegradationEvent::IncrementalToFull(d) => d.at_commit,
+                    other => panic!("unexpected rung {other}"),
+                })
+                .collect();
+            let case = format!("{sinks} sinks, seed {seed}, fault at {at_commit}");
+            assert_eq!(trips, vec![at_commit; sessions], "{case}: one trip per session");
+            assert_eq!(clean, run.assignment, "{case}");
+        }
     }
 }

@@ -62,14 +62,13 @@ fn chaos_soak_recovers_from_every_injected_fault() {
         let (tree, tech) = &pool[(seed % pool.len() as u64) as usize];
         let reference = &references[(seed % pool.len() as u64) as usize];
 
-        // Divergence injection: the corrupted stage aggregates may or may
-        // not dominate the next commit's maxima (a perturbed non-critical
-        // stage is recomputed away harmlessly), so per-seed the invariant
-        // is *correctness* — the guarded run must reproduce the clean
-        // result either way, and any recovery that does happen must be the
-        // incremental→full rung. tests in crates/core/tests/exec_faults.rs
-        // pin a configuration where detection is deterministic.
+        // Divergence injection: the fault lands on the guard check of its
+        // commit, so the run's session trips there and recovers on the
+        // incremental→full rung; the guarded run must reproduce the clean
+        // result. crates/core/tests/exec_faults.rs pins the exact trips of
+        // SmartNdr's sessions.
         let diverge_run = diverged_run(tree, tech, 1 + (seed % 5) as usize);
+        assert!(!diverge_run.degradations.is_empty(), "seed {seed}: the guard must trip");
         for rung in rungs(&diverge_run) {
             assert_eq!(
                 rung, "incremental_to_full",
