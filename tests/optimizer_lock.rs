@@ -1,5 +1,5 @@
 //! Optimizer output lock: FNV-64 digests of every optimizer outcome on a
-//! small corpus under five constraint sets, and on the eight built-in
+//! small corpus under eight constraint sets, and on the eight built-in
 //! suite designs (400–3000 sinks) at the default constraints, checked
 //! against `tests/golden/optimizer_digests.txt`.
 //!
@@ -30,12 +30,15 @@ const DESIGNS: [(usize, u64); 3] = [(60, 1), (180, 2), (400, 3)];
 
 /// The constraint sets every design is optimized under: each entry's
 /// label, then its name in [`common::SETS`].
-const SETS: [(&str, &str); 5] = [
+const SETS: [(&str, &str); 8] = [
     ("default", "default"),
     ("tight", "tight"),
     ("loose", "loose"),
     ("window", "window15"),
     ("corners", "corners"),
+    ("track", "track"),
+    ("em", "em"),
+    ("noise", "noise"),
 ];
 
 struct Fnv(u64);
