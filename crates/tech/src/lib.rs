@@ -58,6 +58,6 @@ pub mod units;
 pub use buffer::{BufferCell, BufferLibrary};
 pub use corner::Corner;
 pub use error::TechError;
-pub use layer::Layer;
+pub use layer::{Layer, VariedWidth};
 pub use rule::{Rule, RuleId, RuleSet};
 pub use technology::Technology;
