@@ -85,6 +85,13 @@ many="$("$BIN" run --sinks 60 --seed 2 --mc 12 --jobs 4 --json | blank_runtimes)
 if [ "$one" != "$many" ]; then
     echo "FAIL: --jobs changed the run --json output" >&2; exit 1
 fi
+# --mc 37 is three sample chunks: the baseline and the result are analyzed
+# on one draw, whose scratch the workers of both analyses share at --jobs 4.
+one="$("$BIN" run --sinks 60 --seed 2 --mc 37 --jobs 1 --json | blank_runtimes)"
+many="$("$BIN" run --sinks 60 --seed 2 --mc 37 --jobs 4 --json | blank_runtimes)"
+if [ "$one" != "$many" ]; then
+    echo "FAIL: --jobs changed the run --mc 37 --json output" >&2; exit 1
+fi
 # --jobs 0 is a usage error.
 rc=0; "$BIN" suite --jobs 0 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
