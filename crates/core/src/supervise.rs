@@ -118,16 +118,27 @@ impl<'b> Meter<'b> {
     /// Requests permission for one more decision step. Returns `false` —
     /// permanently — once the cap is hit or the token has fired.
     pub(crate) fn tick(&mut self) -> bool {
+        self.ticks(1)
+    }
+
+    /// [`tick`](Self::tick) `n` times in one call, checking the token
+    /// once: the steps the cap leaves room for are taken, and `false` means
+    /// the cap or the token cut the `n` short.
+    pub(crate) fn ticks(&mut self, n: u64) -> bool {
         if self.exhausted {
             return false;
         }
-        if self.budget.max_iters.is_some_and(|cap| self.done >= cap)
-            || self.budget.token.as_ref().is_some_and(CancelToken::is_cancelled)
-        {
+        if self.budget.token.as_ref().is_some_and(CancelToken::is_cancelled) {
             self.exhausted = true;
             return false;
         }
-        self.done += 1;
+        let room = self.budget.max_iters.map_or(u64::MAX, |cap| cap - self.done);
+        if n > room {
+            self.done += room;
+            self.exhausted = true;
+            return false;
+        }
+        self.done += n;
         true
     }
 
