@@ -179,7 +179,9 @@ impl TimingSummary {
 /// and bounds the disagreement at well under 1e-9 ps on realistic trees.
 ///
 /// `Clone` copies the full committed state bit for bit, so a clone answers
-/// every `try_moves` exactly as the original would.
+/// every `try_moves` exactly as the original would. It copies no pending
+/// candidate and no probe memo: a clone starts with nothing pending and
+/// sizes its candidate arrays on its first probe.
 ///
 /// # Examples
 ///
@@ -261,38 +263,109 @@ pub struct IncrementalAnalyzer {
     /// Per stage: the last commit whose cone overlapped this stage's cone —
     /// it contained the stage, or it lay below it.
     touched: Vec<u64>,
-    /// Per edge: its last [`probe_edge`](Self::probe_edge) (empty until the
-    /// first one).
-    memo: Vec<Option<ProbeMemo>>,
-
-    // --- pending (candidate) state, valid iff stamped with `epoch` ---
+    /// Pending state is valid where stamped with the current epoch; every
+    /// probe and every commit or rollback moves it on.
     epoch: u64,
+    scratch: Scratch,
+}
+
+/// An analyzer's working state besides the committed one: the pending
+/// candidate, valid where stamped with the analyzer's `epoch`, and the probe
+/// memo. Its arrays are sized on first use. A new analyzer drops them after
+/// its first solve, and a clone starts without them: fresh stamps are
+/// stale by construction, and an empty memo re-times what it would have
+/// answered, to the same bits.
+#[derive(Debug)]
+struct Scratch {
     has_pending: bool,
-    p_rule_ep: Vec<u64>,
-    p_rule: Vec<RuleId>,
+    rule_ep: Vec<u64>,
+    rule: Vec<RuleId>,
     /// Stamps edge_r/edge_c/wire_m1/rel_in/slew recomputation.
-    p_wire_ep: Vec<u64>,
-    p_load_ep: Vec<u64>,
-    p_edge_r: Vec<f64>,
-    p_edge_c: Vec<f64>,
-    p_load: Vec<f64>,
-    p_wire_m1: Vec<f64>,
-    p_rel_in: Vec<f64>,
-    p_slew: Vec<f64>,
+    wire_ep: Vec<u64>,
+    load_ep: Vec<u64>,
+    edge_r: Vec<f64>,
+    edge_c: Vec<f64>,
+    load: Vec<f64>,
+    wire_m1: Vec<f64>,
+    rel_in: Vec<f64>,
+    slew: Vec<f64>,
     /// Stamps per-stage aggregate recomputation (doubles as the dirty mark).
-    p_stage_ep: Vec<u64>,
-    /// The pending candidate's re-timed cone; `p_out` is valid only there.
-    p_cone: (usize, usize),
-    p_out: Vec<f64>,
-    p_src_slew: Vec<f64>,
-    p_max_slew: Vec<f64>,
-    p_sink_min_rel: Vec<f64>,
-    p_sink_max_rel: Vec<f64>,
+    stage_ep: Vec<u64>,
+    /// The pending candidate's re-timed cone; `out` is valid only there.
+    cone: (usize, usize),
+    out: Vec<f64>,
+    src_slew: Vec<f64>,
+    max_slew: Vec<f64>,
+    sink_min_rel: Vec<f64>,
+    sink_max_rel: Vec<f64>,
     /// The pending candidate's fold over its cone.
-    p_inside: Fold,
-    p_summary: TimingSummary,
+    inside: Fold,
+    summary: TimingSummary,
     dirty: Vec<u32>,
     changed: Vec<NodeId>,
+    /// Per edge: its last [`probe_edge`](IncrementalAnalyzer::probe_edge)
+    /// (empty until the first one).
+    memo: Vec<Option<ProbeMemo>>,
+}
+
+impl Scratch {
+    fn empty() -> Self {
+        Scratch {
+            has_pending: false,
+            rule_ep: Vec::new(),
+            rule: Vec::new(),
+            wire_ep: Vec::new(),
+            load_ep: Vec::new(),
+            edge_r: Vec::new(),
+            edge_c: Vec::new(),
+            load: Vec::new(),
+            wire_m1: Vec::new(),
+            rel_in: Vec::new(),
+            slew: Vec::new(),
+            stage_ep: Vec::new(),
+            cone: (0, 0),
+            out: Vec::new(),
+            src_slew: Vec::new(),
+            max_slew: Vec::new(),
+            sink_min_rel: Vec::new(),
+            sink_max_rel: Vec::new(),
+            inside: Fold::EMPTY,
+            summary: TimingSummary { latency_ps: 0.0, min_arrival_ps: 0.0, max_slew_ps: 0.0 },
+            dirty: Vec::new(),
+            changed: Vec::new(),
+            memo: Vec::new(),
+        }
+    }
+
+    /// Sizes the candidate arrays for `n` nodes and `stages` stages, once.
+    fn size(&mut self, n: usize, stages: usize) {
+        if self.rule_ep.len() == n {
+            return;
+        }
+        self.rule_ep = vec![0; n];
+        self.rule = vec![RuleId(0); n];
+        self.wire_ep = vec![0; n];
+        self.load_ep = vec![0; n];
+        self.edge_r = vec![0.0; n];
+        self.edge_c = vec![0.0; n];
+        self.load = vec![0.0; n];
+        self.wire_m1 = vec![0.0; n];
+        self.rel_in = vec![0.0; n];
+        self.slew = vec![0.0; n];
+        self.stage_ep = vec![0; stages];
+        self.out = vec![0.0; stages];
+        self.src_slew = vec![0.0; stages];
+        self.max_slew = vec![0.0; stages];
+        self.sink_min_rel = vec![0.0; stages];
+        self.sink_max_rel = vec![0.0; stages];
+    }
+}
+
+impl Clone for Scratch {
+    /// No pending candidate and no memo: see [`Scratch`].
+    fn clone(&self) -> Self {
+        Scratch::empty()
+    }
 }
 
 impl IncrementalAnalyzer {
@@ -431,44 +504,24 @@ impl IncrementalAnalyzer {
             summary: zero_summary,
             commits: 0,
             touched: vec![0; s_count],
-            memo: Vec::new(),
             epoch: 1,
-            has_pending: false,
-            p_rule_ep: vec![0; n],
-            p_rule: vec![RuleId(0); n],
-            p_wire_ep: vec![0; n],
-            p_load_ep: vec![0; n],
-            p_edge_r: vec![0.0; n],
-            p_edge_c: vec![0.0; n],
-            p_load: vec![0.0; n],
-            p_wire_m1: vec![0.0; n],
-            p_rel_in: vec![0.0; n],
-            p_slew: vec![0.0; n],
-            p_stage_ep: vec![0; s_count],
-            p_cone: (0, 0),
-            p_out: vec![0.0; s_count],
-            p_src_slew: vec![0.0; s_count],
-            p_max_slew: vec![0.0; s_count],
-            p_sink_min_rel: vec![f64::INFINITY; s_count],
-            p_sink_max_rel: vec![f64::NEG_INFINITY; s_count],
-            p_inside: Fold::EMPTY,
-            p_summary: zero_summary,
-            dirty: Vec::new(),
-            changed: Vec::new(),
+            scratch: Scratch::empty(),
         };
 
         // First solve: every stage is dirty.
+        inc.scratch.size(n, s_count);
         inc.epoch += 1;
-        inc.has_pending = true;
+        inc.scratch.has_pending = true;
         for si in 0..s_count {
-            inc.p_stage_ep[si] = inc.epoch;
-            inc.dirty.push(si as u32);
+            inc.scratch.stage_ep[si] = inc.epoch;
+            inc.scratch.dirty.push(si as u32);
         }
         for si in 0..s_count {
             inc.recompute_stage(tree, tech, si);
         }
         inc.cone_pass(tree, tech);
         inc.commit();
+        inc.scratch = Scratch::empty();
         inc
     }
 
@@ -503,7 +556,7 @@ impl IncrementalAnalyzer {
             }
         }
         self.refold(0, self.stages.len());
-        self.memo.clear();
+        self.scratch.memo.clear();
         self.summary.latency_ps += delta_ps;
         self.summary.max_slew_ps += delta_ps;
     }
@@ -530,14 +583,14 @@ impl IncrementalAnalyzer {
     /// Arrival at `node` under the pending candidate (falls back to the
     /// committed value when no candidate is pending).
     pub fn candidate_arrival_ps(&self, node: NodeId) -> f64 {
-        if !self.has_pending {
+        if !self.scratch.has_pending {
             return self.arrival_ps(node);
         }
         if self.headed[node.0] != NO_STAGE {
             self.candidate_out(self.headed[node.0] as usize)
         } else {
-            let rel = if self.p_wire_ep[node.0] == self.epoch {
-                self.p_rel_in[node.0]
+            let rel = if self.scratch.wire_ep[node.0] == self.epoch {
+                self.scratch.rel_in[node.0]
             } else {
                 self.rel_in[node.0]
             };
@@ -565,8 +618,8 @@ impl IncrementalAnalyzer {
     /// [`candidate_arrival_ps`]: Self::candidate_arrival_ps
     /// [`arrival_ps`]: Self::arrival_ps
     pub fn pending_cone(&self) -> std::ops::Range<usize> {
-        if self.has_pending {
-            self.p_cone.0..self.p_cone.1
+        if self.scratch.has_pending {
+            self.scratch.cone.0..self.scratch.cone.1
         } else {
             0..0
         }
@@ -575,9 +628,9 @@ impl IncrementalAnalyzer {
     /// Source output arrival of stage `si` under the pending candidate:
     /// re-timed inside the pending cone, committed outside it.
     fn candidate_out(&self, si: usize) -> f64 {
-        let (lo, hi) = self.p_cone;
+        let (lo, hi) = self.scratch.cone;
         if (lo..hi).contains(&si) {
-            self.p_out[si]
+            self.scratch.out[si]
         } else {
             self.out[si]
         }
@@ -586,8 +639,8 @@ impl IncrementalAnalyzer {
     /// Stage-local load at `node` under the pending candidate (committed
     /// value when no candidate is pending).
     pub fn candidate_stage_load_ff(&self, node: NodeId) -> f64 {
-        if self.has_pending && self.p_load_ep[node.0] == self.epoch {
-            self.p_load[node.0]
+        if self.scratch.has_pending && self.scratch.load_ep[node.0] == self.epoch {
+            self.scratch.load[node.0]
         } else {
             self.load[node.0]
         }
@@ -596,8 +649,8 @@ impl IncrementalAnalyzer {
     /// Rule on `edge` under the pending candidate (committed value when no
     /// candidate is pending).
     pub fn candidate_rule(&self, edge: NodeId) -> RuleId {
-        if self.has_pending && self.p_rule_ep[edge.0] == self.epoch {
-            self.p_rule[edge.0]
+        if self.scratch.has_pending && self.scratch.rule_ep[edge.0] == self.epoch {
+            self.scratch.rule[edge.0]
         } else {
             self.rules[edge.0]
         }
@@ -637,34 +690,35 @@ impl IncrementalAnalyzer {
         moves: &[(NodeId, RuleId)],
     ) -> TimingSummary {
         assert_eq!(tree.len(), self.n, "analyzer built for a different tree");
-        if self.has_pending {
+        if self.scratch.has_pending {
             self.rollback();
         }
+        self.scratch.size(self.n, self.stages.len());
         self.epoch += 1;
-        self.has_pending = true;
+        self.scratch.has_pending = true;
         for &(e, r) in moves {
             assert!(
                 tree.node(e).parent().is_some(),
                 "node {} has no edge",
                 e.0
             );
-            if self.p_rule_ep[e.0] != self.epoch {
-                self.changed.push(e);
+            if self.scratch.rule_ep[e.0] != self.epoch {
+                self.scratch.changed.push(e);
             }
-            self.p_rule[e.0] = r;
-            self.p_rule_ep[e.0] = self.epoch;
+            self.scratch.rule[e.0] = r;
+            self.scratch.rule_ep[e.0] = self.epoch;
             let si = self.owner[e.0];
-            if self.p_stage_ep[si as usize] != self.epoch {
-                self.p_stage_ep[si as usize] = self.epoch;
-                self.dirty.push(si);
+            if self.scratch.stage_ep[si as usize] != self.epoch {
+                self.scratch.stage_ep[si as usize] = self.epoch;
+                self.scratch.dirty.push(si);
             }
         }
-        for i in 0..self.dirty.len() {
-            let si = self.dirty[i] as usize;
+        for i in 0..self.scratch.dirty.len() {
+            let si = self.scratch.dirty[i] as usize;
             self.recompute_stage(tree, tech, si);
         }
         self.cone_pass(tree, tech);
-        self.p_summary
+        self.scratch.summary
     }
 
     /// The summary [`try_edge`](Self::try_edge) would return for changing
@@ -694,12 +748,12 @@ impl IncrementalAnalyzer {
             "node {} has no edge",
             edge.0
         );
-        if self.has_pending {
+        if self.scratch.has_pending {
             self.rollback();
         }
         let lo = self.owner[edge.0] as usize;
         let hi = self.cone_end[lo] as usize;
-        if let Some(memo) = self.memo.get(edge.0).copied().flatten() {
+        if let Some(memo) = self.scratch.memo.get(edge.0).copied().flatten() {
             if memo.rule == rule && self.touched[lo] <= memo.at_commit {
                 let fold = self.outside_fold(lo, hi).join(memo.inside);
                 return self.summary_of(fold, self.src_slew[0]);
@@ -707,17 +761,17 @@ impl IncrementalAnalyzer {
         }
         let summary = self.try_moves(tree, tech, &[(edge, rule)]);
         debug_assert_eq!(
-            self.p_cone,
+            self.scratch.cone,
             (lo, hi),
             "a one-edge probe re-times its stage's cone"
         );
-        if self.memo.is_empty() {
-            self.memo = vec![None; self.n];
+        if self.scratch.memo.is_empty() {
+            self.scratch.memo = vec![None; self.n];
         }
-        self.memo[edge.0] = Some(ProbeMemo {
+        self.scratch.memo[edge.0] = Some(ProbeMemo {
             rule,
             at_commit: self.commits,
-            inside: self.p_inside,
+            inside: self.scratch.inside,
         });
         self.rollback();
         summary
@@ -729,40 +783,40 @@ impl IncrementalAnalyzer {
     ///
     /// Panics if no candidate is pending.
     pub fn commit(&mut self) {
-        assert!(self.has_pending, "no pending candidate to commit");
-        for i in 0..self.changed.len() {
-            let e = self.changed[i];
-            self.rules[e.0] = self.p_rule[e.0];
+        assert!(self.scratch.has_pending, "no pending candidate to commit");
+        for i in 0..self.scratch.changed.len() {
+            let e = self.scratch.changed[i];
+            self.rules[e.0] = self.scratch.rule[e.0];
         }
-        for i in 0..self.dirty.len() {
-            let si = self.dirty[i] as usize;
+        for i in 0..self.scratch.dirty.len() {
+            let si = self.scratch.dirty[i] as usize;
             let s = self.stages[si];
-            self.load[s.0] = self.p_load[s.0];
-            self.src_slew[si] = self.p_src_slew[si];
-            self.max_slew[si] = self.p_max_slew[si];
-            self.sink_min_rel[si] = self.p_sink_min_rel[si];
-            self.sink_max_rel[si] = self.p_sink_max_rel[si];
+            self.load[s.0] = self.scratch.load[s.0];
+            self.src_slew[si] = self.scratch.src_slew[si];
+            self.max_slew[si] = self.scratch.max_slew[si];
+            self.sink_min_rel[si] = self.scratch.sink_min_rel[si];
+            self.sink_max_rel[si] = self.scratch.sink_max_rel[si];
             if si == 0 {
                 // The analyzer reports the root's slew as its source slew.
-                self.slew[s.0] = self.p_src_slew[0];
+                self.slew[s.0] = self.scratch.src_slew[0];
             }
             let (lo, hi) = self.member_range[si];
             for m in lo..hi {
                 let v = self.member_nodes[m as usize].0;
-                self.edge_r[v] = self.p_edge_r[v];
-                self.edge_c[v] = self.p_edge_c[v];
-                self.wire_m1[v] = self.p_wire_m1[v];
-                self.rel_in[v] = self.p_rel_in[v];
-                self.slew[v] = self.p_slew[v];
+                self.edge_r[v] = self.scratch.edge_r[v];
+                self.edge_c[v] = self.scratch.edge_c[v];
+                self.wire_m1[v] = self.scratch.wire_m1[v];
+                self.rel_in[v] = self.scratch.rel_in[v];
+                self.slew[v] = self.scratch.slew[v];
                 // Buffer members' loads belong to the stage they head and
                 // are copied there (above) only when that stage is dirty.
-                if self.p_load_ep[v] == self.epoch {
-                    self.load[v] = self.p_load[v];
+                if self.scratch.load_ep[v] == self.epoch {
+                    self.load[v] = self.scratch.load[v];
                 }
             }
         }
-        let (lo, hi) = self.p_cone;
-        self.out[lo..hi].copy_from_slice(&self.p_out[lo..hi]);
+        let (lo, hi) = self.scratch.cone;
+        self.out[lo..hi].copy_from_slice(&self.scratch.out[lo..hi]);
         self.refold(lo, hi);
         self.commits += 1;
         if lo < hi {
@@ -776,19 +830,19 @@ impl IncrementalAnalyzer {
                 a = self.stage_parent[a as usize];
             }
         }
-        self.summary = self.p_summary;
+        self.summary = self.scratch.summary;
         self.epoch += 1;
-        self.has_pending = false;
-        self.dirty.clear();
-        self.changed.clear();
+        self.scratch.has_pending = false;
+        self.scratch.dirty.clear();
+        self.scratch.changed.clear();
     }
 
     /// Discards the pending candidate. A no-op when none is pending.
     pub fn rollback(&mut self) {
         self.epoch += 1;
-        self.has_pending = false;
-        self.dirty.clear();
-        self.changed.clear();
+        self.scratch.has_pending = false;
+        self.scratch.dirty.clear();
+        self.scratch.changed.clear();
     }
 
     /// Checked nodes (sinks and buffer inputs) whose committed slew exceeds
@@ -879,8 +933,8 @@ impl IncrementalAnalyzer {
         for m in (lo..hi).rev() {
             let v = self.member_nodes[m as usize];
             let node = tree.node(v);
-            let rid = if self.p_rule_ep[v.0] == ep {
-                self.p_rule[v.0]
+            let rid = if self.scratch.rule_ep[v.0] == ep {
+                self.scratch.rule[v.0]
             } else {
                 self.rules[v.0]
             };
@@ -888,9 +942,9 @@ impl IncrementalAnalyzer {
                 .get(rid)
                 .expect("assignment references a rule outside the technology rule set");
             let len_um = node.edge_len_nm() as f64 / 1_000.0;
-            self.p_edge_r[v.0] = layer.unit_r(rule) * len_um * self.r_scale;
-            self.p_edge_c[v.0] = layer.unit_c_delay(rule) * len_um * self.c_scale;
-            self.p_wire_ep[v.0] = ep;
+            self.scratch.edge_r[v.0] = layer.unit_r(rule) * len_um * self.r_scale;
+            self.scratch.edge_c[v.0] = layer.unit_c_delay(rule) * len_um * self.c_scale;
+            self.scratch.wire_ep[v.0] = ep;
 
             if !node.kind().is_buffer() {
                 let mut acc = match node.kind() {
@@ -899,10 +953,10 @@ impl IncrementalAnalyzer {
                 };
                 for &ch in arena.children(v.0) {
                     let ch = NodeId(ch as usize);
-                    acc += self.p_edge_c[ch.0] + self.pending_in_stage_cap(tree, cells, ch);
+                    acc += self.scratch.edge_c[ch.0] + self.pending_in_stage_cap(tree, cells, ch);
                 }
-                self.p_load[v.0] = acc;
-                self.p_load_ep[v.0] = ep;
+                self.scratch.load[v.0] = acc;
+                self.scratch.load_ep[v.0] = ep;
             }
         }
         // The source's own load (its children are stage members, already
@@ -914,17 +968,17 @@ impl IncrementalAnalyzer {
         };
         for &ch in arena.children(src.0) {
             let ch = NodeId(ch as usize);
-            acc += self.p_edge_c[ch.0] + self.pending_in_stage_cap(tree, cells, ch);
+            acc += self.scratch.edge_c[ch.0] + self.pending_in_stage_cap(tree, cells, ch);
         }
-        self.p_load[src.0] = acc;
-        self.p_load_ep[src.0] = ep;
+        self.scratch.load[src.0] = acc;
+        self.scratch.load_ep[src.0] = ep;
 
         let sslew = match snode.kind() {
-            NodeKind::Buffer { cell } => cells[cell].output_slew_ps(self.p_load[src.0]),
+            NodeKind::Buffer { cell } => cells[cell].output_slew_ps(self.scratch.load[src.0]),
             // Unbuffered root: ideal fast source, as in the full analyzer.
             _ => 1.0,
         };
-        self.p_src_slew[si] = sslew;
+        self.scratch.src_slew[si] = sslew;
 
         // Pass 2 (topo = ascending id): wire moments, relative arrivals,
         // slews, and the stage aggregates.
@@ -942,29 +996,29 @@ impl IncrementalAnalyzer {
             let node = tree.node(v);
             let p = node.parent().expect("members always have a parent");
             let downstream = self.pending_in_stage_cap(tree, cells, v);
-            let step = self.p_edge_r[v.0] * (self.p_edge_c[v.0] / 2.0 + downstream);
+            let step = self.scratch.edge_r[v.0] * (self.scratch.edge_c[v.0] / 2.0 + downstream);
             if p == src {
-                self.p_wire_m1[v.0] = step;
-                self.p_rel_in[v.0] = step;
+                self.scratch.wire_m1[v.0] = step;
+                self.scratch.rel_in[v.0] = step;
             } else {
-                self.p_wire_m1[v.0] = self.p_wire_m1[p.0] + step;
-                self.p_rel_in[v.0] = self.p_rel_in[p.0] + step;
+                self.scratch.wire_m1[v.0] = self.scratch.wire_m1[p.0] + step;
+                self.scratch.rel_in[v.0] = self.scratch.rel_in[p.0] + step;
             }
-            let wire_slew = LN9 * self.p_wire_m1[v.0];
-            self.p_slew[v.0] = (sslew * sslew + wire_slew * wire_slew).sqrt();
+            let wire_slew = LN9 * self.scratch.wire_m1[v.0];
+            self.scratch.slew[v.0] = (sslew * sslew + wire_slew * wire_slew).sqrt();
 
             let kind = node.kind();
             if kind.is_sink() {
-                smin = smin.min(self.p_rel_in[v.0]);
-                smax = smax.max(self.p_rel_in[v.0]);
+                smin = smin.min(self.scratch.rel_in[v.0]);
+                smax = smax.max(self.scratch.rel_in[v.0]);
             }
             if kind.is_sink() || kind.is_buffer() {
-                mx_slew = mx_slew.max(self.p_slew[v.0]);
+                mx_slew = mx_slew.max(self.scratch.slew[v.0]);
             }
         }
-        self.p_max_slew[si] = mx_slew;
-        self.p_sink_min_rel[si] = smin;
-        self.p_sink_max_rel[si] = smax;
+        self.scratch.max_slew[si] = mx_slew;
+        self.scratch.sink_min_rel[si] = smin;
+        self.scratch.sink_max_rel[si] = smax;
     }
 
     /// Candidate-state capacitance `id` presents to its parent's stage.
@@ -977,8 +1031,8 @@ impl IncrementalAnalyzer {
         match tree.node(id).kind() {
             NodeKind::Buffer { cell } => cells[cell].input_cap_ff(),
             _ => {
-                if self.p_load_ep[id.0] == self.epoch {
-                    self.p_load[id.0]
+                if self.scratch.load_ep[id.0] == self.epoch {
+                    self.scratch.load[id.0]
                 } else {
                     self.load[id.0]
                 }
@@ -998,7 +1052,7 @@ impl IncrementalAnalyzer {
         // Preorder makes the cone of stage `a` the range `a..cone_end[a]`,
         // so the lowest common ancestor is the first ancestor of the
         // leftmost dirty stage whose range reaches the rightmost one.
-        let (lo, hi) = match (self.dirty.iter().min(), self.dirty.iter().max()) {
+        let (lo, hi) = match (self.scratch.dirty.iter().min(), self.scratch.dirty.iter().max()) {
             (Some(&lo), Some(&hi)) => {
                 let mut a = lo;
                 while self.cone_end[a as usize] <= hi {
@@ -1008,13 +1062,13 @@ impl IncrementalAnalyzer {
             }
             _ => (s_count, s_count),
         };
-        self.p_cone = (lo, hi);
+        self.scratch.cone = (lo, hi);
 
         let mut inside = Fold::EMPTY;
         for si in lo..hi {
             let s = self.stages[si];
-            let load_s = if self.p_load_ep[s.0] == ep {
-                self.p_load[s.0]
+            let load_s = if self.scratch.load_ep[s.0] == ep {
+                self.scratch.load[s.0]
             } else {
                 self.load[s.0]
             };
@@ -1024,8 +1078,8 @@ impl IncrementalAnalyzer {
                     _ => 0.0,
                 }
             } else {
-                let rel = if self.p_wire_ep[s.0] == ep {
-                    self.p_rel_in[s.0]
+                let rel = if self.scratch.wire_ep[s.0] == ep {
+                    self.scratch.rel_in[s.0]
                 } else {
                     self.rel_in[s.0]
                 };
@@ -1034,20 +1088,20 @@ impl IncrementalAnalyzer {
                 let parent_out = if si == lo {
                     self.out[parent]
                 } else {
-                    self.p_out[parent]
+                    self.scratch.out[parent]
                 };
                 match tree.node(s).kind() {
                     NodeKind::Buffer { cell } => parent_out + rel + cells[cell].delay_ps(load_s),
                     _ => unreachable!("non-root stage sources are buffers"),
                 }
             };
-            self.p_out[si] = out;
+            self.scratch.out[si] = out;
 
-            let (smin, smax, msl) = if self.p_stage_ep[si] == ep {
+            let (smin, smax, msl) = if self.scratch.stage_ep[si] == ep {
                 (
-                    self.p_sink_min_rel[si],
-                    self.p_sink_max_rel[si],
-                    self.p_max_slew[si],
+                    self.scratch.sink_min_rel[si],
+                    self.scratch.sink_max_rel[si],
+                    self.scratch.max_slew[si],
                 )
             } else {
                 (self.sink_min_rel[si], self.sink_max_rel[si], self.max_slew[si])
@@ -1058,13 +1112,13 @@ impl IncrementalAnalyzer {
             }
             inside.slew = inside.slew.max(msl);
         }
-        self.p_inside = inside;
-        let root_src_slew = if self.p_stage_ep[0] == ep {
-            self.p_src_slew[0]
+        self.scratch.inside = inside;
+        let root_src_slew = if self.scratch.stage_ep[0] == ep {
+            self.scratch.src_slew[0]
         } else {
             self.src_slew[0]
         };
-        self.p_summary = self.summary_of(self.outside_fold(lo, hi).join(inside), root_src_slew);
+        self.scratch.summary = self.summary_of(self.outside_fold(lo, hi).join(inside), root_src_slew);
     }
 
     /// The committed fold over every stage outside the cone `lo..hi`.
@@ -1323,6 +1377,49 @@ mod tests {
         let mut m = asg.clone();
         m.set(edge, tech.rules().most_conservative_id());
         assert_summary_close(cand, &analyze(&tree, &tech, &m));
+    }
+
+    /// A clone copies the committed state and nothing pending or memoized:
+    /// cloned from mid-probe, with a memo filled, it has no candidate, and
+    /// it then answers every probe, try and commit as the original does,
+    /// bit for bit.
+    #[test]
+    fn a_clone_answers_as_the_original_without_its_scratch() {
+        let (tree, tech) = setup(150, 4);
+        let rules = tech.rules();
+        let edges: Vec<NodeId> = tree.edges().collect();
+        let asg = Assignment::uniform(&tree, rules.most_conservative_id());
+        let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
+        assert!(inc.scratch.rule_ep.is_empty(), "a new analyzer holds no candidate arrays");
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..30 {
+            let e = edges[rng.gen_range(0..edges.len())];
+            inc.probe_edge(&tree, &tech, e, RuleId(rng.gen_range(0..rules.len())));
+            inc.try_edge(&tree, &tech, e, RuleId(rng.gen_range(0..rules.len())));
+            inc.commit();
+        }
+        inc.try_edge(&tree, &tech, edges[3], rules.default_id());
+        let mut copy = inc.clone();
+        assert!(copy.scratch.memo.is_empty() && copy.scratch.rule_ep.is_empty());
+        assert_eq!(copy.pending_cone(), 0..0, "the clone has nothing pending");
+        inc.rollback();
+        for step in 0..200 {
+            let e = edges[rng.gen_range(0..edges.len())];
+            let r = RuleId(rng.gen_range(0..rules.len()));
+            if step % 2 == 0 {
+                assert_eq!(copy.probe_edge(&tree, &tech, e, r), inc.probe_edge(&tree, &tech, e, r));
+                continue;
+            }
+            assert_eq!(copy.try_edge(&tree, &tech, e, r), inc.try_edge(&tree, &tech, e, r));
+            if step % 3 == 0 {
+                copy.commit();
+                inc.commit();
+            } else {
+                copy.rollback();
+                inc.rollback();
+            }
+            assert_eq!(copy.summary(), inc.summary());
+        }
     }
 
     #[test]
