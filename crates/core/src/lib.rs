@@ -66,6 +66,7 @@ mod resize;
 mod robustness;
 mod session;
 mod smart;
+mod start;
 mod supervise;
 mod uniform;
 mod upgrade;
@@ -83,6 +84,7 @@ pub use resize::{buffer_size_histogram, downsize_buffers, downsize_in_context, R
 pub use robustness::{enforce_robustness, RobustnessSpec};
 pub use session::{CandidateEval, Degradation, EvalMode, EvalSession};
 pub use smart::SmartNdr;
+pub use start::TreeState;
 pub use supervise::{panic_message, Budget, BudgetReport, DegradationEvent, SupervisedRun};
 pub use uniform::Uniform;
 pub use upgrade::GreedyUpgradeRepair;

@@ -34,7 +34,7 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use snr_core::{Budget, Constraints, NdrOptimizer, OptContext, SmartNdr};
+use snr_core::{Budget, Constraints, NdrOptimizer, OptContext, SmartNdr, TreeState};
 use snr_cts::ClockTree;
 use snr_netlist::{random_timing_arcs, Design};
 use snr_par::{CancelToken, Cancelled, Parallelism};
@@ -361,20 +361,19 @@ pub struct PointEval {
 }
 
 /// The state every point of one sweep shares, built once per sweep: the
-/// design, its tree, the evaluation knobs, the conservative baseline's max
-/// slew, skew and track cost (one analysis for the whole sweep), and the
-/// Monte-Carlo width deviations. The deviations are drawn by the first
-/// point that runs Monte Carlo, so a sweep whose points all replay from a
-/// store draws nothing; every later point analyzes its own assignment on
-/// the same table (see [`snr_variation::Deviations`]).
+/// design, the evaluation knobs, the tree's [`TreeState`] (the analyzed
+/// conservative baseline, whose max slew and skew anchor every point's
+/// limits and whose track cost anchors the track-budget axis, and the
+/// optimizer's engine and tree structure, built by the first point that
+/// optimizes), and the Monte-Carlo width deviations. The deviations are
+/// drawn by the first point that runs Monte Carlo, so a sweep whose points
+/// all replay from a store draws nothing and builds no engine; every later
+/// point analyzes its own assignment on the same table (see
+/// [`snr_variation::Deviations`]).
 pub struct SweepContext<'a> {
     design: &'a Design,
-    tree: &'a ClockTree,
-    tech: &'a Technology,
     cfg: EvalConfig,
-    baseline_max_slew_ps: f64,
-    baseline_skew_ps: f64,
-    baseline_track_um: f64,
+    start: TreeState<'a>,
     deviations: OnceLock<Deviations>,
     /// Held while drawing, so concurrent points draw once between them.
     drawing: Mutex<()>,
@@ -391,17 +390,10 @@ impl<'a> SweepContext<'a> {
         tech: &'a Technology,
         cfg: EvalConfig,
     ) -> Self {
-        let ctx = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()));
-        let conservative = ctx.conservative_assignment();
-        let timing = ctx.analyze(&conservative);
         SweepContext {
             design,
-            tree,
-            tech,
             cfg,
-            baseline_max_slew_ps: timing.max_slew_ps(),
-            baseline_skew_ps: timing.skew_ps(),
-            baseline_track_um: ctx.power(&conservative).track_cost_um(),
+            start: TreeState::new(tree, tech, PowerModel::new(design.freq_ghz())),
             deviations: OnceLock::new(),
             drawing: Mutex::new(()),
             #[cfg(test)]
@@ -412,7 +404,7 @@ impl<'a> SweepContext<'a> {
     /// The conservative baseline's routing-track cost, µm: the anchor of
     /// the track-budget axis.
     pub fn baseline_track_um(&self) -> f64 {
-        self.baseline_track_um
+        self.start.power().track_cost_um()
     }
 
     /// The limits [`Constraints::try_relative`] derives on this sweep's
@@ -426,12 +418,51 @@ impl<'a> SweepContext<'a> {
         slew_margin: f64,
         skew_budget_ps: f64,
     ) -> Result<Constraints, String> {
-        Constraints::try_over_baseline(
-            self.baseline_max_slew_ps,
-            self.baseline_skew_ps,
-            slew_margin,
-            skew_budget_ps,
-        )
+        let base = self.start.timing();
+        Constraints::try_over_baseline(base.max_slew_ps(), base.skew_ps(), slew_margin, skew_budget_ps)
+    }
+
+    /// The optimizer context of `point`: its limits over the sweep's
+    /// baseline, its corners and its timing arcs, over the sweep's
+    /// [`TreeState`].
+    ///
+    /// # Panics
+    ///
+    /// As [`evaluate_point`].
+    fn point_context(&self, point: &SweepPoint) -> OptContext<'_> {
+        let (design, cfg) = (self.design, &self.cfg);
+        let skew_budget_ps = match point.skew {
+            SkewAxis::Global { budget_ps } => budget_ps,
+            SkewAxis::Window { .. } => cfg.relaxed_skew_budget_ps,
+        };
+        let mut constraints = self
+            .constraints(point.slew_margin, skew_budget_ps)
+            .unwrap_or_else(|e| panic!("{e}"));
+        if let Some(frac) = point.track_frac {
+            constraints = constraints.with_track_budget_um(frac * self.baseline_track_um());
+        }
+        let mut ctx = OptContext::sharing(&self.start).with_constraints(constraints);
+        if cfg.corners {
+            ctx = ctx.with_corners(vec![Corner::typical(), Corner::slow(), Corner::fast()]);
+        }
+        if let SkewAxis::Window { window_ps } = point.skew {
+            // Windows need at least one launch/capture pair; degenerate
+            // designs fall back to the relaxed global budget alone.
+            if design.sinks().len() >= 2 {
+                let count = (design.sinks().len() / 2).clamp(1, cfg.max_arcs);
+                let arcs = random_timing_arcs(
+                    design,
+                    count,
+                    (window_ps, window_ps),
+                    (window_ps, window_ps),
+                    cfg.arc_seed,
+                );
+                ctx = ctx
+                    .with_timing_arcs(arcs)
+                    .expect("synthetic arcs reference the design's own sinks");
+            }
+        }
+        ctx
     }
 
     /// Whether a point has drawn the sweep's Monte-Carlo deviations.
@@ -454,7 +485,7 @@ impl<'a> SweepContext<'a> {
         if let Some(deviations) = self.deviations.get() {
             return Ok(deviations);
         }
-        let deviations = self.monte_carlo().deviations(self.tree, token)?;
+        let deviations = self.monte_carlo().deviations(self.start.tree(), token)?;
         #[cfg(test)]
         self.draws.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(self.deviations.get_or_init(|| deviations))
@@ -485,41 +516,8 @@ pub fn evaluate_point(
     if token.is_some_and(CancelToken::is_cancelled) {
         return None;
     }
-    let SweepContext { design, tree, tech, cfg, .. } = sweep;
-
-    let skew_budget_ps = match point.skew {
-        SkewAxis::Global { budget_ps } => budget_ps,
-        SkewAxis::Window { .. } => cfg.relaxed_skew_budget_ps,
-    };
-    let mut constraints = sweep
-        .constraints(point.slew_margin, skew_budget_ps)
-        .unwrap_or_else(|e| panic!("{e}"));
-    if let Some(frac) = point.track_frac {
-        constraints = constraints.with_track_budget_um(frac * sweep.baseline_track_um);
-    }
-
-    let mut ctx = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()))
-        .with_constraints(constraints);
-    if cfg.corners {
-        ctx = ctx.with_corners(vec![Corner::typical(), Corner::slow(), Corner::fast()]);
-    }
-    if let SkewAxis::Window { window_ps } = point.skew {
-        // Windows need at least one launch/capture pair; degenerate
-        // designs fall back to the relaxed global budget alone.
-        if design.sinks().len() >= 2 {
-            let count = (design.sinks().len() / 2).clamp(1, cfg.max_arcs);
-            let arcs = random_timing_arcs(
-                design,
-                count,
-                (window_ps, window_ps),
-                (window_ps, window_ps),
-                cfg.arc_seed,
-            );
-            ctx = ctx
-                .with_timing_arcs(arcs)
-                .expect("synthetic arcs reference the design's own sinks");
-        }
-    }
+    let ctx = sweep.point_context(point);
+    let (tree, tech, cfg) = (ctx.tree(), ctx.tech(), &sweep.cfg);
 
     let mut budget = Budget::unlimited();
     if let Some(t) = token {
@@ -675,6 +673,10 @@ mod tests {
         }
     }
 
+    /// Every point of a sweep evaluates to the bits of a point evaluated
+    /// alone, the sweep draws its deviations once, and every point's
+    /// optimizer context borrows the sweep's one [`TreeState`], so the
+    /// state, its engine included, is built once per sweep.
     #[test]
     fn a_shared_sweep_gives_every_point_its_own_runs_bits_and_draws_once() {
         let (design, tree, tech) = small_design();
@@ -692,6 +694,10 @@ mod tests {
             evaluate_point(&sweep, point, None).unwrap()
         });
         assert_eq!(sweep.draws.load(Ordering::Relaxed), 1, "one draw per sweep");
+        for point in &points {
+            let shared = std::ptr::eq(sweep.point_context(point).start(), &sweep.start);
+            assert!(shared, "point {} builds a state of its own", point.index);
+        }
         for (point, eval) in points.iter().zip(&evals) {
             let alone = evaluate_alone(&design, &tree, &tech, point, &cfg);
             assert_eq!(encode_eval(eval), encode_eval(&alone), "point {}", point.index);
