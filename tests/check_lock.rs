@@ -8,7 +8,9 @@
 //! loads with warnings (`examples/dirty12.def`), an Error-severity
 //! rejection (every diagnostic plus the `--repair` hint), its `--repair
 //! --out` salvage, a design no buffer can drive (infeasible, exit 4) and
-//! a file in the other op's format (each parser's rejection).
+//! a file in the other op's format (each parser's rejection); and for
+//! `lint`, a rejection whose repair leaves no sink, which advises no
+//! repair, with its failing `--repair --out`.
 //!
 //! The daemon section holds the response and error lines (event lines
 //! dropped, ordered by id) of `lint` and `import` requests, including a
@@ -31,6 +33,11 @@ const CLEAN_SNDR: &str = "sndr 1\ndesign clean3 freq_ghz 1.0\ndie 0 0 100000 100
 const BROKEN_SNDR: &str = "sndr 1\ndesign broken freq_ghz 1.0\n\
     die 0 0 100000 100000\nroot 0 0\n\
     sink 0 a nan 10000 5.0\nsink 0 b 20000 20000 -3.0\nsink 1 c 40000 40000 8.0\nend\n";
+
+/// A NaN coordinate on the only sink: repair drops the sink, which leaves
+/// no design, so no repair is advised.
+const EMPTIED_SNDR: &str = "sndr 1\ndesign emptied freq_ghz 1.0\n\
+    die 0 0 100000 100000\nroot 0 0\nsink 0 a nan 10000 5.0\nend\n";
 
 /// Valid, but no buffer in the library drives a 90 nF sink.
 const HEAVY_SNDR: &str = "sndr 1\ndesign heavy freq_ghz 1.0\ndie 0 0 100000 100000\n\
@@ -72,6 +79,8 @@ const CASES: &[&[&str]] = &[
     &["import", "--design", "broken.def", "--repair", "--out", "import-fixed.sndr"],
     &["import", "--design", "heavy.def"],
     &["import", "--design", "clean.sndr"],
+    &["lint", "--design", "emptied.sndr"],
+    &["lint", "--design", "emptied.sndr", "--repair", "--out", "lint-emptied.sndr"],
 ];
 
 /// The daemon requests, each answered by one response or error line.
@@ -84,6 +93,7 @@ const REQUESTS: &[&str] = &[
     r#"{"op": "import", "id": 6, "design": {"path": "broken.def"}, "repair": true}"#,
     r#"{"op": "lint", "id": 7, "design": {"generate": {"sinks": 12, "seed": 1}}}"#,
     r#"{"op": "import", "id": 8, "design": {"generate": {"sinks": 12, "seed": 1}}}"#,
+    r#"{"op": "lint", "id": 9, "design": {"path": "emptied.sndr"}}"#,
 ];
 
 fn record(got: &mut String, shown: &str, out: &Output) {
@@ -167,6 +177,7 @@ fn fixtures(name: &str) -> PathBuf {
     for (name, text) in [
         ("clean.sndr", CLEAN_SNDR),
         ("broken.sndr", BROKEN_SNDR),
+        ("emptied.sndr", EMPTIED_SNDR),
         ("heavy.sndr", HEAVY_SNDR),
         ("clean.def", CLEAN_DEF),
         ("broken.def", BROKEN_DEF),
