@@ -24,6 +24,12 @@ scripts/golden.sh
 step "cargo test --workspace"
 cargo test -q --workspace
 
+step "perfbench builds against the public APIs"
+# The benchmark is a workspace of its own that imports snr-core,
+# snr-pareto and snr-serve by path; a public API change that breaks it
+# would stop the benchmark from building.
+cargo check --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-check
+
 step "cargo clippy --all-targets -D warnings"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
