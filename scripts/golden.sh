@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 
 GOLDEN=tests/golden/optimizer_digests.txt
 ACTUAL=target/tmp/optimizer_digests.actual.txt
-ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid export_ndr_examples import_dirty12 cli_errors check_outputs oracle_gaps cts_trees"
+ARTIFACTS="suite_builtin suite_examples pareto_default pareto_corners pareto_grid pareto_n32 pareto_dense pareto_mixed export_ndr_examples import_dirty12 cli_errors check_outputs oracle_gaps cts_trees"
 LOCKS=(--test optimizer_lock --test suite_lock --test pareto_lock --test interop_lock --test cli_errors_lock --test check_lock --test global_oracle --test cts_lock)
 
 case "${1:-}" in

@@ -3,7 +3,9 @@
 //! suite designs (400–3000 sinks) at the default constraints; then the
 //! corpus on the extended and shielded N45 menus, and iteration-capped
 //! `SmartNdr` and `GreedyDowngrade` runs whose caps bind inside every
-//! downgrade phase. Checked against `tests/golden/optimizer_digests.txt`.
+//! downgrade phase; last, the baselines (`LevelBased`, uniform 2W2S and
+//! the 20k-move annealer) on the corpus under the default and tight sets.
+//! Checked against `tests/golden/optimizer_digests.txt`.
 //!
 //! Each digest covers the per-edge rules, the exact bits of network power,
 //! skew and worst slew, the feasibility verdict, every budget phase's
@@ -19,7 +21,8 @@
 mod common;
 
 use smart_ndr::core::{
-    Budget, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, Outcome, SmartNdr,
+    Annealing, Budget, GreedyDowngrade, GreedyUpgradeRepair, LevelBased, NdrOptimizer, Outcome,
+    SmartNdr, Uniform,
 };
 use smart_ndr::cts::{synthesize, ClockTree, CtsOptions, NodeId};
 use smart_ndr::netlist::{ispd_like_suite, BenchmarkSpec, Design};
@@ -124,6 +127,19 @@ fn line(text: &mut String, design: &Design, label: &str, tree: &ClockTree, out: 
 fn lines(text: &mut String, design: &Design, tech: &Technology, menu: &str, sets: &[(&str, &str)]) {
     let optimizers: [&dyn NdrOptimizer; 3] =
         [&SmartNdr::default(), &GreedyDowngrade::default(), &GreedyUpgradeRepair::default()];
+    optimizer_lines(text, design, tech, menu, sets, &optimizers);
+}
+
+/// Appends one line per optimizer of `optimizers` for `design` under each
+/// constraint set of `sets`, each label prefixed with `menu`.
+fn optimizer_lines(
+    text: &mut String,
+    design: &Design,
+    tech: &Technology,
+    menu: &str,
+    sets: &[(&str, &str)],
+    optimizers: &[&dyn NdrOptimizer],
+) {
     let tree = synthesize(design, tech, &CtsOptions::default()).expect("corpus synthesizes");
     for &(label, set) in sets {
         let ctx = common::context(set, design, &tree, tech);
@@ -154,7 +170,8 @@ fn capped_lines(text: &mut String, design: &Design, tech: &Technology, menu: &st
 /// One line per (design, constraint set, optimizer): the small corpus
 /// under every set of [`SETS`], then the built-in suite at the defaults,
 /// then the corpus on each of [`menus`] under [`MENU_SETS`], then the
-/// capped runs on `lock400` on every menu under `default` and `tight`.
+/// capped runs on `lock400` on every menu under `default` and `tight`,
+/// then the baselines on the corpus under `default` and `tight`.
 fn compute() -> String {
     let tech = Technology::n45();
     let corpus: Vec<Design> = DESIGNS
@@ -187,6 +204,12 @@ fn compute() -> String {
         for set in ["default", "tight"] {
             capped_lines(&mut text, lock400, tech, menu, set);
         }
+    }
+    let (uniform, anneal) = (Uniform::conservative(), Annealing::new(20_000, 1));
+    let baselines: [&dyn NdrOptimizer; 3] = [&LevelBased, &uniform, &anneal];
+    for design in &corpus {
+        let sets = [("default", "default"), ("tight", "tight")];
+        optimizer_lines(&mut text, design, &tech, "", &sets, &baselines);
     }
     text
 }
