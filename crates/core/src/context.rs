@@ -6,14 +6,17 @@ use snr_netlist::TimingArc;
 use snr_power::{evaluate, PowerModel, PowerReport};
 use snr_tech::{Corner, RuleId, Technology};
 use snr_timing::{Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
-use std::cell::{OnceCell, RefCell};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Everything an optimizer needs: the (immutable) tree, the technology, the
 /// power operating point and the constraints — plus the tree's
 /// [`TreeState`], which holds the analyzed conservative start, and a
 /// shared, reusable timing analyzer so candidate evaluations allocate
-/// nothing.
+/// nothing. A context is `Sync`: [`SmartNdr::optimize_all`] runs the
+/// constructions of several contexts on several threads.
+///
+/// [`SmartNdr::optimize_all`]: crate::SmartNdr::optimize_all
 ///
 /// # Examples
 ///
@@ -38,18 +41,18 @@ pub struct OptContext<'a> {
     power_model: PowerModel,
     start: Start<'a>,
     /// Set by [`OptContext::with_constraints`], or derived on first use.
-    constraints: OnceCell<Constraints>,
+    constraints: OnceLock<Constraints>,
     corners: Vec<Corner>,
     /// Local-skew windows between sink pairs, with each sink id resolved
     /// to its tree node.
     arcs: Vec<(TimingArc, NodeId, NodeId)>,
     /// Conservative-baseline skew at each corner, cached on first use.
-    corner_base_skew: OnceCell<Vec<f64>>,
+    corner_base_skew: OnceLock<Vec<f64>>,
     /// Shared scratch analyzer.
-    analyzer: RefCell<Analyzer>,
+    analyzer: Mutex<Analyzer>,
     /// Shared scratch for the multi-lane corner sweep: all corners of one
     /// candidate evaluate in a single tree traversal.
-    batch: RefCell<BatchAnalyzer>,
+    batch: Mutex<BatchAnalyzer>,
     eval_mode: EvalMode,
     divergence_every: usize,
     divergence_epsilon_ps: f64,
@@ -57,7 +60,7 @@ pub struct OptContext<'a> {
     exec_fault: Option<crate::ExecFault>,
     /// The assignment of every full analysis this context ran.
     #[cfg(test)]
-    pub(crate) analyzed: RefCell<Vec<Assignment>>,
+    pub(crate) analyzed: Mutex<Vec<Assignment>>,
 }
 
 /// A context's [`TreeState`]: its own, or one it borrows. A plain enum, not
@@ -111,12 +114,12 @@ impl<'a> OptContext<'a> {
             tech,
             power_model,
             start,
-            constraints: OnceCell::new(),
+            constraints: OnceLock::new(),
             corners: Vec::new(),
             arcs: Vec::new(),
-            corner_base_skew: OnceCell::new(),
-            analyzer: RefCell::new(Analyzer::new()),
-            batch: RefCell::new(BatchAnalyzer::new()),
+            corner_base_skew: OnceLock::new(),
+            analyzer: Mutex::new(Analyzer::new()),
+            batch: Mutex::new(BatchAnalyzer::new()),
             eval_mode: EvalMode::default(),
             divergence_every: default_divergence_every(tree),
             divergence_epsilon_ps: 1e-6,
@@ -186,6 +189,24 @@ impl<'a> OptContext<'a> {
         self
     }
 
+    /// Whether `other` may join a group session this context leads: both
+    /// over the same [`TreeState`] in [`EvalMode::Incremental`], at the same
+    /// corners, with the same divergence guard and armed fault. Their
+    /// limits, arcs, track, EM and noise checks may differ.
+    pub(crate) fn groups_with(&self, other: &OptContext<'_>) -> bool {
+        #[cfg(feature = "fault-inject")]
+        if self.exec_fault != other.exec_fault {
+            return false;
+        }
+        let state = |ctx: &OptContext<'_>| (ctx.start() as *const TreeState<'_>).cast::<()>();
+        std::ptr::eq(state(self), state(other))
+            && self.eval_mode == EvalMode::Incremental
+            && other.eval_mode == EvalMode::Incremental
+            && self.corners == other.corners
+            && self.divergence_every == other.divergence_every
+            && self.divergence_epsilon_ps.to_bits() == other.divergence_epsilon_ps.to_bits()
+    }
+
     /// Commits between divergence cross-checks (0 = guard disabled).
     pub fn divergence_every(&self) -> usize {
         self.divergence_every
@@ -217,13 +238,13 @@ impl<'a> OptContext<'a> {
     /// go through [`OptContext::meets`].
     pub fn with_corners(mut self, corners: Vec<Corner>) -> Self {
         self.corners = corners;
-        self.corner_base_skew = OnceCell::new();
+        self.corner_base_skew = OnceLock::new();
         self
     }
 
     /// Returns a copy with explicit constraints.
     pub fn with_constraints(mut self, constraints: Constraints) -> Self {
-        self.constraints = OnceCell::from(constraints);
+        self.constraints = OnceLock::from(constraints);
         self
     }
 
@@ -296,8 +317,8 @@ impl<'a> OptContext<'a> {
     /// buffers).
     pub fn analyze(&self, assignment: &Assignment) -> TimingReport {
         #[cfg(test)]
-        self.analyzed.borrow_mut().push(assignment.clone());
-        self.analyzer.borrow_mut().run(self.tree, self.tech, assignment)
+        lock(&self.analyzed).push(assignment.clone());
+        lock(&self.analyzer).run(self.tree, self.tech, assignment)
     }
 
     /// Evaluates the power of `assignment`.
@@ -315,25 +336,46 @@ impl<'a> OptContext<'a> {
     /// predicate every optimizer uses. [`EvalSession`]s feed the same two
     /// checks from their incremental engines' candidate state.
     pub fn meets(&self, assignment: &Assignment, report: &TimingReport) -> bool {
+        self.meets_report(assignment, report)
+            && (self.corners.is_empty() || {
+                let mut batch = lock(&self.batch);
+                self.meets_corners(batch.run_at_corners(self.tree, self.tech, assignment, &self.corners))
+            })
+    }
+
+    /// [`meets`](Self::meets) on the conservative start, whose analysis and
+    /// corner summaries the [`TreeState`] holds.
+    pub(crate) fn start_meets(&self) -> bool {
+        let start = self.start();
+        self.meets_report(start.assignment(), start.timing())
+            && (self.corners.is_empty() || self.meets_corners(&start.corner_summaries(&self.corners)))
+    }
+
+    /// The summaries of `assignment` at this context's corners, from the
+    /// context's batch analyzer (empty without corners): what
+    /// [`meets_corners`](Self::meets_corners) reads.
+    pub(crate) fn corner_summaries(&self, assignment: &Assignment) -> Vec<TimingSummary> {
+        if self.corners.is_empty() {
+            return Vec::new();
+        }
+        lock(&self.batch).run_at_corners(self.tree, self.tech, assignment, &self.corners).to_vec()
+    }
+
+    /// [`meets`](Self::meets)'s nominal checks, on `report`, a nominal
+    /// analysis of `assignment`.
+    pub(crate) fn meets_report(&self, assignment: &Assignment, report: &TimingReport) -> bool {
         let arcs_met = || {
             self.arcs.iter().all(|(arc, from, to)| {
                 arc.satisfied_by(report.arrival_ps(*from), report.arrival_ps(*to))
             })
         };
-        if !self.meets_nominal(
+        self.meets_nominal(
             report.max_slew_ps(),
             report.skew_ps(),
             arcs_met,
             |e| assignment.rule(e),
             |e| report.stage_load_ff(e),
-        ) {
-            return false;
-        }
-        if self.corners.is_empty() {
-            return true;
-        }
-        let mut batch = self.batch.borrow_mut();
-        self.meets_corners(batch.run_at_corners(self.tree, self.tech, assignment, &self.corners))
+        )
     }
 
     /// Every nominal check, in order: slew and skew, the timing arcs
@@ -416,16 +458,11 @@ impl<'a> OptContext<'a> {
     }
 
     /// Conservative-baseline skew at each corner — assignment-independent,
-    /// computed on first use by an analyzer of its own (a caller may hold
-    /// the shared one) and cached.
+    /// read on first use from the [`TreeState`]'s corner summaries and
+    /// cached.
     fn corner_base_skews(&self) -> &[f64] {
         self.corner_base_skew.get_or_init(|| {
-            let base = self.conservative_assignment();
-            BatchAnalyzer::new()
-                .run_at_corners(self.tree, self.tech, &base, &self.corners)
-                .iter()
-                .map(|s| s.skew_ps())
-                .collect()
+            self.start().corner_summaries(&self.corners).iter().map(|s| s.skew_ps()).collect()
         })
     }
 
@@ -458,7 +495,7 @@ impl<'a> OptContext<'a> {
     /// report and power, with this context's verdict.
     pub fn conservative_baseline(&self) -> Outcome {
         let start = self.start();
-        let meets = self.meets(start.assignment(), start.timing());
+        let meets = self.start_meets();
         let (assignment, timing) = (start.assignment().clone(), start.timing().clone());
         Outcome::new("uniform-2w2s", assignment, *start.power(), timing, meets, Duration::ZERO)
     }
@@ -468,6 +505,12 @@ impl<'a> OptContext<'a> {
     pub fn default_baseline(&self) -> Outcome {
         self.outcome("uniform-1w1s", self.default_assignment(), Duration::ZERO)
     }
+}
+
+/// Locks one of a context's scratch analyzers. A panic while one was held
+/// leaves only scratch behind, which every use overwrites.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

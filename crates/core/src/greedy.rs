@@ -1,7 +1,7 @@
 //! The smart-NDR method: sensitivity-ordered greedy downgrading.
 
 use crate::supervise::Meter;
-use crate::{Budget, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
+use crate::{Budget, BudgetReport, EvalSession, NdrOptimizer, OptContext, SupervisedRun};
 use snr_cts::{Assignment, NodeId};
 use snr_tech::{RuleId, Technology};
 
@@ -75,7 +75,7 @@ impl NdrOptimizer for GreedyDowngrade {
     }
 
     fn assign_supervised(&self, ctx: &OptContext<'_>) -> SupervisedRun {
-        self.refine_session(ctx, ctx.session())
+        self.refine_session(ctx.session())
     }
 }
 
@@ -92,42 +92,44 @@ impl GreedyDowngrade {
 
     /// [`refine`](Self::refine) with the full supervision record.
     pub fn refine_supervised(&self, ctx: &OptContext<'_>, start: Assignment) -> SupervisedRun {
-        self.refine_session(ctx, ctx.session_from(start))
+        self.refine_session(ctx.session_from(start))
     }
 
     /// [`refine_supervised`](Self::refine_supervised) from the committed
-    /// state of `session`. A session whose divergence guard has tripped runs
-    /// on full re-analyses; the refine gets fresh engines for its assignment
-    /// instead, so the degradations it reports are all its own.
-    pub(crate) fn refine_session(
-        &self,
-        ctx: &OptContext<'_>,
-        session: EvalSession<'_, '_>,
-    ) -> SupervisedRun {
-        let mut session = if session.degradations().is_empty() {
-            session
-        } else {
-            ctx.session_from(session.into_assignment())
-        };
+    /// state of `session`.
+    pub(crate) fn refine_session(&self, mut session: EvalSession<'_, '_>) -> SupervisedRun {
+        let budgets = self.refine_in(&mut session);
+        SupervisedRun {
+            degradations: session.degradation_events(),
+            assignment: session.into_assignment(),
+            budgets,
+        }
+    }
+
+    /// The refine's two phases on `session`, from its committed state; their
+    /// receipts. A session whose divergence guard has tripped runs on full
+    /// re-analyses; the refine gets fresh engines for its assignment
+    /// instead, so the degradations the session holds after it are all the
+    /// refine's own.
+    pub(crate) fn refine_in(&self, session: &mut EvalSession<'_, '_>) -> Vec<BudgetReport> {
+        if !session.degradations().is_empty() {
+            session.restart();
+        }
+        let ctx = session.leader();
         let menu = Menu::new(ctx.tech());
         // An infeasible start is returned unchanged (no downgrade can
         // help); the caller's feasibility check flags it.
         let feasible = session.feasible();
         let mut levels = Meter::start(&self.budget, "greedy-levels");
         if feasible {
-            Self::lower_levels(ctx, &mut session, &menu, &mut levels);
+            Self::lower_levels(ctx, session, &menu, &mut levels);
         }
         let levels = levels.report();
         let mut refine = Meter::start(&self.budget, "greedy-refine");
         if feasible {
-            Self::refine_edges(ctx, &mut session, &menu, &mut refine);
+            Self::refine_edges(ctx, session, &menu, &mut refine);
         }
-        let degradations = session.degradation_events();
-        SupervisedRun {
-            assignment: session.into_assignment(),
-            budgets: vec![levels, refine.report()],
-            degradations,
-        }
+        vec![levels, refine.report()]
     }
 
     /// Moves `group` to the cheapest rule in capacitance order whose move

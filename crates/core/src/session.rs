@@ -14,6 +14,15 @@
 //! behind the same API — it is the oracle the equivalence tests and the
 //! `incremental_vs_full` benchmark compare against.
 //!
+//! Inside the crate a session may also judge its candidates for a *group*
+//! of contexts over one tree state: a leader, whose verdicts the
+//! construction follows, and members, each judging every try under its own
+//! limits from the same engine run. A member that judges a try the other
+//! way leaves as a [`Fork`], which a *replaying* session later re-runs from
+//! the conservative start: it answers the group's verdicts up to the split
+//! without the engine, then continues live from the state at the split
+//! (see [`crate::SmartNdr::optimize_all`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -170,6 +179,74 @@ pub struct EvalSession<'c, 'a> {
     /// Per node, the slot table of `dedup_moves`: all zero between calls,
     /// and sized on the first probe.
     move_slots: Vec<usize>,
+    /// The group this session judges for, if it was built for one.
+    group: Option<Box<Group<'c, 'a>>>,
+    /// While replaying a fork: the verdicts to answer and the state to go
+    /// live from.
+    replay: Option<Box<Replay<'c, 'a>>>,
+}
+
+/// The contexts a group session judges every try for besides its leader,
+/// and what its run leaves for [`crate::SmartNdr::optimize_all`].
+struct Group<'c, 'a> {
+    /// Members still following the leader's verdicts. Once none is left
+    /// the session judges for its leader alone.
+    members: Vec<Member<'c, 'a>>,
+    /// The leader's verdict on every try so far, kept while members remain:
+    /// the script of every fork.
+    history: Vec<bool>,
+    /// Whether the leader's start meets its constraints; every member's
+    /// start gives the same verdict.
+    start_feasible: bool,
+    /// The members that left, one fork per split.
+    forks: Vec<Fork<'c, 'a>>,
+    /// Contexts dropped when the session recorded a divergence, its members
+    /// and its forks' contexts: each reruns the construction alone.
+    detached: Vec<&'c OptContext<'a>>,
+}
+
+/// One member of a group: its context and its timing arcs over the group's
+/// engine, refreshed on every commit.
+struct Member<'c, 'a> {
+    ctx: &'c OptContext<'a>,
+    arc_index: Option<ArcIndex>,
+}
+
+/// The members of a group that judged one try the other way: the session's
+/// committed state before that try, led by the first of them, with the
+/// others as its members.
+pub(crate) struct Fork<'c, 'a> {
+    snapshot: EvalSession<'c, 'a>,
+    /// The group's verdicts before the split.
+    script: Vec<bool>,
+    /// The leaving members' verdict on the try at the split.
+    verdict: bool,
+    /// As [`Group::start_feasible`].
+    start_feasible: bool,
+}
+
+impl<'c, 'a> Fork<'c, 'a> {
+    /// The fork's contexts, its leader first.
+    pub(crate) fn contexts(&self) -> impl Iterator<Item = &'c OptContext<'a>> + '_ {
+        std::iter::once(self.snapshot.ctx).chain(self.snapshot.member_contexts())
+    }
+}
+
+/// A replaying session's script and where it goes live.
+struct Replay<'c, 'a> {
+    fork: Fork<'c, 'a>,
+    /// Tries answered so far.
+    next: usize,
+}
+
+/// What a group session's run leaves behind besides its assignment.
+pub(crate) struct GroupEnd<'c, 'a> {
+    /// The members that followed the leader to the end.
+    pub(crate) members: Vec<&'c OptContext<'a>>,
+    /// The members that left, to replay.
+    pub(crate) forks: Vec<Fork<'c, 'a>>,
+    /// Contexts to rerun alone after a divergence.
+    pub(crate) detached: Vec<&'c OptContext<'a>>,
 }
 
 impl Clone for EvalSession<'_, '_> {
@@ -191,6 +268,8 @@ impl Clone for EvalSession<'_, '_> {
             scratch_moves: Vec::new(),
             scratch_corners: Vec::new(),
             move_slots: Vec::new(),
+            group: None,
+            replay: None,
         }
     }
 }
@@ -201,7 +280,8 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         match mode {
             EvalMode::FullReanalysis => {
                 let report = ctx.analyze(&asg);
-                Self::full(ctx, asg, &report, network_uw)
+                let feasible = ctx.meets(&asg, &report);
+                Self::full(ctx, asg, &report, feasible, network_uw)
             }
             EvalMode::Incremental => {
                 let engine = IncrementalAnalyzer::new(ctx.tree(), ctx.tech(), &asg);
@@ -218,15 +298,110 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         let start = ctx.start();
         let (asg, network_uw) = (start.assignment().clone(), start.power().network_uw());
         match ctx.eval_mode() {
-            EvalMode::FullReanalysis => Self::full(ctx, asg, start.timing(), network_uw),
+            EvalMode::FullReanalysis => {
+                Self::full(ctx, asg, start.timing(), ctx.start_meets(), network_uw)
+            }
             EvalMode::Incremental => Self::incremental(ctx, asg, start.engine().clone(), network_uw),
         }
     }
 
+    /// A session at the conservative start that judges every try for
+    /// `leader` and for each of `members`, which must be
+    /// [`compatible`](OptContext::groups_with) with it. Members whose start
+    /// verdict differs from the leader's are detached at once.
+    pub(crate) fn grouped(leader: &'c OptContext<'a>, members: &[&'c OptContext<'a>]) -> Self {
+        let mut session = Self::conservative(leader);
+        if members.is_empty() {
+            return session;
+        }
+        let engine = session.engine.as_ref().expect("a group session is incremental");
+        let corners: Vec<TimingSummary> = session.corner_engines.iter().map(|e| e.summary()).collect();
+        let mut group = Group {
+            members: Vec::with_capacity(members.len()),
+            history: Vec::new(),
+            start_feasible: session.committed_feasible,
+            forks: Vec::new(),
+            detached: Vec::new(),
+        };
+        for &ctx in members {
+            debug_assert!(leader.groups_with(ctx), "members agree with the leader");
+            let member = Member { ctx, arc_index: ArcIndex::of(engine, ctx) };
+            if member.judge(engine, engine.summary(), &corners) == session.committed_feasible {
+                group.members.push(member);
+            } else {
+                group.detached.push(ctx);
+            }
+        }
+        session.group = Some(Box::new(group));
+        session
+    }
+
+    /// A session that re-runs the construction `fork` left from the
+    /// conservative start: it answers the fork's script without the engine,
+    /// then takes the fork's state at the split, runs that try and goes on
+    /// live with the fork's contexts.
+    pub(crate) fn replay(fork: Fork<'c, 'a>) -> Self {
+        let ctx = fork.snapshot.ctx;
+        let start = ctx.start();
+        EvalSession {
+            ctx,
+            mode: EvalMode::Incremental,
+            asg: start.assignment().clone(),
+            engine: None,
+            arc_index: None,
+            corner_engines: Vec::new(),
+            committed_slew_ps: f64::NAN,
+            committed_skew_ps: f64::NAN,
+            committed_feasible: fork.start_feasible,
+            committed_network_uw: f64::NAN,
+            pending: None,
+            commits: 0,
+            degradations: Vec::new(),
+            scratch_moves: Vec::new(),
+            scratch_corners: Vec::new(),
+            move_slots: Vec::new(),
+            group: None,
+            replay: Some(Box::new(Replay { fork, next: 0 })),
+        }
+    }
+
+    /// The context whose verdicts this session follows.
+    pub(crate) fn leader(&self) -> &'c OptContext<'a> {
+        self.ctx
+    }
+
+    /// The contexts of the group's members, if any.
+    fn member_contexts(&self) -> impl Iterator<Item = &'c OptContext<'a>> + '_ {
+        self.group.iter().flat_map(|group| group.members.iter().map(|m| m.ctx))
+    }
+
+    /// Consumes the session: its committed assignment, and what its run
+    /// leaves for the members of its group. A session still replaying when
+    /// its run ended (the budget cut it before the split) leaves its fork's
+    /// members with the leader, at the state the cut left.
+    pub(crate) fn finish(mut self) -> (Assignment, GroupEnd<'c, 'a>) {
+        let mut end = GroupEnd { members: Vec::new(), forks: Vec::new(), detached: Vec::new() };
+        if let Some(replay) = self.replay.take() {
+            end.members.extend(replay.fork.snapshot.member_contexts());
+        }
+        if let Some(group) = self.group.take() {
+            let Group { members, forks, detached, .. } = *group;
+            end.members.extend(members.into_iter().map(|m| m.ctx));
+            end.forks = forks;
+            end.detached = detached;
+        }
+        (self.asg, end)
+    }
+
     /// A [`EvalMode::FullReanalysis`] session at `asg`, whose analysis is
-    /// `report` and network power `network_uw`.
-    fn full(ctx: &'c OptContext<'a>, asg: Assignment, report: &TimingReport, network_uw: f64) -> Self {
-        let feasible = ctx.meets(&asg, report);
+    /// `report`, verdict `feasible` and network power `network_uw`.
+    fn full(
+        ctx: &'c OptContext<'a>,
+        asg: Assignment,
+        report: &TimingReport,
+        feasible: bool,
+        network_uw: f64,
+    ) -> Self {
         EvalSession {
             ctx,
             mode: EvalMode::FullReanalysis,
@@ -244,6 +419,8 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             scratch_moves: Vec::new(),
             scratch_corners: Vec::new(),
             move_slots: Vec::new(),
+            group: None,
+            replay: None,
         }
     }
 
@@ -257,8 +434,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     ) -> Self {
         let tree = ctx.tree();
         let tech = ctx.tech();
-        let arcs = ctx.resolved_arcs();
-        let arc_index = (!arcs.is_empty()).then(|| ArcIndex::new(&engine, arcs));
+        let arc_index = ArcIndex::of(&engine, ctx);
         let corner_engines: Vec<IncrementalAnalyzer> = ctx
             .corners()
             .iter()
@@ -284,6 +460,8 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             scratch_moves: Vec::new(),
             scratch_corners: Vec::new(),
             move_slots: Vec::new(),
+            group: None,
+            replay: None,
         };
         session.committed_feasible = session.incremental_feasible(summary, &corner_summaries);
         session
@@ -310,10 +488,27 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         dedup.clear();
         self.move_slots.resize(self.ctx.tree().len(), 0);
         dedup_moves(moves, &mut self.move_slots, &mut dedup);
+        let mut split = None;
+        if self.replay.is_some() {
+            match self.scripted() {
+                Ok(verdict) => {
+                    let eval = CandidateEval {
+                        power_delta_uw: f64::NAN,
+                        worst_slew_ps: f64::NAN,
+                        skew_ps: f64::NAN,
+                        feasible: verdict,
+                    };
+                    self.pending = Some(Pending { moves: dedup, eval, network_uw: f64::NAN });
+                    return eval;
+                }
+                Err(verdict) => split = Some(verdict),
+            }
+        }
         let (eval, network_uw) = match self.mode {
             EvalMode::Incremental => self.try_incremental(&dedup),
             EvalMode::FullReanalysis => self.try_full(&dedup),
         };
+        debug_assert!(split.is_none_or(|v| v == eval.feasible), "the split's verdict");
         self.pending = Some(Pending {
             moves: dedup,
             eval,
@@ -322,7 +517,32 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         eval
     }
 
+    /// The script's verdict on the next try of a replaying session, or at
+    /// the split, where the session takes the fork's state and runs the try
+    /// itself, the verdict that try must give.
+    fn scripted(&mut self) -> Result<bool, bool> {
+        let replay = self.replay.as_mut().expect("a replaying session");
+        if let Some(&verdict) = replay.fork.script.get(replay.next) {
+            replay.next += 1;
+            return Ok(verdict);
+        }
+        let Replay { fork, .. } = *self.replay.take().expect("a replaying session");
+        let Fork { mut snapshot, script, verdict, .. } = fork;
+        debug_assert_eq!(snapshot.commits, self.commits, "the script reached the split");
+        debug_assert!(snapshot.asg == self.asg, "the script reached the split's state");
+        if let Some(group) = snapshot.group.as_deref_mut() {
+            group.history = script;
+        }
+        // The try at the split goes on with the buffers of this session.
+        snapshot.scratch_moves = std::mem::take(&mut self.scratch_moves);
+        snapshot.move_slots = std::mem::take(&mut self.move_slots);
+        *self = snapshot;
+        Err(verdict)
+    }
+
     fn try_incremental(&mut self, moves: &[(NodeId, RuleId)]) -> (CandidateEval, f64) {
+        #[cfg(test)]
+        self.ctx.start().tries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tree = self.ctx.tree();
         let tech = self.ctx.tech();
         let summary = self
@@ -339,6 +559,9 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         );
         let power_delta_uw = closed_form_power_delta_uw(self.ctx, &self.asg, moves);
         let feasible = self.incremental_feasible(summary, &corner_summaries);
+        if self.group.as_ref().is_some_and(|group| !group.members.is_empty()) {
+            self.judge_members(feasible, summary, &corner_summaries);
+        }
         self.scratch_corners = corner_summaries;
         let eval = CandidateEval {
             power_delta_uw,
@@ -379,17 +602,51 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             .engine
             .as_ref()
             .expect("incremental mode has an engine");
-        let arcs_met = || match &self.arc_index {
-            Some(index) => index.candidate_met(engine, self.ctx.resolved_arcs()),
-            None => true,
-        };
-        self.ctx.meets_nominal(
-            nominal.max_slew_ps,
-            nominal.skew_ps(),
-            arcs_met,
-            |e| engine.candidate_rule(e),
-            |e| engine.candidate_stage_load_ff(e),
-        ) && self.ctx.meets_corners(corner_summaries)
+        judge(self.ctx, self.arc_index.as_ref(), engine, nominal, corner_summaries)
+    }
+
+    /// Judges the pending try for every member of the group, whose leader
+    /// gave `verdict`. The members that judge it the other way leave as one
+    /// fork, holding the committed state before the try. The try's verdict
+    /// joins the history while members remain.
+    fn judge_members(&mut self, verdict: bool, nominal: TimingSummary, corners: &[TimingSummary]) {
+        let engine = self.engine.as_ref().expect("incremental mode has an engine");
+        let group = self.group.as_deref().expect("a group session");
+        if group.members.iter().any(|m| m.judge(engine, nominal, corners) != verdict) {
+            let mut group = self.group.take().expect("a group session");
+            let (stay, leave): (Vec<_>, Vec<_>) = std::mem::take(&mut group.members)
+                .into_iter()
+                .partition(|m| m.judge(engine, nominal, corners) == verdict);
+            group.members = stay;
+            let mut leave = leave.into_iter();
+            let first = leave.next().expect("a member judged the other way");
+            let mut snapshot = self.clone();
+            snapshot.ctx = first.ctx;
+            snapshot.arc_index = first.arc_index;
+            let rest: Vec<Member<'c, 'a>> = leave.collect();
+            if !rest.is_empty() {
+                snapshot.group = Some(Box::new(Group {
+                    members: rest,
+                    history: Vec::new(),
+                    start_feasible: group.start_feasible,
+                    forks: Vec::new(),
+                    detached: Vec::new(),
+                }));
+            }
+            group.forks.push(Fork {
+                snapshot,
+                script: group.history.clone(),
+                verdict: !verdict,
+                start_feasible: group.start_feasible,
+            });
+            self.group = Some(group);
+        }
+        let group = self.group.as_deref_mut().expect("a group session");
+        if group.members.is_empty() {
+            group.history = Vec::new();
+        } else {
+            group.history.push(verdict);
+        }
     }
 
     /// The nominal violation ([`Constraints::violation_ps_of`]) of
@@ -434,7 +691,14 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             let cone = engine.pending_cone();
             engine.commit();
             if let Some(index) = self.arc_index.as_mut() {
-                index.refresh(engine, self.ctx.resolved_arcs(), cone);
+                index.refresh(engine, self.ctx.resolved_arcs(), cone.clone());
+            }
+            if let Some(group) = self.group.as_deref_mut() {
+                for member in &mut group.members {
+                    if let Some(index) = member.arc_index.as_mut() {
+                        index.refresh(engine, member.ctx.resolved_arcs(), cone.clone());
+                    }
+                }
             }
         }
         for engine in &mut self.corner_engines {
@@ -445,6 +709,10 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         self.committed_feasible = pending.eval.feasible;
         self.committed_network_uw = pending.network_uw;
         self.commits += 1;
+        if self.replay.is_some() {
+            // The run the script comes from checked this commit.
+            return;
+        }
         #[cfg(feature = "fault-inject")]
         self.inject_divergence();
         self.check_divergence();
@@ -505,6 +773,15 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             skew_drift_ps,
             power_drift_uw,
         });
+        // The leader's run goes on as its own run would; everyone else in
+        // the group reruns alone, so each reports its own degradations.
+        if let Some(group) = self.group.as_deref_mut() {
+            let members = std::mem::take(&mut group.members).into_iter().map(|m| m.ctx);
+            let forks = std::mem::take(&mut group.forks);
+            let forked: Vec<&'c OptContext<'a>> = forks.iter().flat_map(Fork::contexts).collect();
+            group.detached.extend(members.chain(forked));
+            group.history = Vec::new();
+        }
         self.mode = EvalMode::FullReanalysis;
         self.engine = None;
         self.arc_index = None;
@@ -515,6 +792,16 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         self.committed_skew_ps = report.skew_ps();
         self.committed_feasible = self.ctx.meets(&self.asg, &report);
         self.committed_network_uw = network_uw;
+    }
+
+    /// Replaces the engines of a session whose guard tripped with fresh ones
+    /// for its committed assignment: a fresh session, with no degradations,
+    /// that keeps this session's group.
+    pub(crate) fn restart(&mut self) {
+        let group = self.group.take();
+        let asg = std::mem::replace(&mut self.asg, Assignment::uniform(self.ctx.tree(), RuleId(0)));
+        *self = EvalSession::new(self.ctx, asg, self.ctx.eval_mode());
+        self.group = group;
     }
 
     /// Divergences the guard detected so far (normally empty). Non-empty
@@ -675,7 +962,44 @@ struct ArcIndex {
     violated: usize,
 }
 
+impl<'c, 'a> Member<'c, 'a> {
+    /// This member's verdict on the engine's pending try (or its committed
+    /// state, with nothing pending).
+    fn judge(&self, engine: &IncrementalAnalyzer, nominal: TimingSummary, corners: &[TimingSummary]) -> bool {
+        judge(self.ctx, self.arc_index.as_ref(), engine, nominal, corners)
+    }
+}
+
+/// `ctx`'s verdict on `engine`'s pending try, whose summaries are `nominal`
+/// and `corners`, with `arc_index` over `ctx`'s arcs: [`OptContext::meets`]'s
+/// checks.
+fn judge(
+    ctx: &OptContext<'_>,
+    arc_index: Option<&ArcIndex>,
+    engine: &IncrementalAnalyzer,
+    nominal: TimingSummary,
+    corners: &[TimingSummary],
+) -> bool {
+    let arcs_met = || match arc_index {
+        Some(index) => index.candidate_met(engine, ctx.resolved_arcs()),
+        None => true,
+    };
+    ctx.meets_nominal(
+        nominal.max_slew_ps,
+        nominal.skew_ps(),
+        arcs_met,
+        |e| engine.candidate_rule(e),
+        |e| engine.candidate_stage_load_ff(e),
+    ) && ctx.meets_corners(corners)
+}
+
 impl ArcIndex {
+    /// `ctx`'s arcs over `engine`'s slots, or `None` without arcs.
+    fn of(engine: &IncrementalAnalyzer, ctx: &OptContext<'_>) -> Option<Self> {
+        let arcs = ctx.resolved_arcs();
+        (!arcs.is_empty()).then(|| ArcIndex::new(engine, arcs))
+    }
+
     fn new(engine: &IncrementalAnalyzer, arcs: &[(TimingArc, NodeId, NodeId)]) -> Self {
         let slots = engine.stage_count();
         let mut tagged = Vec::with_capacity(2 * arcs.len());

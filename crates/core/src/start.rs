@@ -2,18 +2,20 @@
 
 use snr_cts::{Assignment, ClockTree, NodeId};
 use snr_power::{evaluate, PowerModel, PowerReport};
-use snr_tech::Technology;
-use snr_timing::{Analyzer, IncrementalAnalyzer, TimingReport};
-use std::sync::OnceLock;
+use snr_tech::{Corner, Technology};
+use snr_timing::{Analyzer, BatchAnalyzer, IncrementalAnalyzer, TimingReport, TimingSummary};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// What every optimization over one tree, technology and power model
 /// shares, built once per tree: the conservative start (the uniform
 /// most-conservative assignment) with its timing report and power, its
-/// incremental engine, the tree's edges by depth and its stage nets.
+/// incremental engine, its summaries at each set of corners, the tree's
+/// edges by depth and its stage nets.
 ///
-/// [`TreeState::new`] analyzes the start once. The engine, the levels and
-/// the stage nets are built on first use, so uniform and level runs, and
-/// sweeps replayed from a store, never build them.
+/// [`TreeState::new`] analyzes the start once. The engine, the corner
+/// summaries, the levels and the stage nets are built on first use, so
+/// uniform and level runs, and sweeps replayed from a store, never build
+/// them.
 ///
 /// An [`OptContext`](crate::OptContext) builds its own
 /// ([`OptContext::new`](crate::OptContext::new)) or borrows one a caller
@@ -52,11 +54,21 @@ pub struct TreeState<'a> {
     timing: TimingReport,
     power: PowerReport,
     engine: OnceLock<IncrementalAnalyzer>,
+    corners: Mutex<Vec<CornerSummaries>>,
     levels: OnceLock<Vec<Vec<NodeId>>>,
     nets: OnceLock<StageNets>,
     #[cfg(test)]
     pub(crate) engine_builds: std::sync::atomic::AtomicUsize,
+    /// Corner batches run on the start.
+    #[cfg(test)]
+    pub(crate) corner_batches: std::sync::atomic::AtomicUsize,
+    /// Candidates the sessions over this state ran through their engines.
+    #[cfg(test)]
+    pub(crate) tries: std::sync::atomic::AtomicUsize,
 }
+
+/// A corner set asked for, with the start's summary at each corner.
+type CornerSummaries = (Vec<Corner>, Arc<[TimingSummary]>);
 
 /// The stage nets of a tree. A stage net is the wire from one buffer output
 /// (or the root) to the next buffer inputs and sinks; its driver's depth is
@@ -83,10 +95,15 @@ impl<'a> TreeState<'a> {
             timing,
             power,
             engine: OnceLock::new(),
+            corners: Mutex::new(Vec::new()),
             levels: OnceLock::new(),
             nets: OnceLock::new(),
             #[cfg(test)]
             engine_builds: Default::default(),
+            #[cfg(test)]
+            corner_batches: Default::default(),
+            #[cfg(test)]
+            tries: Default::default(),
         }
     }
 
@@ -127,6 +144,22 @@ impl<'a> TreeState<'a> {
             self.engine_builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             IncrementalAnalyzer::new(self.tree, self.tech, &self.assignment)
         })
+    }
+
+    /// The start's summary at each of `corners` (not empty), from one batch
+    /// per corner set: the corner verdict on the start and the corner skew
+    /// limits of every context over this state read it.
+    pub(crate) fn corner_summaries(&self, corners: &[Corner]) -> Arc<[TimingSummary]> {
+        let mut cache = self.corners.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, summaries)) = cache.iter().find(|(set, _)| set.as_slice() == corners) {
+            return Arc::clone(summaries);
+        }
+        #[cfg(test)]
+        self.corner_batches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let summaries: Arc<[TimingSummary]> =
+            BatchAnalyzer::new().run_at_corners(self.tree, self.tech, &self.assignment, corners).into();
+        cache.push((corners.to_vec(), Arc::clone(&summaries)));
+        summaries
     }
 
     /// Per depth: the edges whose child node lies at that depth, in id
@@ -181,7 +214,7 @@ impl<'a> TreeState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Constraints, NdrOptimizer, OptContext, Outcome, SmartNdr};
+    use crate::{Constraints, GreedyDowngrade, NdrOptimizer, OptContext, Outcome, Parallelism, SmartNdr};
     use snr_cts::{synthesize, CtsOptions};
     use snr_netlist::{random_timing_arcs, BenchmarkSpec, Design};
     use std::sync::atomic::Ordering;
@@ -215,6 +248,35 @@ mod tests {
         }
     }
 
+    /// The limits of the 15 points of the default Pareto sweep (three slew
+    /// margins, each under three skew budgets and two useful-skew windows)
+    /// over one shared state.
+    fn sweep<'s>(design: &Design, start: &'s TreeState<'s>) -> Vec<OptContext<'s>> {
+        let base = start.timing();
+        let axes = [(10.0, None), (30.0, None), (60.0, None), (150.0, Some(40.0)), (150.0, Some(15.0))];
+        let mut ctxs = Vec::new();
+        for margin in [1.05, 1.10, 1.25] {
+            for (budget, window) in axes {
+                let limits =
+                    Constraints::try_over_baseline(base.max_slew_ps(), base.skew_ps(), margin, budget)
+                        .unwrap();
+                ctxs.push(windowed(OptContext::sharing(start).with_constraints(limits), design, window));
+            }
+        }
+        ctxs
+    }
+
+    /// Every distinct assignment among `outs`.
+    fn distinct(outs: &[Outcome]) -> Vec<&Assignment> {
+        let mut seen: Vec<&Assignment> = Vec::new();
+        for out in outs {
+            if !seen.contains(&out.assignment()) {
+                seen.push(out.assignment());
+            }
+        }
+        seen
+    }
+
     /// The 15 points of the default Pareto sweep (three slew margins, each
     /// under three skew budgets and two useful-skew windows) over one shared
     /// state: the state builds its engine once, each point runs at most two
@@ -236,7 +298,7 @@ mod tests {
                 let shared =
                     windowed(OptContext::sharing(&start).with_constraints(limits), &design, window);
                 let out = SmartNdr::default().optimize(&shared);
-                let analyses = shared.analyzed.borrow().len();
+                let analyses = shared.analyzed.lock().unwrap().len();
                 assert!(analyses <= 2, "{margin}/{budget}: {analyses} analyses");
                 let own = OptContext::new(&tree, &tech, power_model).with_constraints(limits);
                 let own = windowed(own, &design, window);
@@ -246,10 +308,58 @@ mod tests {
         assert_eq!(start.engine_builds.load(Ordering::Relaxed), 1, "one engine per sweep");
     }
 
+    /// The sweep optimized in lockstep runs fewer engine tries than its
+    /// points run alone together, analyzes each distinct result once, and
+    /// gives every point its solo outcome.
+    #[test]
+    fn a_sweep_in_lockstep_tries_less_and_analyzes_each_result_once() {
+        let (design, tree, tech) = fixture();
+        let start = TreeState::new(&tree, &tech, PowerModel::new(design.freq_ghz()));
+        let ctxs = sweep(&design, &start);
+        let solo: Vec<Outcome> = ctxs.iter().map(|ctx| SmartNdr::default().optimize(ctx)).collect();
+        let solo_tries = start.tries.swap(0, Ordering::Relaxed);
+        for ctx in &ctxs {
+            ctx.analyzed.lock().unwrap().clear();
+        }
+        let together = SmartNdr::default().optimize_all(&ctxs, Parallelism::serial());
+        let tries = start.tries.load(Ordering::Relaxed);
+        assert!(2 * tries < solo_tries, "{tries} tries in lockstep, {solo_tries} alone");
+        let analyzed: Vec<Assignment> =
+            ctxs.iter().flat_map(|ctx| ctx.analyzed.lock().unwrap().clone()).collect();
+        assert!(ctxs[1..].iter().all(|ctx| ctx.analyzed.lock().unwrap().is_empty()), "the leader's analyses");
+        for asg in &analyzed {
+            assert_eq!(analyzed.iter().filter(|a| *a == asg).count(), 1, "one analysis per result");
+        }
+        assert!(distinct(&together).len() <= analyzed.len(), "every result analyzed");
+        for (out, alone) in together.iter().zip(&solo) {
+            assert_eq!(bits(out), bits(alone));
+        }
+    }
+
+    /// A sweep at the corners runs one corner batch on the conservative
+    /// tree: every point's start verdict and corner skew limits read it.
+    #[test]
+    fn a_corner_sweep_runs_one_batch_on_the_start() {
+        use snr_tech::Corner;
+        let (design, tree, tech) = fixture();
+        let start = TreeState::new(&tree, &tech, PowerModel::new(design.freq_ghz()));
+        let corners = vec![Corner::typical(), Corner::slow(), Corner::fast()];
+        let ctxs: Vec<OptContext<'_>> =
+            sweep(&design, &start).into_iter().map(|ctx| ctx.with_corners(corners.clone())).collect();
+        for ctx in &ctxs {
+            assert!(ctx.conservative_baseline().meets_constraints());
+        }
+        let outs = SmartNdr::default().optimize_all(&ctxs, Parallelism::serial());
+        assert!(outs.iter().all(Outcome::meets_constraints));
+        assert_eq!(start.corner_batches.load(Ordering::Relaxed), 1, "one batch per sweep");
+    }
+
     /// A `run` request's steps analyze the conservative tree once, in its
     /// state: the limits, the baseline and `SmartNdr`'s start check read
     /// that analysis (formerly each analyzed the tree), and the optimizer's
-    /// two full analyses are the pick's, of the constructions.
+    /// full analyses are the pick's, one per distinct result of the two
+    /// constructions. Both end in the same assignment here, so there is one
+    /// (formerly one per construction).
     #[test]
     fn a_run_analyzes_the_conservative_tree_once() {
         let (design, tree, tech) = fixture();
@@ -261,8 +371,9 @@ mod tests {
         let baseline = ctx.conservative_baseline();
         let out = SmartNdr::default().optimize(&ctx);
         assert!(baseline.meets_constraints() && out.meets_constraints());
-        let analyzed = ctx.analyzed.borrow();
-        assert_eq!(analyzed.len(), 2, "the pick's analyses");
+        let analyzed = ctx.analyzed.lock().unwrap();
+        assert_eq!(analyzed.len(), 1, "the pick's analysis");
+        assert_eq!(&analyzed[0], &GreedyDowngrade::default().assign(&ctx), "the constructions agree");
         assert!(analyzed.iter().all(|asg| asg != start.assignment()), "none of the start");
         // The packaged baseline is what analyzing the start gives.
         let fresh = OptContext::new(&tree, &tech, PowerModel::new(design.freq_ghz()))

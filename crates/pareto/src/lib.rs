@@ -10,13 +10,15 @@
 //!    canonically-ordered list of [`SweepPoint`]s (the cross product of
 //!    the constraint axes). The order is part of the API: point indices
 //!    name points across processes, job counts and resumed runs.
-//! 2. **Point evaluation** — [`evaluate_point`] runs the headline smart
-//!    optimizer under one point's constraints and measures the four
-//!    objectives ([`Objectives`]). Evaluation is serial and seeded, so a
-//!    point's objective vector is bit-identical wherever it is computed.
-//!    The points of one sweep share a [`SweepContext`]: one baseline
-//!    analysis for every point's limits and one Monte-Carlo draw for
-//!    every point's σ-skew.
+//! 2. **Point evaluation** — [`evaluate_points`] runs the headline smart
+//!    optimizer under each point's constraints and measures the four
+//!    objectives ([`Objectives`]). The points are optimized together
+//!    ([`SmartNdr::optimize_all`]), each to the outcome it has alone, and
+//!    everything is seeded, so a point's objective vector is bit-identical
+//!    wherever, and with whichever other points, it is computed. The
+//!    points of one sweep share a [`SweepContext`]: one baseline analysis
+//!    for every point's limits and one Monte-Carlo draw for every point's
+//!    σ-skew.
 //! 3. **Dominance filtering** — [`ParetoFront`] maintains the incremental
 //!    non-dominated set as results stream in, with the invariants pinned
 //!    by `tests/dominance_properties.rs`: output mutually non-dominated,
@@ -34,10 +36,10 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use snr_core::{Budget, Constraints, NdrOptimizer, OptContext, SmartNdr, TreeState};
+use snr_core::{Budget, Constraints, OptContext, SmartNdr, TreeState};
 use snr_cts::ClockTree;
 use snr_netlist::{random_timing_arcs, Design};
-use snr_par::{CancelToken, Cancelled, Parallelism};
+use snr_par::{par_map, CancelToken, Cancelled, Parallelism};
 use snr_power::PowerModel;
 use snr_tech::{Corner, Technology};
 use snr_variation::{Deviations, MonteCarlo, VariationError, VariationModel};
@@ -428,7 +430,7 @@ impl<'a> SweepContext<'a> {
     ///
     /// # Panics
     ///
-    /// As [`evaluate_point`].
+    /// As [`evaluate_points`].
     fn point_context(&self, point: &SweepPoint) -> OptContext<'_> {
         let (design, cfg) = (self.design, &self.cfg);
         let skew_budget_ps = match point.skew {
@@ -492,78 +494,83 @@ impl<'a> SweepContext<'a> {
     }
 }
 
-/// Evaluates one sweep point: smart-NDR under the point's constraints,
-/// then the four objectives. The optimizer is serial and everything is
-/// seeded, and the Monte-Carlo samples on `cfg.mc_parallelism` threads
-/// with the same result for any count — the returned vector is
-/// bit-identical across processes and job counts.
+/// Evaluates sweep points: smart-NDR under each point's constraints, then
+/// the four objectives. The points' contexts are optimized together
+/// ([`SmartNdr::optimize_all`] on `par`'s workers), each to the outcome it
+/// has alone; then each point's Monte Carlo runs on the sweep's draw, on
+/// `par`'s workers too, sampling on `cfg.mc_parallelism` threads with the
+/// same result for any count. Everything is seeded, so each returned
+/// vector is bit-identical across processes, job counts and the points it
+/// is evaluated with. `on_point` is called with each point's evaluation as
+/// it completes, on the worker that completed it.
 ///
-/// Returns `None` when `token` cancelled the evaluation (before it
-/// started, mid-optimization, or mid-variation): a cancelled point
-/// contributes nothing, so budget-truncated fronts stay a pure function
-/// of the completed subset.
+/// Returns one slot per point, `None` where `token` cancelled the
+/// evaluation (before it started, mid-optimization, or mid-variation): a
+/// cancelled point contributes nothing, so budget-truncated fronts stay a
+/// pure function of the completed subset. A token that fires during the
+/// optimization cancels every point still being optimized.
 ///
 /// # Panics
 ///
-/// Panics if the point's limits are unusable over the sweep's baseline
-/// (see [`SweepContext::constraints`]), or its track budget is not
-/// positive.
-pub fn evaluate_point(
+/// Panics if a point's limits are unusable over the sweep's baseline (see
+/// [`SweepContext::constraints`]), or its track budget is not positive.
+pub fn evaluate_points(
     sweep: &SweepContext<'_>,
-    point: &SweepPoint,
+    points: &[SweepPoint],
+    par: Parallelism,
     token: Option<&CancelToken>,
-) -> Option<PointEval> {
+    on_point: impl Fn(&SweepPoint, &PointEval) + Sync,
+) -> Vec<Option<PointEval>> {
     if token.is_some_and(CancelToken::is_cancelled) {
-        return None;
+        return vec![None; points.len()];
     }
-    let ctx = sweep.point_context(point);
-    let (tree, tech, cfg) = (ctx.tree(), ctx.tech(), &sweep.cfg);
-
+    let ctxs: Vec<OptContext<'_>> = points.iter().map(|point| sweep.point_context(point)).collect();
     let mut budget = Budget::unlimited();
     if let Some(t) = token {
         budget = budget.with_token(t.clone());
     }
-    let out = SmartNdr::default().with_budget(budget).optimize(&ctx);
-    if out.budget_exhausted() {
-        // The token fired mid-optimization; the best-so-far result is
-        // timing-dependent, so the point is dropped rather than polluting
-        // the deterministic front.
-        return None;
-    }
-
-    let sigma_skew_ps = if cfg.mc_samples > 0 {
-        let mc_token = token.cloned().unwrap_or_default();
-        let Ok(deviations) = sweep.deviations(&mc_token) else {
+    let outs = SmartNdr::default().with_budget(budget).optimize_all(&ctxs, par);
+    let (tree, tech, cfg) = (sweep.start.tree(), sweep.start.tech(), &sweep.cfg);
+    par_map(par, &outs, |i, out| {
+        if out.budget_exhausted() {
+            // The token fired mid-optimization; the best-so-far result is
+            // timing-dependent, so the point is dropped rather than
+            // polluting the deterministic front.
             return None;
-        };
-        let report = sweep.monte_carlo().run_with_deviations(
-            tree,
-            tech,
-            out.assignment(),
-            deviations,
-            &mc_token,
-        );
-        match report {
-            Ok(rep) => rep.sigma_skew_ps(),
-            Err(VariationError::Cancelled) => return None,
-            // Optimizer assignments always draw from the technology's own
-            // rule set; an out-of-range rule would be a caller bug, and
-            // dropping the point keeps the front well-defined.
-            Err(VariationError::RuleOutOfRange { .. }) => return None,
         }
-    } else {
-        0.0
-    };
-
-    Some(PointEval {
-        objectives: Objectives {
-            power_uw: out.power().network_uw(),
-            skew_ps: out.timing().skew_ps(),
-            sigma_skew_ps,
-            track_cost_um: out.power().track_cost_um(),
-        },
-        meets: out.meets_constraints(),
-        degraded: !out.degradations().is_empty(),
+        let sigma_skew_ps = if cfg.mc_samples > 0 {
+            let mc_token = token.cloned().unwrap_or_default();
+            let deviations = sweep.deviations(&mc_token).ok()?;
+            let report = sweep.monte_carlo().run_with_deviations(
+                tree,
+                tech,
+                out.assignment(),
+                deviations,
+                &mc_token,
+            );
+            match report {
+                Ok(rep) => rep.sigma_skew_ps(),
+                Err(VariationError::Cancelled) => return None,
+                // Optimizer assignments always draw from the technology's
+                // own rule set; an out-of-range rule would be a caller bug,
+                // and dropping the point keeps the front well-defined.
+                Err(VariationError::RuleOutOfRange { .. }) => return None,
+            }
+        } else {
+            0.0
+        };
+        let eval = PointEval {
+            objectives: Objectives {
+                power_uw: out.power().network_uw(),
+                skew_ps: out.timing().skew_ps(),
+                sigma_skew_ps,
+                track_cost_um: out.power().track_cost_um(),
+            },
+            meets: out.meets_constraints(),
+            degraded: !out.degradations().is_empty(),
+        };
+        on_point(&points[i], &eval);
+        Some(eval)
     })
 }
 
@@ -621,8 +628,8 @@ pub fn decode_eval(text: &str) -> Option<PointEval> {
 mod tests {
     use super::*;
     use snr_cts::{synthesize, CtsOptions};
+    use snr_core::NdrOptimizer;
     use snr_netlist::BenchmarkSpec;
-    use snr_par::par_map;
     use std::sync::atomic::Ordering;
 
     fn small_design() -> (Design, ClockTree, Technology) {
@@ -690,9 +697,16 @@ mod tests {
         let points = spec.enumerate();
         let sweep = SweepContext::new(&design, &tree, &tech, cfg);
         assert!(!sweep.deviations_drawn(), "building the sweep draws nothing");
-        let evals = par_map(Parallelism::new(2), &points, |_, point| {
-            evaluate_point(&sweep, point, None).unwrap()
+        let streamed = Mutex::new(Vec::new());
+        let evals = evaluate_points(&sweep, &points, Parallelism::new(2), None, |point, eval| {
+            streamed.lock().unwrap().push((point.index, encode_eval(eval)));
         });
+        let evals: Vec<PointEval> = evals.into_iter().map(Option::unwrap).collect();
+        let mut streamed = streamed.into_inner().unwrap();
+        streamed.sort();
+        let want: Vec<(usize, String)> =
+            points.iter().zip(&evals).map(|(p, e)| (p.index, encode_eval(e))).collect();
+        assert_eq!(streamed, want, "one call per point, with its evaluation");
         assert_eq!(sweep.draws.load(Ordering::Relaxed), 1, "one draw per sweep");
         for point in &points {
             let shared = std::ptr::eq(sweep.point_context(point).start(), &sweep.start);
@@ -709,8 +723,9 @@ mod tests {
         let (design, tree, tech) = small_design();
         let cfg = EvalConfig { mc_samples: 0, ..EvalConfig::default() };
         let sweep = SweepContext::new(&design, &tree, &tech, cfg);
-        for point in SweepSpec::default_sweep().enumerate().iter().take(3) {
-            assert_eq!(evaluate_point(&sweep, point, None).unwrap().objectives.sigma_skew_ps, 0.0);
+        let points = &SweepSpec::default_sweep().enumerate()[..3];
+        for eval in evaluate_points(&sweep, points, Parallelism::serial(), None, |_, _| {}) {
+            assert_eq!(eval.unwrap().objectives.sigma_skew_ps, 0.0);
         }
         assert_eq!(sweep.draws.load(Ordering::Relaxed), 0);
         assert!(!sweep.deviations_drawn());

@@ -9,13 +9,14 @@
 
 use snr_cts::{synthesize, CtsOptions};
 use snr_netlist::BenchmarkSpec;
-use snr_par::CancelToken;
+use snr_par::{CancelToken, Parallelism};
 use snr_pareto::{
-    brute_force_front, evaluate_point, EvalConfig, FrontPoint, ParetoFront, PointEval,
+    brute_force_front, evaluate_points, EvalConfig, FrontPoint, ParetoFront, PointEval,
     SweepContext, SweepSpec,
 };
 
-/// Evaluates the whole default sweep serially on an 80-sink design.
+/// Evaluates the whole default sweep together, serially, on an 80-sink
+/// design.
 fn evaluate_default_sweep() -> Vec<PointEval> {
     let design = BenchmarkSpec::new("trunc".to_owned(), 80)
         .seed(11)
@@ -25,10 +26,10 @@ fn evaluate_default_sweep() -> Vec<PointEval> {
     let tree = synthesize(&design, &tech, &CtsOptions::default()).expect("CTS succeeds");
     let cfg = EvalConfig { mc_samples: 4, ..EvalConfig::default() };
     let sweep = SweepContext::new(&design, &tree, &tech, cfg);
-    SweepSpec::default_sweep()
-        .enumerate()
-        .iter()
-        .map(|point| evaluate_point(&sweep, point, None).expect("uncancelled evaluation completes"))
+    let points = SweepSpec::default_sweep().enumerate();
+    evaluate_points(&sweep, &points, Parallelism::serial(), None, |_, _| {})
+        .into_iter()
+        .map(|eval| eval.expect("uncancelled evaluation completes"))
         .collect()
 }
 
@@ -104,8 +105,10 @@ fn cancelled_token_drops_the_point_entirely() {
     token.cancel();
     let sweep = SweepContext::new(&design, &tree, &tech, EvalConfig::default());
     assert_eq!(
-        evaluate_point(&sweep, &point, Some(&token)),
-        None,
+        evaluate_points(&sweep, &[point], Parallelism::serial(), Some(&token), |_, _| {
+            panic!("a cancelled point is never reported")
+        }),
+        vec![None],
         "a cancelled point must contribute nothing, not a partial result"
     );
 }

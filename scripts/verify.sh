@@ -225,6 +225,23 @@ cmp -s "$T/p37_1.json" "$T/p37_4.json" \
     > "$T/p37warm.json" 2>/dev/null
 cmp -s "$T/p37cold.json" "$T/p37warm.json" && cmp -s "$T/p37cold.json" "$T/p37_1.json" \
     || { echo "FAIL: the --mc 37 front must not depend on the store" >&2; exit 1; }
+# The pareto_mixed lock's sweep optimizes its points in lockstep: corner
+# members, rescued points (an infeasible start) and window members that
+# leave their group as forks. Its bytes must not depend on --jobs or on a
+# warm store, and must be the locked front.
+MIXED=(pareto --sinks 150 --seed 6 --corners --track-fracs 0.95,0.85 --windows 20 --mc 4 --json)
+"$BIN" "${MIXED[@]}" --jobs 1 > "$T/mixed1.json"
+"$BIN" "${MIXED[@]}" --jobs 4 > "$T/mixed4.json"
+"$BIN" "${MIXED[@]}" --store "$T/mstore" > "$T/mixedcold.json" 2>/dev/null
+"$BIN" "${MIXED[@]}" --store "$T/mstore" > "$T/mixedwarm.json" 2> "$T/mixedwarm.err"
+for f in mixed4 mixedcold mixedwarm; do
+    cmp -s "$T/mixed1.json" "$T/$f.json" \
+        || { echo "FAIL: the mixed sweep's $f front differs from --jobs 1" >&2; exit 1; }
+done
+cmp -s "$T/mixed1.json" tests/golden/pareto_mixed.txt \
+    || { echo "FAIL: the mixed sweep drifted from tests/golden/pareto_mixed.txt" >&2; exit 1; }
+grep -q "store: 36 hit(s), 0 miss(es), 0 quarantined" "$T/mixedwarm.err" \
+    || { echo "FAIL: the warm mixed sweep must replay every point" >&2; exit 1; }
 # A Monte-Carlo count past the ceiling is a typed usage error (exit 1),
 # never an allocation abort (exit 134).
 for cmd in run pareto; do

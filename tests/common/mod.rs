@@ -24,13 +24,21 @@ pub const SETS: [&str; 9] =
 ///   conservative baseline's track cost;
 /// - `em` and `noise`: the default limits with an EM limit of 2.5 mA/µm or
 ///   a noise limit of 0.05 fF/µm.
+#[allow(dead_code)]
 pub fn context<'a>(
     set: &str,
     design: &Design,
     tree: &'a ClockTree,
     tech: &'a Technology,
 ) -> OptContext<'a> {
-    let ctx = OptContext::new(tree, tech, PowerModel::new(design.freq_ghz()));
+    under(set, design, OptContext::new(tree, tech, PowerModel::new(design.freq_ghz())))
+}
+
+/// `ctx` under the constraint set `set`, as [`context`] builds it: over
+/// whatever tree state `ctx` has, its own or a shared one.
+#[allow(dead_code)]
+pub fn under<'a>(set: &str, design: &Design, ctx: OptContext<'a>) -> OptContext<'a> {
+    let (tree, tech) = (ctx.tree(), ctx.tech());
     let windows = |ctx: OptContext<'a>, w: f64| {
         let count = (design.sinks().len() / 2).clamp(1, 400);
         let arcs = random_timing_arcs(design, count, (w, w), (w, w), 77);
