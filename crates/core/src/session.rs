@@ -14,14 +14,15 @@
 //! behind the same API — it is the oracle the equivalence tests and the
 //! `incremental_vs_full` benchmark compare against.
 //!
-//! Inside the crate a session may also judge its candidates for a *group*
-//! of contexts over one tree state: a leader, whose verdicts the
-//! construction follows, and members, each judging every try under its own
-//! limits from the same engine run. A member that judges a try the other
-//! way leaves as a [`Fork`], which a *replaying* session later re-runs from
-//! the conservative start: it answers the group's verdicts up to the split
-//! without the engine, then continues live from the state at the split
-//! (see [`crate::SmartNdr::optimize_all`]).
+//! Every try is judged by the session's list of [`Judge`]s: its own context
+//! alone, or inside the crate a *group* of contexts over one tree state, a
+//! leader first, whose verdicts the construction follows, then members,
+//! each judging every try under its own limits from the same engine run. A
+//! member that judges a try the other way leaves as a [`Fork`], which a
+//! *replaying* session later re-runs from the conservative start: it
+//! answers the group's verdicts up to the split without the engine, then
+//! continues live from the state at the split (see
+//! [`crate::SmartNdr::optimize_all`]).
 //!
 //! # Examples
 //!
@@ -154,14 +155,14 @@ impl std::fmt::Display for Degradation {
 /// [`commit`]: EvalSession::commit
 /// [`rollback`]: EvalSession::rollback
 pub struct EvalSession<'c, 'a> {
-    ctx: &'c OptContext<'a>,
     mode: EvalMode,
     asg: Assignment,
     /// Present in [`EvalMode::Incremental`] only.
     engine: Option<IncrementalAnalyzer>,
-    /// The context's timing arcs over `engine`'s slots; present in
-    /// [`EvalMode::Incremental`] when the context has arcs.
-    arc_index: Option<ArcIndex>,
+    /// The contexts that judge every try, the leader first: the session's
+    /// own context, then the members of its group that still follow the
+    /// leader's verdicts.
+    judges: Vec<Judge<'c, 'a>>,
     corner_engines: Vec<IncrementalAnalyzer>,
     committed_slew_ps: f64,
     committed_skew_ps: f64,
@@ -186,12 +187,19 @@ pub struct EvalSession<'c, 'a> {
     replay: Option<Box<Replay<'c, 'a>>>,
 }
 
-/// The contexts a group session judges every try for besides its leader,
-/// and what its run leaves for [`crate::SmartNdr::optimize_all`].
+/// One context judging a session's tries: its verdict on the engine's
+/// pending try comes from its own limits and its timing arcs over the
+/// engine's slots, refreshed on every commit.
+#[derive(Clone)]
+struct Judge<'c, 'a> {
+    ctx: &'c OptContext<'a>,
+    /// Present in [`EvalMode::Incremental`] when `ctx` has arcs.
+    arc_index: Option<ArcIndex>,
+}
+
+/// The run-level state of a group session, what its run leaves for
+/// [`crate::SmartNdr::optimize_all`] besides its judges.
 struct Group<'c, 'a> {
-    /// Members still following the leader's verdicts. Once none is left
-    /// the session judges for its leader alone.
-    members: Vec<Member<'c, 'a>>,
     /// The leader's verdict on every try so far, kept while members remain:
     /// the script of every fork.
     history: Vec<bool>,
@@ -205,30 +213,27 @@ struct Group<'c, 'a> {
     detached: Vec<&'c OptContext<'a>>,
 }
 
-/// One member of a group: its context and its timing arcs over the group's
-/// engine, refreshed on every commit.
-struct Member<'c, 'a> {
-    ctx: &'c OptContext<'a>,
-    arc_index: Option<ArcIndex>,
+impl Group<'_, '_> {
+    fn new(start_feasible: bool) -> Self {
+        Group { history: Vec::new(), start_feasible, forks: Vec::new(), detached: Vec::new() }
+    }
 }
 
-/// The members of a group that judged one try the other way: the session's
-/// committed state before that try, led by the first of them, with the
-/// others as its members.
+/// The members of a group that judged one try the other way: a group
+/// session of theirs, the first of them leading, at the committed state
+/// before that try.
 pub(crate) struct Fork<'c, 'a> {
     snapshot: EvalSession<'c, 'a>,
     /// The group's verdicts before the split.
     script: Vec<bool>,
     /// The leaving members' verdict on the try at the split.
     verdict: bool,
-    /// As [`Group::start_feasible`].
-    start_feasible: bool,
 }
 
 impl<'c, 'a> Fork<'c, 'a> {
     /// The fork's contexts, its leader first.
-    pub(crate) fn contexts(&self) -> impl Iterator<Item = &'c OptContext<'a>> + '_ {
-        std::iter::once(self.snapshot.ctx).chain(self.snapshot.member_contexts())
+    fn contexts(&self) -> impl Iterator<Item = &'c OptContext<'a>> + '_ {
+        self.snapshot.judges.iter().map(|judge| judge.ctx)
     }
 }
 
@@ -241,7 +246,7 @@ struct Replay<'c, 'a> {
 
 /// What a group session's run leaves behind besides its assignment.
 pub(crate) struct GroupEnd<'c, 'a> {
-    /// The members that followed the leader to the end.
+    /// The contexts that followed the leader to the end, the leader first.
     pub(crate) members: Vec<&'c OptContext<'a>>,
     /// The members that left, to replay.
     pub(crate) forks: Vec<Fork<'c, 'a>>,
@@ -251,26 +256,7 @@ pub(crate) struct GroupEnd<'c, 'a> {
 
 impl Clone for EvalSession<'_, '_> {
     fn clone(&self) -> Self {
-        EvalSession {
-            ctx: self.ctx,
-            mode: self.mode,
-            asg: self.asg.clone(),
-            engine: self.engine.clone(),
-            arc_index: self.arc_index.clone(),
-            corner_engines: self.corner_engines.clone(),
-            committed_slew_ps: self.committed_slew_ps,
-            committed_skew_ps: self.committed_skew_ps,
-            committed_feasible: self.committed_feasible,
-            committed_network_uw: self.committed_network_uw,
-            pending: None,
-            commits: self.commits,
-            degradations: self.degradations.clone(),
-            scratch_moves: Vec::new(),
-            scratch_corners: Vec::new(),
-            move_slots: Vec::new(),
-            group: None,
-            replay: None,
-        }
+        self.copy_for(self.judges[..1].to_vec())
     }
 }
 
@@ -316,18 +302,12 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         }
         let engine = session.engine.as_ref().expect("a group session is incremental");
         let corners: Vec<TimingSummary> = session.corner_engines.iter().map(|e| e.summary()).collect();
-        let mut group = Group {
-            members: Vec::with_capacity(members.len()),
-            history: Vec::new(),
-            start_feasible: session.committed_feasible,
-            forks: Vec::new(),
-            detached: Vec::new(),
-        };
+        let mut group = Group::new(session.committed_feasible);
         for &ctx in members {
             debug_assert!(leader.groups_with(ctx), "members agree with the leader");
-            let member = Member { ctx, arc_index: ArcIndex::of(engine, ctx) };
-            if member.judge(engine, engine.summary(), &corners) == session.committed_feasible {
-                group.members.push(member);
+            let judge = Judge::new(ctx, engine);
+            if judge.judge(engine, engine.summary(), &corners) == session.committed_feasible {
+                session.judges.push(judge);
             } else {
                 group.detached.push(ctx);
             }
@@ -341,18 +321,49 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// then takes the fork's state at the split, runs that try and goes on
     /// live with the fork's contexts.
     pub(crate) fn replay(fork: Fork<'c, 'a>) -> Self {
-        let ctx = fork.snapshot.ctx;
-        let start = ctx.start();
+        let ctx = fork.snapshot.leader();
+        let group = fork.snapshot.group.as_deref().expect("a fork leads a group");
+        let mut session = Self::blank(ctx, EvalMode::Incremental, ctx.start().assignment().clone());
+        session.committed_feasible = group.start_feasible;
+        session.replay = Some(Box::new(Replay { fork, next: 0 }));
+        session
+    }
+
+    /// The context whose verdicts this session follows.
+    pub(crate) fn leader(&self) -> &'c OptContext<'a> {
+        self.judges[0].ctx
+    }
+
+    /// Consumes the session: its committed assignment, and what its run
+    /// leaves for the members of its group. A session still replaying when
+    /// its run ended (the budget cut it before the split) leaves its fork's
+    /// judges with the leader, at the state the cut left.
+    pub(crate) fn finish(mut self) -> (Assignment, GroupEnd<'c, 'a>) {
+        let judges = match self.replay.take() {
+            Some(replay) => replay.fork.snapshot.judges,
+            None => std::mem::take(&mut self.judges),
+        };
+        let members = judges.into_iter().map(|judge| judge.ctx).collect();
+        let mut end = GroupEnd { members, forks: Vec::new(), detached: Vec::new() };
+        if let Some(group) = self.group.take() {
+            (end.forks, end.detached) = (group.forks, group.detached);
+        }
+        (self.asg, end)
+    }
+
+    /// The field list: a session for `ctx` alone at `asg` in `mode`, with
+    /// no engine, nothing committed to compare against, nothing pending and
+    /// no commits. Every constructor sets what differs.
+    fn blank(ctx: &'c OptContext<'a>, mode: EvalMode, asg: Assignment) -> Self {
         EvalSession {
-            ctx,
-            mode: EvalMode::Incremental,
-            asg: start.assignment().clone(),
+            mode,
+            asg,
             engine: None,
-            arc_index: None,
+            judges: vec![Judge { ctx, arc_index: None }],
             corner_engines: Vec::new(),
             committed_slew_ps: f64::NAN,
             committed_skew_ps: f64::NAN,
-            committed_feasible: fork.start_feasible,
+            committed_feasible: false,
             committed_network_uw: f64::NAN,
             pending: None,
             commits: 0,
@@ -361,36 +372,25 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             scratch_corners: Vec::new(),
             move_slots: Vec::new(),
             group: None,
-            replay: Some(Box::new(Replay { fork, next: 0 })),
+            replay: None,
         }
     }
 
-    /// The context whose verdicts this session follows.
-    pub(crate) fn leader(&self) -> &'c OptContext<'a> {
-        self.ctx
-    }
-
-    /// The contexts of the group's members, if any.
-    fn member_contexts(&self) -> impl Iterator<Item = &'c OptContext<'a>> + '_ {
-        self.group.iter().flat_map(|group| group.members.iter().map(|m| m.ctx))
-    }
-
-    /// Consumes the session: its committed assignment, and what its run
-    /// leaves for the members of its group. A session still replaying when
-    /// its run ended (the budget cut it before the split) leaves its fork's
-    /// members with the leader, at the state the cut left.
-    pub(crate) fn finish(mut self) -> (Assignment, GroupEnd<'c, 'a>) {
-        let mut end = GroupEnd { members: Vec::new(), forks: Vec::new(), detached: Vec::new() };
-        if let Some(replay) = self.replay.take() {
-            end.members.extend(replay.fork.snapshot.member_contexts());
-        }
-        if let Some(group) = self.group.take() {
-            let Group { members, forks, detached, .. } = *group;
-            end.members.extend(members.into_iter().map(|m| m.ctx));
-            end.forks = forks;
-            end.detached = detached;
-        }
-        (self.asg, end)
+    /// A copy of the committed state, the engines, the commit count and
+    /// the degradations, judged by `judges`, the first leading: no pending
+    /// candidate, no scratch, no group and no replay.
+    fn copy_for(&self, judges: Vec<Judge<'c, 'a>>) -> Self {
+        let mut copy = Self::blank(judges[0].ctx, self.mode, self.asg.clone());
+        copy.judges = judges;
+        copy.engine = self.engine.clone();
+        copy.corner_engines = self.corner_engines.clone();
+        copy.committed_slew_ps = self.committed_slew_ps;
+        copy.committed_skew_ps = self.committed_skew_ps;
+        copy.committed_feasible = self.committed_feasible;
+        copy.committed_network_uw = self.committed_network_uw;
+        copy.commits = self.commits;
+        copy.degradations = self.degradations.clone();
+        copy
     }
 
     /// A [`EvalMode::FullReanalysis`] session at `asg`, whose analysis is
@@ -402,26 +402,12 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         feasible: bool,
         network_uw: f64,
     ) -> Self {
-        EvalSession {
-            ctx,
-            mode: EvalMode::FullReanalysis,
-            asg,
-            engine: None,
-            arc_index: None,
-            corner_engines: Vec::new(),
-            committed_slew_ps: report.max_slew_ps(),
-            committed_skew_ps: report.skew_ps(),
-            committed_feasible: feasible,
-            committed_network_uw: network_uw,
-            pending: None,
-            commits: 0,
-            degradations: Vec::new(),
-            scratch_moves: Vec::new(),
-            scratch_corners: Vec::new(),
-            move_slots: Vec::new(),
-            group: None,
-            replay: None,
-        }
+        let mut session = Self::blank(ctx, EvalMode::FullReanalysis, asg);
+        session.committed_slew_ps = report.max_slew_ps();
+        session.committed_skew_ps = report.skew_ps();
+        session.committed_feasible = feasible;
+        session.committed_network_uw = network_uw;
+        session
     }
 
     /// An [`EvalMode::Incremental`] session at `asg` over the nominal
@@ -432,38 +418,22 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         engine: IncrementalAnalyzer,
         network_uw: f64,
     ) -> Self {
-        let tree = ctx.tree();
-        let tech = ctx.tech();
-        let arc_index = ArcIndex::of(&engine, ctx);
+        let (tree, tech) = (ctx.tree(), ctx.tech());
         let corner_engines: Vec<IncrementalAnalyzer> = ctx
             .corners()
             .iter()
             .map(|c| IncrementalAnalyzer::with_scales(tree, tech, &asg, c.r_scale(), c.c_scale()))
             .collect();
+        let corners: Vec<TimingSummary> = corner_engines.iter().map(|e| e.summary()).collect();
         let summary = engine.summary();
-        let corner_summaries: Vec<TimingSummary> =
-            corner_engines.iter().map(|e| e.summary()).collect();
-        let mut session = EvalSession {
-            ctx,
-            mode: EvalMode::Incremental,
-            asg,
-            engine: Some(engine),
-            arc_index,
-            corner_engines,
-            committed_slew_ps: summary.max_slew_ps,
-            committed_skew_ps: summary.skew_ps(),
-            committed_feasible: false,
-            committed_network_uw: network_uw,
-            pending: None,
-            commits: 0,
-            degradations: Vec::new(),
-            scratch_moves: Vec::new(),
-            scratch_corners: Vec::new(),
-            move_slots: Vec::new(),
-            group: None,
-            replay: None,
-        };
-        session.committed_feasible = session.incremental_feasible(summary, &corner_summaries);
+        let mut session = Self::blank(ctx, EvalMode::Incremental, asg);
+        session.judges[0] = Judge::new(ctx, &engine);
+        session.committed_slew_ps = summary.max_slew_ps;
+        session.committed_skew_ps = summary.skew_ps();
+        session.committed_feasible = session.judges[0].judge(&engine, summary, &corners);
+        session.committed_network_uw = network_uw;
+        session.engine = Some(engine);
+        session.corner_engines = corner_engines;
         session
     }
 
@@ -486,7 +456,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         }
         let mut dedup = std::mem::take(&mut self.scratch_moves);
         dedup.clear();
-        self.move_slots.resize(self.ctx.tree().len(), 0);
+        self.move_slots.resize(self.leader().tree().len(), 0);
         dedup_moves(moves, &mut self.move_slots, &mut dedup);
         let mut split = None;
         if self.replay.is_some() {
@@ -527,11 +497,11 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             return Ok(verdict);
         }
         let Replay { fork, .. } = *self.replay.take().expect("a replaying session");
-        let Fork { mut snapshot, script, verdict, .. } = fork;
+        let Fork { mut snapshot, script, verdict } = fork;
         debug_assert_eq!(snapshot.commits, self.commits, "the script reached the split");
         debug_assert!(snapshot.asg == self.asg, "the script reached the split's state");
-        if let Some(group) = snapshot.group.as_deref_mut() {
-            group.history = script;
+        if snapshot.judges.len() > 1 {
+            snapshot.group.as_deref_mut().expect("a fork leads a group").history = script;
         }
         // The try at the split goes on with the buffers of this session.
         snapshot.scratch_moves = std::mem::take(&mut self.scratch_moves);
@@ -541,15 +511,12 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     }
 
     fn try_incremental(&mut self, moves: &[(NodeId, RuleId)]) -> (CandidateEval, f64) {
+        let ctx = self.leader();
         #[cfg(test)]
-        self.ctx.start().tries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tree = self.ctx.tree();
-        let tech = self.ctx.tech();
-        let summary = self
-            .engine
-            .as_mut()
-            .expect("incremental mode has an engine")
-            .try_moves(tree, tech, moves);
+        ctx.start().tries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let (tree, tech) = (ctx.tree(), ctx.tech());
+        let engine = self.engine.as_mut().expect("incremental mode has an engine");
+        let summary = engine.try_moves(tree, tech, moves);
         let mut corner_summaries = std::mem::take(&mut self.scratch_corners);
         corner_summaries.clear();
         corner_summaries.extend(
@@ -557,9 +524,9 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                 .iter_mut()
                 .map(|e| e.try_moves(tree, tech, moves)),
         );
-        let power_delta_uw = closed_form_power_delta_uw(self.ctx, &self.asg, moves);
-        let feasible = self.incremental_feasible(summary, &corner_summaries);
-        if self.group.as_ref().is_some_and(|group| !group.members.is_empty()) {
+        let power_delta_uw = closed_form_power_delta_uw(ctx, &self.asg, moves);
+        let feasible = self.judges[0].judge(engine, summary, &corner_summaries);
+        if self.judges.len() > 1 {
             self.judge_members(feasible, summary, &corner_summaries);
         }
         self.scratch_corners = corner_summaries;
@@ -573,13 +540,14 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     }
 
     fn try_full(&self, moves: &[(NodeId, RuleId)]) -> (CandidateEval, f64) {
+        let ctx = self.leader();
         let mut candidate = self.asg.clone();
         for &(edge, rule) in moves {
             candidate.set(edge, rule);
         }
-        let report = self.ctx.analyze(&candidate);
-        let feasible = self.ctx.meets(&candidate, &report);
-        let network_uw = self.ctx.power(&candidate).network_uw();
+        let report = ctx.analyze(&candidate);
+        let feasible = ctx.meets(&candidate, &report);
+        let network_uw = ctx.power(&candidate).network_uw();
         let eval = CandidateEval {
             power_delta_uw: network_uw - self.committed_network_uw,
             worst_slew_ps: report.max_slew_ps(),
@@ -589,60 +557,24 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         (eval, network_uw)
     }
 
-    /// [`OptContext::meets`]'s checks, fed from the candidate state of the
-    /// incremental engines. Timing arcs are re-checked only inside the
-    /// probe's cone ([`ArcIndex`]); the verdict is the one a scan of every
-    /// arc gives.
-    fn incremental_feasible(
-        &self,
-        nominal: TimingSummary,
-        corner_summaries: &[TimingSummary],
-    ) -> bool {
-        let engine = self
-            .engine
-            .as_ref()
-            .expect("incremental mode has an engine");
-        judge(self.ctx, self.arc_index.as_ref(), engine, nominal, corner_summaries)
-    }
-
     /// Judges the pending try for every member of the group, whose leader
     /// gave `verdict`. The members that judge it the other way leave as one
-    /// fork, holding the committed state before the try. The try's verdict
-    /// joins the history while members remain.
+    /// fork: the committed state before the try, judged by them. The try's
+    /// verdict joins the history while members remain.
     fn judge_members(&mut self, verdict: bool, nominal: TimingSummary, corners: &[TimingSummary]) {
         let engine = self.engine.as_ref().expect("incremental mode has an engine");
-        let group = self.group.as_deref().expect("a group session");
-        if group.members.iter().any(|m| m.judge(engine, nominal, corners) != verdict) {
-            let mut group = self.group.take().expect("a group session");
-            let (stay, leave): (Vec<_>, Vec<_>) = std::mem::take(&mut group.members)
-                .into_iter()
-                .partition(|m| m.judge(engine, nominal, corners) == verdict);
-            group.members = stay;
-            let mut leave = leave.into_iter();
-            let first = leave.next().expect("a member judged the other way");
-            let mut snapshot = self.clone();
-            snapshot.ctx = first.ctx;
-            snapshot.arc_index = first.arc_index;
-            let rest: Vec<Member<'c, 'a>> = leave.collect();
-            if !rest.is_empty() {
-                snapshot.group = Some(Box::new(Group {
-                    members: rest,
-                    history: Vec::new(),
-                    start_feasible: group.start_feasible,
-                    forks: Vec::new(),
-                    detached: Vec::new(),
-                }));
-            }
-            group.forks.push(Fork {
-                snapshot,
-                script: group.history.clone(),
-                verdict: !verdict,
-                start_feasible: group.start_feasible,
-            });
-            self.group = Some(group);
+        if self.judges[1..].iter().any(|judge| judge.judge(engine, nominal, corners) != verdict) {
+            let (stay, leave): (Vec<_>, Vec<_>) =
+                self.judges.drain(1..).partition(|j| j.judge(engine, nominal, corners) == verdict);
+            self.judges.extend(stay);
+            let group = self.group.as_deref().expect("a group session");
+            let mut snapshot = self.copy_for(leave);
+            snapshot.group = Some(Box::new(Group::new(group.start_feasible)));
+            let fork = Fork { snapshot, script: group.history.clone(), verdict: !verdict };
+            self.group.as_deref_mut().expect("a group session").forks.push(fork);
         }
         let group = self.group.as_deref_mut().expect("a group session");
-        if group.members.is_empty() {
+        if self.judges.len() == 1 {
             group.history = Vec::new();
         } else {
             group.history.push(verdict);
@@ -662,10 +594,11 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         if self.pending.is_some() {
             self.rollback();
         }
-        let constraints = self.ctx.constraints();
+        let ctx = self.leader();
+        let constraints = ctx.constraints();
         match self.engine.as_mut() {
             Some(engine) => {
-                let s = engine.probe_edge(self.ctx.tree(), self.ctx.tech(), edge, rule);
+                let s = engine.probe_edge(ctx.tree(), ctx.tech(), edge, rule);
                 constraints.violation_ps_of(s.max_slew_ps, s.skew_ps())
             }
             None => {
@@ -690,14 +623,9 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         if let Some(engine) = self.engine.as_mut() {
             let cone = engine.pending_cone();
             engine.commit();
-            if let Some(index) = self.arc_index.as_mut() {
-                index.refresh(engine, self.ctx.resolved_arcs(), cone.clone());
-            }
-            if let Some(group) = self.group.as_deref_mut() {
-                for member in &mut group.members {
-                    if let Some(index) = member.arc_index.as_mut() {
-                        index.refresh(engine, member.ctx.resolved_arcs(), cone.clone());
-                    }
+            for judge in &mut self.judges {
+                if let Some(index) = judge.arc_index.as_mut() {
+                    index.refresh(engine, judge.ctx.resolved_arcs(), cone.clone());
                 }
             }
         }
@@ -726,8 +654,9 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// commit before any check saw it.
     #[cfg(feature = "fault-inject")]
     fn inject_divergence(&mut self) {
-        let Some((at_commit, delta_ps)) = self.ctx.divergence_fault() else { return };
-        let every = self.ctx.divergence_every();
+        let ctx = self.leader();
+        let Some((at_commit, delta_ps)) = ctx.divergence_fault() else { return };
+        let every = ctx.divergence_every();
         if every == 0 || self.commits != at_commit.div_ceil(every) * every {
             return;
         }
@@ -751,16 +680,17 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         if self.mode != EvalMode::Incremental {
             return;
         }
-        let every = self.ctx.divergence_every();
+        let ctx = self.leader();
+        let every = ctx.divergence_every();
         if every == 0 || !self.commits.is_multiple_of(every) {
             return;
         }
-        let report = self.ctx.analyze(&self.asg);
-        let network_uw = self.ctx.power(&self.asg).network_uw();
+        let report = ctx.analyze(&self.asg);
+        let network_uw = ctx.power(&self.asg).network_uw();
         let slew_drift_ps = (self.committed_slew_ps - report.max_slew_ps()).abs();
         let skew_drift_ps = (self.committed_skew_ps - report.skew_ps()).abs();
         let power_drift_uw = (self.committed_network_uw - network_uw).abs();
-        let eps = self.ctx.divergence_epsilon_ps();
+        let eps = ctx.divergence_epsilon_ps();
         // Power sums scale with design size, so its tolerance is relative to
         // the committed magnitude; slew/skew stay absolute in ps.
         let power_eps = eps * network_uw.abs().max(1.0);
@@ -776,21 +706,20 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         // The leader's run goes on as its own run would; everyone else in
         // the group reruns alone, so each reports its own degradations.
         if let Some(group) = self.group.as_deref_mut() {
-            let members = std::mem::take(&mut group.members).into_iter().map(|m| m.ctx);
             let forks = std::mem::take(&mut group.forks);
-            let forked: Vec<&'c OptContext<'a>> = forks.iter().flat_map(Fork::contexts).collect();
-            group.detached.extend(members.chain(forked));
+            let members = self.judges.drain(1..).map(|judge| judge.ctx);
+            group.detached.extend(members.chain(forks.iter().flat_map(Fork::contexts)));
             group.history = Vec::new();
         }
         self.mode = EvalMode::FullReanalysis;
         self.engine = None;
-        self.arc_index = None;
+        self.judges[0].arc_index = None;
         self.corner_engines.clear();
         // Re-seed the committed scalars from the oracle so everything the
         // session reports from here on is trustworthy.
         self.committed_slew_ps = report.max_slew_ps();
         self.committed_skew_ps = report.skew_ps();
-        self.committed_feasible = self.ctx.meets(&self.asg, &report);
+        self.committed_feasible = ctx.meets(&self.asg, &report);
         self.committed_network_uw = network_uw;
     }
 
@@ -798,9 +727,9 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// for its committed assignment: a fresh session, with no degradations,
     /// that keeps this session's group.
     pub(crate) fn restart(&mut self) {
-        let group = self.group.take();
-        let asg = std::mem::replace(&mut self.asg, Assignment::uniform(self.ctx.tree(), RuleId(0)));
-        *self = EvalSession::new(self.ctx, asg, self.ctx.eval_mode());
+        let (ctx, group) = (self.leader(), self.group.take());
+        let asg = std::mem::replace(&mut self.asg, Assignment::uniform(ctx.tree(), RuleId(0)));
+        *self = EvalSession::new(ctx, asg, ctx.eval_mode());
         self.group = group;
     }
 
@@ -870,8 +799,8 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// sensitivity scans, not per-candidate checks).
     pub fn report(&self) -> TimingReport {
         match &self.engine {
-            Some(engine) => engine.report(self.ctx.tree()),
-            None => self.ctx.analyze(&self.asg),
+            Some(engine) => engine.report(self.leader().tree()),
+            None => self.leader().analyze(&self.asg),
         }
     }
 
@@ -881,8 +810,8 @@ impl<'c, 'a> EvalSession<'c, 'a> {
     /// slew exceeds the limit, and only the stages holding the latest
     /// arrival.
     pub(crate) fn violation_sites(&self) -> ViolationSites {
-        let tree = self.ctx.tree();
-        let constraints = self.ctx.constraints();
+        let ctx = self.leader();
+        let (tree, constraints) = (ctx.tree(), ctx.constraints());
         let slew_limit = constraints.slew_limit_ps();
         let mut sites = ViolationSites {
             violation_ps: 0.0,
@@ -901,7 +830,7 @@ impl<'c, 'a> EvalSession<'c, 'a> {
                 }
             }
             None => {
-                let report = self.ctx.analyze(&self.asg);
+                let report = ctx.analyze(&self.asg);
                 sites.violation_ps = constraints.violation_ps(&report);
                 if report.max_slew_ps() > slew_limit {
                     sites.slew_violators = tree
@@ -962,44 +891,37 @@ struct ArcIndex {
     violated: usize,
 }
 
-impl<'c, 'a> Member<'c, 'a> {
-    /// This member's verdict on the engine's pending try (or its committed
-    /// state, with nothing pending).
-    fn judge(&self, engine: &IncrementalAnalyzer, nominal: TimingSummary, corners: &[TimingSummary]) -> bool {
-        judge(self.ctx, self.arc_index.as_ref(), engine, nominal, corners)
+impl<'c, 'a> Judge<'c, 'a> {
+    /// `ctx`, with its timing arcs, if any, over `engine`'s slots.
+    fn new(ctx: &'c OptContext<'a>, engine: &IncrementalAnalyzer) -> Self {
+        let arcs = ctx.resolved_arcs();
+        Judge { ctx, arc_index: (!arcs.is_empty()).then(|| ArcIndex::new(engine, arcs)) }
     }
-}
 
-/// `ctx`'s verdict on `engine`'s pending try, whose summaries are `nominal`
-/// and `corners`, with `arc_index` over `ctx`'s arcs: [`OptContext::meets`]'s
-/// checks.
-fn judge(
-    ctx: &OptContext<'_>,
-    arc_index: Option<&ArcIndex>,
-    engine: &IncrementalAnalyzer,
-    nominal: TimingSummary,
-    corners: &[TimingSummary],
-) -> bool {
-    let arcs_met = || match arc_index {
-        Some(index) => index.candidate_met(engine, ctx.resolved_arcs()),
-        None => true,
-    };
-    ctx.meets_nominal(
-        nominal.max_slew_ps,
-        nominal.skew_ps(),
-        arcs_met,
-        |e| engine.candidate_rule(e),
-        |e| engine.candidate_stage_load_ff(e),
-    ) && ctx.meets_corners(corners)
+    /// This context's verdict on `engine`'s pending try (or its committed
+    /// state, with nothing pending), whose summaries are `nominal` and
+    /// `corners`: [`OptContext::meets`]'s checks. Timing arcs are re-checked
+    /// only inside the probe's cone ([`ArcIndex`]); the verdict is the one a
+    /// scan of every arc gives.
+    fn judge(
+        &self,
+        engine: &IncrementalAnalyzer,
+        nominal: TimingSummary,
+        corners: &[TimingSummary],
+    ) -> bool {
+        let arcs = self.ctx.resolved_arcs();
+        let arcs_met = || self.arc_index.as_ref().is_none_or(|index| index.candidate_met(engine, arcs));
+        self.ctx.meets_nominal(
+            nominal.max_slew_ps,
+            nominal.skew_ps(),
+            arcs_met,
+            |e| engine.candidate_rule(e),
+            |e| engine.candidate_stage_load_ff(e),
+        ) && self.ctx.meets_corners(corners)
+    }
 }
 
 impl ArcIndex {
-    /// `ctx`'s arcs over `engine`'s slots, or `None` without arcs.
-    fn of(engine: &IncrementalAnalyzer, ctx: &OptContext<'_>) -> Option<Self> {
-        let arcs = ctx.resolved_arcs();
-        (!arcs.is_empty()).then(|| ArcIndex::new(engine, arcs))
-    }
-
     fn new(engine: &IncrementalAnalyzer, arcs: &[(TimingArc, NodeId, NodeId)]) -> Self {
         let slots = engine.stage_count();
         let mut tagged = Vec::with_capacity(2 * arcs.len());
@@ -1143,8 +1065,9 @@ fn closed_form_power_delta_uw(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Constraints, TreeState};
     use snr_cts::{synthesize, CtsOptions};
-    use snr_netlist::BenchmarkSpec;
+    use snr_netlist::{random_timing_arcs, BenchmarkSpec, Design};
     use snr_power::PowerModel;
     use snr_tech::Technology;
 
@@ -1223,5 +1146,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The tightest EM limit, mA/µm, that `ctx`'s conservative start meets.
+    fn start_em_ma_per_um(ctx: &OptContext<'_>) -> f64 {
+        let (tree, tech, start) = (ctx.tree(), ctx.tech(), ctx.start());
+        let rule = |e| tech.rules().get(start.assignment().rule(e)).unwrap();
+        let width_um = |e| rule(e).width_mult() * tech.clock_layer().width_min_um();
+        let amps_ma = |e| start.timing().stage_load_ff(e) * tech.vdd_v() * ctx.power_model().freq_ghz() / 1e3;
+        let wires = tree.edges().filter(|&e| tree.node(e).edge_len_nm() > 0);
+        wires.map(|e| amps_ma(e) / width_um(e)).fold(0.0, f64::max)
+    }
+
+    fn windowed<'a>(ctx: OptContext<'a>, design: &Design, window_ps: f64, seed: u64) -> OptContext<'a> {
+        let arcs = random_timing_arcs(design, 60, (window_ps, window_ps), (window_ps, window_ps), seed);
+        ctx.with_timing_arcs(arcs).unwrap()
+    }
+
+    /// One group session and one solo session per context go through the
+    /// same random walk of tries, commits and rollbacks; a quarter of its
+    /// steps undo the last commit, and half the rejected tries commit. After
+    /// every try, each context still judging in the group gives its solo
+    /// verdict, which is the leader's, and each context that left at that
+    /// try has a solo verdict that differs from the leader's.
+    ///
+    /// Every context holds useful-skew windows on the same sink pairs, so a
+    /// member judges like the leader while both reject a broken window, and
+    /// a member whose arcs were not re-checked on commit answers from stale
+    /// verdicts. One member also holds an EM limit that binds.
+    #[test]
+    fn every_judge_answers_as_its_solo_session_would() {
+        let (mut stayed, mut left, mut rejected_commits) = (0, 0, 0);
+        for seed in 1..=4 {
+            let design = BenchmarkSpec::new("judges", 160).seed(seed).build().unwrap();
+            let tech = Technology::n45();
+            let tree = synthesize(&design, &tech, &CtsOptions::default()).unwrap();
+            let start = TreeState::new(&tree, &tech, PowerModel::new(design.freq_ghz()));
+            let base = start.timing();
+            let limits = |margin, budget| {
+                Constraints::try_over_baseline(base.max_slew_ps(), base.skew_ps(), margin, budget).unwrap()
+            };
+            let ctx = |margin, budget, window_ps| {
+                let ctx = OptContext::sharing(&start).with_constraints(limits(margin, budget));
+                windowed(ctx, &design, window_ps, seed)
+            };
+            let em = start_em_ma_per_um(&OptContext::sharing(&start));
+            let ctxs = [
+                ctx(1.10, 30.0, 8.0),
+                ctx(1.5, 150.0, 8.0),
+                ctx(1.25, 60.0, 12.0),
+                ctx(1.10, 30.0, 8.0).with_constraints(limits(1.10, 30.0).with_em_limit(1.3 * em)),
+                ctx(1.5, 150.0, 6.0),
+            ];
+            let index = |ctx: &OptContext<'_>| ctxs.iter().position(|c| std::ptr::eq(c, ctx)).unwrap();
+            let members: Vec<&OptContext<'_>> = ctxs[1..].iter().collect();
+            let mut group = EvalSession::grouped(&ctxs[0], &members);
+            assert_eq!(group.judges.len(), ctxs.len(), "seed {seed}: every start meets its limits");
+            let mut solo: Vec<EvalSession<'_, '_>> = ctxs.iter().map(OptContext::session).collect();
+            let edges: Vec<NodeId> = tree.edges().collect();
+            let mut rng = SplitMix(seed);
+            let mut undo: Vec<Vec<(NodeId, RuleId)>> = Vec::new();
+            for step in 0..300 {
+                let undoing = rng.below(4) == 0 && !undo.is_empty();
+                let moves = match undoing {
+                    true => undo.pop().unwrap(),
+                    false => (0..1 + rng.below(3))
+                        .map(|_| (edges[rng.below(edges.len())], RuleId(rng.below(tech.rules().len()))))
+                        .collect(),
+                };
+                let before: Vec<usize> = group.judges.iter().map(|j| index(j.ctx)).collect();
+                let eval = group.try_moves(&moves);
+                let verdicts: Vec<bool> = solo.iter_mut().map(|s| s.try_moves(&moves).feasible).collect();
+                assert_eq!(verdicts[0], eval.feasible, "seed {seed} step {step}: the leader");
+                let after: Vec<usize> = group.judges.iter().map(|j| index(j.ctx)).collect();
+                for &i in &before[1..] {
+                    let stays = after.contains(&i);
+                    assert_eq!(verdicts[i] == eval.feasible, stays, "seed {seed} step {step}: context {i}");
+                    (stayed, left) = (stayed + usize::from(stays), left + usize::from(!stays));
+                }
+                if undoing || (eval.feasible && rng.below(3) != 0) || rng.below(2) == 0 {
+                    if !undoing {
+                        undo.push(moves.iter().map(|&(e, _)| (e, group.rule(e))).collect());
+                    }
+                    rejected_commits += usize::from(!eval.feasible);
+                    group.commit();
+                    solo.iter_mut().for_each(EvalSession::commit);
+                } else {
+                    group.rollback();
+                    solo.iter_mut().for_each(EvalSession::rollback);
+                }
+            }
+        }
+        assert!(stayed > 0 && left > 0 && rejected_commits > 0, "{stayed} {left} {rejected_commits}");
     }
 }

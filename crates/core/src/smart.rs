@@ -227,7 +227,6 @@ impl SmartNdr {
             }
             Job::Replay(construction, fork) => (construction, EvalSession::replay(*fork)),
         };
-        let leader = session.leader();
         let (budgets, degradations) = match construction {
             Construction::Greedy => {
                 let budgets = downgrade.refine_in(&mut session);
@@ -235,8 +234,7 @@ impl SmartNdr {
             }
             Construction::Stage => self.stage_nets(downgrade, &mut session),
         };
-        let (assignment, mut end) = session.finish();
-        end.members.insert(0, leader);
+        let (assignment, end) = session.finish();
         Done::Run(construction, SupervisedRun { assignment, budgets, degradations }, end)
     }
 
