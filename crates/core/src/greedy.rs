@@ -122,7 +122,7 @@ impl GreedyDowngrade {
         let feasible = session.feasible();
         let mut levels = Meter::start(&self.budget, "greedy-levels");
         if feasible {
-            Self::lower_levels(ctx, session, &menu, &mut levels);
+            Self::lower_groups(ctx, session, &menu, ctx.start().levels(), &mut levels);
         }
         let levels = levels.report();
         let mut refine = Meter::start(&self.budget, "greedy-refine");
@@ -164,23 +164,24 @@ impl GreedyDowngrade {
         false
     }
 
-    /// Phase 1: depth-synchronized group downgrades. The DME tree is
-    /// delay-balanced, so re-ruling *every* edge at one depth perturbs all
-    /// root-sink paths nearly equally — a skew-neutral move that single-edge
-    /// greedy can never compose from accepted steps (each individual step
-    /// would blow the skew budget). Deepest levels first: they carry the
-    /// most total wirelength.
-    fn lower_levels(
+    /// Phase 1, and the stage-net construction's first phase: one tick and
+    /// one [`lower_group`](Self::lower_group) for each non-empty group of
+    /// `by_depth`, deepest (most wirelength) first. On tree depths this is
+    /// skew-neutral: the DME tree is delay-balanced, so re-ruling *every*
+    /// edge at one depth perturbs all root-sink paths nearly equally, a
+    /// move single-edge greedy can never compose from accepted steps.
+    pub(crate) fn lower_groups(
         ctx: &OptContext<'_>,
         session: &mut EvalSession<'_, '_>,
         menu: &Menu,
-        levels: &mut Meter<'_>,
+        by_depth: &[Vec<NodeId>],
+        meter: &mut Meter<'_>,
     ) {
-        for level in ctx.start().levels().iter().rev().filter(|level| !level.is_empty()) {
-            if !levels.tick() {
+        for group in by_depth.iter().rev().filter(|group| !group.is_empty()) {
+            if !meter.tick() {
                 break;
             }
-            Self::lower_group(ctx, session, menu, level);
+            Self::lower_group(ctx, session, menu, group);
         }
     }
 

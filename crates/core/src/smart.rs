@@ -260,12 +260,7 @@ impl SmartNdr {
         let menu = Menu::new(ctx.tech());
         let StageNets { nets, by_depth } = ctx.start().stage_nets();
         let mut depths = Meter::start(&self.budget, "stage-depths");
-        for group in by_depth.iter().rev().filter(|group| !group.is_empty()) {
-            if !depths.tick() {
-                break;
-            }
-            GreedyDowngrade::lower_group(ctx, session, &menu, group);
-        }
+        GreedyDowngrade::lower_groups(ctx, session, &menu, by_depth, &mut depths);
         let depths = depths.report();
         let mut passes = Meter::start(&self.budget, "stage-nets");
         'passes: loop {
