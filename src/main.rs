@@ -40,11 +40,11 @@
 //! # Parallelism and panics
 //!
 //! `--jobs <N>` (alias `-j <N>`) runs the Monte Carlo samples of `run --mc`,
-//! the per-design flow of `suite` and the sweep points of `pareto` (each
-//! with its Monte Carlo) on `N` worker threads; the optimizer itself always
-//! runs serially. Output is bit-identical for every job count: sample seeds
-//! are derived per index and rows print in suite order. Worker panics never
-//! abort the process:
+//! the per-design flow of `suite`, and the construction runs and Monte
+//! Carlo of the sweep points of `pareto` on `N` worker threads; a single
+//! `run` optimizes on one thread. Output is bit-identical for every job
+//! count: sample seeds are derived per index and rows print in suite order.
+//! Worker panics never abort the process:
 //!
 //! * `suite` catches a panicking design inside its worker and prints a
 //!   `FAILED` row with the truncated panic message in the reason column
@@ -143,9 +143,10 @@ IMPORT / EXPORT:
 
 PARALLELISM:
   --jobs <N>, -j <N>  worker threads for Monte Carlo samples (run), designs
-                      (suite), sweep points (pareto) and requests (serve);
-                      the optimizer always runs serially. Output is
-                      identical for any N
+                      (suite), the construction runs and Monte Carlo of
+                      sweep points (pareto) and requests (serve); a single
+                      run optimizes on one thread. Output is identical for
+                      any N
 
 SUPERVISION:
   --timeout <SECS>    cooperative wall-clock deadline (0 = off); anytime —
