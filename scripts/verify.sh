@@ -33,10 +33,11 @@ cargo check --offline --manifest-path perfbench/Cargo.toml --target-dir target/p
 step "cargo clippy --all-targets -D warnings"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
-step "cargo doc -D warnings"
+step "cargo doc -D warnings --document-private-items"
 # Broken intra-doc links and ambiguous paths fail the gate, so the public
-# API docs keep resolving.
-RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+# API docs keep resolving; with the crate-private items documented too,
+# so do the links between internal types.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --document-private-items
 
 step "smart-ndr lint smoke"
 BIN=target/release/smart-ndr
