@@ -1067,7 +1067,7 @@ mod tests {
     use super::*;
     use crate::{Constraints, TreeState};
     use snr_cts::{synthesize, CtsOptions};
-    use snr_netlist::{random_timing_arcs, BenchmarkSpec, Design};
+    use snr_netlist::{random_timing_arcs, BenchmarkSpec};
     use snr_power::PowerModel;
     use snr_tech::Technology;
 
@@ -1158,11 +1158,6 @@ mod tests {
         wires.map(|e| amps_ma(e) / width_um(e)).fold(0.0, f64::max)
     }
 
-    fn windowed<'a>(ctx: OptContext<'a>, design: &Design, window_ps: f64, seed: u64) -> OptContext<'a> {
-        let arcs = random_timing_arcs(design, 60, (window_ps, window_ps), (window_ps, window_ps), seed);
-        ctx.with_timing_arcs(arcs).unwrap()
-    }
-
     /// One group session and one solo session per context go through the
     /// same random walk of tries, commits and rollbacks; a quarter of its
     /// steps undo the last commit, and half the rejected tries commit. After
@@ -1186,17 +1181,19 @@ mod tests {
             let limits = |margin, budget| {
                 Constraints::try_over_baseline(base.max_slew_ps(), base.skew_ps(), margin, budget).unwrap()
             };
-            let ctx = |margin, budget, window_ps| {
-                let ctx = OptContext::sharing(&start).with_constraints(limits(margin, budget));
-                windowed(ctx, &design, window_ps, seed)
+            // 60 arcs on the same sink pairs whatever the window.
+            let ctx = |limits: Constraints, window_ps| {
+                let window = (window_ps, window_ps);
+                let arcs = random_timing_arcs(&design, 60, window, window, seed);
+                OptContext::sharing(&start).with_constraints(limits).with_timing_arcs(arcs).unwrap()
             };
             let em = start_em_ma_per_um(&OptContext::sharing(&start));
             let ctxs = [
-                ctx(1.10, 30.0, 8.0),
-                ctx(1.5, 150.0, 8.0),
-                ctx(1.25, 60.0, 12.0),
-                ctx(1.10, 30.0, 8.0).with_constraints(limits(1.10, 30.0).with_em_limit(1.3 * em)),
-                ctx(1.5, 150.0, 6.0),
+                ctx(limits(1.10, 30.0), 8.0),
+                ctx(limits(1.5, 150.0), 8.0),
+                ctx(limits(1.25, 60.0), 12.0),
+                ctx(limits(1.10, 30.0).with_em_limit(1.3 * em), 8.0),
+                ctx(limits(1.5, 150.0), 6.0),
             ];
             let index = |ctx: &OptContext<'_>| ctxs.iter().position(|c| std::ptr::eq(c, ctx)).unwrap();
             let members: Vec<&OptContext<'_>> = ctxs[1..].iter().collect();
